@@ -1,9 +1,9 @@
-//! Engine throughput: instructions/second on a fixed ALU+memory loop
-//! body, through the cached-plan path and the legacy decode-per-run path.
+//! Engine throughput: instructions/second of the cached-plan interpreter
+//! on a fixed ALU+memory body, looped and unrolled.
 //!
-//! Emits `BENCH_engine.json` with both rates (and their ratio) so CI
-//! tracks the interpreter's perf trajectory alongside the e5/e6 campaign
-//! wall times from the same job.
+//! Emits `BENCH_engine.json` with both rates so CI tracks the
+//! interpreter's perf trajectory alongside the e5/e6 campaign wall times
+//! from the same job.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use nanobench_bench::write_metrics_json;
@@ -26,15 +26,14 @@ const BODY: &str = "add rax, 1; \
                     sub r9, rdx";
 
 /// Looped workload: 200 iterations around the body plus a conditional
-/// branch — high dynamic/static instruction ratio, decode fully
-/// amortized, measuring raw interpreter speed.
+/// branch — high dynamic/static instruction ratio, measuring raw
+/// interpreter speed.
 fn looped_workload() -> Vec<Instruction> {
     parse_asm(&format!("mov r15, 200; l: {BODY}; dec r15; jnz l")).expect("workload parses")
 }
 
 /// Unrolled workload: 100 straight-line copies of the body with no loop —
-/// the §III-F "unroll only" shape, where each legacy run re-decodes as
-/// many static instructions as it executes.
+/// the §III-F "unroll only" shape, with no loop-close branch to fuse.
 fn unrolled_workload() -> Vec<Instruction> {
     let line = format!("{BODY}; ").repeat(100);
     parse_asm(&line).expect("workload parses")
@@ -47,25 +46,20 @@ fn machine() -> Machine {
     m
 }
 
-/// Measures one path's sustained instructions/second: `reps` full workload
-/// runs per timing window, median over `WINDOWS` windows (one scheduler
-/// hiccup inside a single window would otherwise skew the artifact the CI
-/// perf guard compares against).
+/// Measures sustained instructions/second: `reps` full workload runs per
+/// timing window, median over `WINDOWS` windows (one scheduler hiccup
+/// inside a single window would otherwise skew the artifact the CI perf
+/// guard compares against).
 const WINDOWS: usize = 5;
 
-fn rate(m: &mut Machine, program: &[Instruction], reps: usize, plan_path: bool) -> f64 {
+fn rate(m: &mut Machine, program: &[Instruction], reps: usize) -> f64 {
     let plan = m.decode(program);
     let mut rates = Vec::with_capacity(WINDOWS);
     for _ in 0..WINDOWS {
         let mut instructions = 0u64;
         let start = Instant::now();
         for _ in 0..reps {
-            let stats = if plan_path {
-                m.run_plan(&plan).expect("runs")
-            } else {
-                m.run(program).expect("runs")
-            };
-            instructions += stats.instructions;
+            instructions += m.run_plan(&plan).expect("runs").instructions;
         }
         rates.push(instructions as f64 / start.elapsed().as_secs_f64());
     }
@@ -84,29 +78,19 @@ fn bench_engine(c: &mut Criterion) {
     group.bench_function("looped/cached_plan", |b| {
         b.iter(|| black_box(m.run_plan(&plan).expect("runs")))
     });
-    let mut legacy = machine();
-    group.bench_function("looped/decode_per_run", |b| {
-        b.iter(|| black_box(legacy.run(&looped).expect("runs")))
-    });
 
     let mut m = machine();
     let plan = m.decode(&unrolled);
     group.bench_function("unrolled/cached_plan", |b| {
         b.iter(|| black_box(m.run_plan(&plan).expect("runs")))
     });
-    let mut legacy = machine();
-    group.bench_function("unrolled/decode_per_run", |b| {
-        b.iter(|| black_box(legacy.run(&unrolled).expect("runs")))
-    });
     group.finish();
 
-    // Artifact: sustained instructions/sec per path and workload. Benches
-    // run with the package directory as CWD, so anchor the artifact at
-    // the workspace root where CI collects BENCH_*.json.
-    let looped_plan = rate(&mut machine(), &looped, 200, true);
-    let looped_legacy = rate(&mut machine(), &looped, 200, false);
-    let unrolled_plan = rate(&mut machine(), &unrolled, 400, true);
-    let unrolled_legacy = rate(&mut machine(), &unrolled, 400, false);
+    // Artifact: sustained instructions/sec per workload. Benches run with
+    // the package directory as CWD, so anchor the artifact at the
+    // workspace root where CI collects BENCH_*.json.
+    let looped_plan = rate(&mut machine(), &looped, 200);
+    let unrolled_plan = rate(&mut machine(), &unrolled, 400);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
     write_metrics_json(
         path,
@@ -114,10 +98,7 @@ fn bench_engine(c: &mut Criterion) {
         "instructions/s",
         &[
             ("looped_cached_plan_ips", looped_plan),
-            ("looped_decode_per_run_ips", looped_legacy),
             ("unrolled_cached_plan_ips", unrolled_plan),
-            ("unrolled_decode_per_run_ips", unrolled_legacy),
-            ("unrolled_plan_speedup", unrolled_plan / unrolled_legacy),
         ],
     );
 }

@@ -1,9 +1,10 @@
-//! Quick interpreter-throughput probe: the `engine_throughput` workloads
-//! without the criterion harness, for profiling and the CI perf guard.
+//! Quick interpreter-throughput probe: the `engine_throughput` looped
+//! workload without the criterion harness, for profiling and the CI perf
+//! guard.
 //!
-//! Prints sustained instructions/second for the cached-plan and
-//! decode-per-run paths on the looped workload, and exits non-zero if
-//! `--min-ips N` is given and the cached-plan rate falls below it.
+//! Prints sustained instructions/second for the cached-plan path on the
+//! looped workload, and exits non-zero if `--min-ips N` is given and the
+//! rate falls below it.
 
 use nanobench_machine::{Machine, Mode};
 use nanobench_uarch::port::MicroArch;
@@ -32,19 +33,14 @@ fn machine() -> Machine {
 /// fail the CI guard or inflate the recorded baseline.
 const WINDOWS: usize = 5;
 
-fn rate(m: &mut Machine, program: &[Instruction], reps: usize, plan_path: bool) -> f64 {
+fn rate(m: &mut Machine, program: &[Instruction], reps: usize) -> f64 {
     let plan = m.decode(program);
     let mut rates = Vec::with_capacity(WINDOWS);
     for _ in 0..WINDOWS {
         let mut instructions = 0u64;
         let start = Instant::now();
         for _ in 0..reps {
-            let stats = if plan_path {
-                m.run_plan(&plan).expect("runs")
-            } else {
-                m.run(program).expect("runs")
-            };
-            instructions += stats.instructions;
+            instructions += m.run_plan(&plan).expect("runs").instructions;
         }
         rates.push(instructions as f64 / start.elapsed().as_secs_f64());
     }
@@ -62,11 +58,9 @@ fn main() {
     };
     let looped = parse_asm(&format!("mov r15, 200; l: {BODY}; dec r15; jnz l")).expect("parses");
     // Warm up, then measure.
-    rate(&mut machine(), &looped, 50, true);
-    let plan_ips = rate(&mut machine(), &looped, 400, true);
-    let legacy_ips = rate(&mut machine(), &looped, 400, false);
+    rate(&mut machine(), &looped, 50);
+    let plan_ips = rate(&mut machine(), &looped, 400);
     println!("looped_cached_plan_ips   {plan_ips:.0}");
-    println!("looped_decode_per_run_ips {legacy_ips:.0}");
     if let Some(min) = min_ips {
         if plan_ips < min {
             eprintln!("FAIL: cached-plan rate {plan_ips:.0} below required {min:.0}");

@@ -126,11 +126,10 @@ impl CacheSeq {
         let mut machine = Machine::from_cpu(cpu, Mode::Kernel, seed);
         // Disable prefetchers exactly as the real tool does: by setting
         // bits in MSR 0x1A4 (§IV-A2).
-        machine
-            .run(&nanobench_x86::asm::parse_asm(
-                "mov rcx, 0x1A4; mov rax, 0xF; mov rdx, 0; wrmsr",
-            )?)
-            .map_err(NbError::from)?;
+        let disable = machine.decode(&nanobench_x86::asm::parse_asm(
+            "mov rcx, 0x1A4; mov rax, 0xF; mov rdx, 0; wrmsr",
+        )?);
+        machine.run_plan(&disable).map_err(NbError::from)?;
         // Enough contiguous memory that every set/slice combination has
         // plenty of candidate blocks.
         let slices = machine.hierarchy().config().l3.slices as u64;

@@ -8,7 +8,7 @@
 use crate::codegen::Arenas;
 use crate::codegen::GeneratedCode;
 use crate::error::NbError;
-use nanobench_machine::{Machine, Mode};
+use nanobench_machine::Machine;
 use nanobench_uarch::plan::DecodedProgram;
 use nanobench_x86::inst::{Instruction, Mnemonic};
 use nanobench_x86::operand::Operand;
@@ -97,8 +97,8 @@ impl Aggregate {
 /// plan runs on core 0 (pass `&[]` for an uncontended measurement — the
 /// path is then byte-for-byte the single-core one).
 ///
-/// `stub_plan` is the decoded [`user_syscall_stub`] a user-mode session
-/// caches; kernel-mode callers pass `None`.
+/// `stub_plan`, when given, runs first: a user-mode session passes its
+/// decoded [`user_syscall_stub`]; kernel-mode callers pass `None`.
 ///
 /// # Errors
 ///
@@ -111,11 +111,8 @@ pub fn run_once(
     stub_plan: Option<&DecodedProgram>,
     arenas: &Arenas,
 ) -> Result<Vec<i64>, NbError> {
-    if machine.mode() == Mode::User {
-        match stub_plan {
-            Some(stub) => machine.run_plan(stub)?,
-            None => machine.run(&user_syscall_stub())?,
-        };
+    if let Some(stub) = stub_plan {
+        machine.run_plan(stub)?;
     }
     if corunner_plans.is_empty() {
         machine.run_plan(plan)?;

@@ -180,13 +180,15 @@ fn campaign_base_seed_flows_into_jobs() {
 fn drive(machine: &mut Machine, base: u64) -> Vec<u64> {
     let mut observed = Vec::new();
     machine.state_mut().set_gpr(Gpr::R14, base);
-    let program = parse_asm(
-        "mov [r14], r14; mov rax, [r14]; add rax, 5; mov [r14+64], rax; \
-         mov rcx, 3; add rbx, rcx; imul rbx, rcx",
-    )
-    .unwrap();
+    let plan = machine.decode(
+        &parse_asm(
+            "mov [r14], r14; mov rax, [r14]; add rax, 5; mov [r14+64], rax; \
+             mov rcx, 3; add rbx, rcx; imul rbx, rcx",
+        )
+        .unwrap(),
+    );
     for _ in 0..3 {
-        let stats = machine.run(&program).unwrap();
+        let stats = machine.run_plan(&plan).unwrap();
         observed.push(stats.instructions);
         observed.push(stats.uops);
         observed.push(stats.cycles);
@@ -318,7 +320,8 @@ fn multicore_machine_reset_equals_fresh_machine() {
     // and equal a fresh machine making the same calls.
     let drive_interfered = |machine: &mut Machine, base: u64| -> Vec<u64> {
         machine.state_mut().set_gpr(Gpr::R14, base);
-        machine.run(&parse_asm("mov [r14], r14").unwrap()).unwrap();
+        let init = machine.decode(&parse_asm("mov [r14], r14").unwrap());
+        machine.run_plan(&init).unwrap();
         let chase = machine.decode(&parse_asm(&"mov r14, [r14]; ".repeat(60)).unwrap());
         let store =
             machine.decode(&parse_asm(&format!("mov [{:#x}], rax", base + 8).repeat(1)).unwrap());

@@ -14,7 +14,8 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut m = Machine::new(MicroArch::Skylake, Mode::Kernel, 42);
-//! m.run(&parse_asm("mov rax, 6; add rax, 7")?)?;
+//! let plan = m.decode(&parse_asm("mov rax, 6; add rax, 7")?);
+//! m.run_plan(&plan)?;
 //! assert_eq!(m.state().gpr(Gpr::Rax), 13);
 //! # Ok(())
 //! # }

@@ -1,10 +1,11 @@
 //! The virtual machine: one or more simulated cores plus their shared
 //! environment, in kernel or user mode (§III-D of the paper).
 //!
-//! Core 0 is the *measured* core — every legacy entry point ([`Machine::run`],
-//! [`Machine::run_plan`], the register/PMU accessors) operates on it, so a
-//! 1-core machine behaves bit-identically to the historical single-core
-//! model. Additional cores ([`Machine::with_cores`]) run *co-runner*
+//! Core 0 is the *measured* core — [`Machine::run_plan`] and the
+//! register/PMU accessors operate on it, so a 1-core machine behaves
+//! bit-identically to the historical single-core model. Programs run as
+//! plans: [`Machine::decode`] once, then run the plan any number of times.
+//! Additional cores ([`Machine::with_cores`]) run *co-runner*
 //! programs via [`Machine::run_plan_with_corunners`], contending for the
 //! shared L3 through the MESI coherence layer of `nanobench-cache`.
 
@@ -485,30 +486,6 @@ impl Machine {
         self.seed
     }
 
-    /// Runs a program to completion on the current architectural state.
-    ///
-    /// Decodes a transient execution plan per call; callers that run the
-    /// same program repeatedly should [`Machine::decode`] once and use
-    /// [`Machine::run_plan`] (what the Session layer's plan cache does).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CpuFault`]s — notably privileged instructions in user
-    /// mode (§III-D).
-    pub fn run(&mut self, program: &[Instruction]) -> Result<RunStats, CpuFault> {
-        self.env.current_core = 0;
-        let core = &mut self.cores[0];
-        let stats = core.engine.run(
-            program,
-            &mut core.state,
-            &mut core.pmu,
-            &mut self.env,
-            core.cycle,
-        )?;
-        core.cycle = stats.end_cycle;
-        Ok(stats)
-    }
-
     /// Decodes `program` into a reusable execution plan for this machine's
     /// engines (all cores share one descriptor table and port
     /// configuration, so one plan serves any core).
@@ -516,12 +493,13 @@ impl Machine {
         self.cores[0].engine.decode(program)
     }
 
-    /// Runs a pre-decoded plan to completion on core 0; bit-identical to
-    /// [`Machine::run`] on the plan's program, minus the per-run decode.
+    /// Runs a decoded plan to completion on core 0, on the current
+    /// architectural state.
     ///
     /// # Errors
     ///
-    /// Propagates [`CpuFault`]s exactly like [`Machine::run`].
+    /// Propagates [`CpuFault`]s — notably privileged instructions in user
+    /// mode (§III-D).
     pub fn run_plan(&mut self, plan: &DecodedProgram) -> Result<RunStats, CpuFault> {
         self.env.current_core = 0;
         let core = &mut self.cores[0];
@@ -817,11 +795,16 @@ mod tests {
     use nanobench_x86::asm::parse_asm;
     use nanobench_x86::reg::Gpr;
 
+    /// Decodes `asm` and runs it on core 0.
+    fn run(m: &mut Machine, asm: &str) -> Result<RunStats, CpuFault> {
+        let plan = m.decode(&parse_asm(asm).unwrap());
+        m.run_plan(&plan)
+    }
+
     #[test]
     fn kernel_machine_runs_privileged_code() {
         let mut m = Machine::new(MicroArch::Skylake, Mode::Kernel, 7);
-        let program = parse_asm("wbinvd; mov rax, 5; add rax, 3").unwrap();
-        let stats = m.run(&program).unwrap();
+        let stats = run(&mut m, "wbinvd; mov rax, 5; add rax, 3").unwrap();
         assert_eq!(m.state().gpr(Gpr::Rax), 8);
         assert_eq!(stats.instructions, 3);
         assert!(stats.cycles >= 5000, "wbinvd costs thousands of cycles");
@@ -830,9 +813,8 @@ mod tests {
     #[test]
     fn user_machine_faults_on_privileged_code() {
         let mut m = Machine::new(MicroArch::Skylake, Mode::User, 7);
-        let program = parse_asm("wbinvd").unwrap();
         assert!(matches!(
-            m.run(&program),
+            run(&mut m, "wbinvd"),
             Err(CpuFault::PrivilegedInstruction(_))
         ));
     }
@@ -840,12 +822,13 @@ mod tests {
     #[test]
     fn user_pages_fault_when_unmapped() {
         let mut m = Machine::new(MicroArch::Skylake, Mode::User, 7);
-        let program = parse_asm("mov rax, [0x1234000]").unwrap();
-        assert!(matches!(m.run(&program), Err(CpuFault::PageFault { .. })));
+        assert!(matches!(
+            run(&mut m, "mov rax, [0x1234000]"),
+            Err(CpuFault::PageFault { .. })
+        ));
         // After mapping, the same access works.
         let base = m.alloc_region(4096);
-        let program = parse_asm(&format!("mov rax, [{base:#x}]")).unwrap();
-        m.run(&program).unwrap();
+        run(&mut m, &format!("mov rax, [{base:#x}]")).unwrap();
     }
 
     #[test]
@@ -873,12 +856,12 @@ mod tests {
         let mut m = Machine::new(MicroArch::Skylake, Mode::Kernel, 7);
         let base = m.alloc_region(1 << 20);
         m.state_mut().set_gpr(Gpr::R14, base);
-        m.run(&parse_asm("mov [R14], R14").unwrap()).unwrap();
+        run(&mut m, "mov [R14], R14").unwrap();
         // Warm the cache once.
-        m.run(&parse_asm("mov R14, [R14]").unwrap()).unwrap();
+        run(&mut m, "mov R14, [R14]").unwrap();
         let chain = "mov R14, [R14]; ".repeat(100);
         let before = m.cycle();
-        m.run(&parse_asm(&chain).unwrap()).unwrap();
+        run(&mut m, &chain).unwrap();
         let cycles = m.cycle() - before;
         let per_load = cycles as f64 / 100.0;
         assert!(
@@ -905,7 +888,7 @@ mod tests {
             let mut m = Machine::with_cores(MicroArch::Skylake, Mode::Kernel, 7, n_cores);
             let base = m.alloc_region(4096);
             m.state_mut().set_gpr(Gpr::R14, base);
-            m.run(&parse_asm("mov [R14], R14").unwrap()).unwrap();
+            run(&mut m, "mov [R14], R14").unwrap();
             let chase = m.decode(&parse_asm(&"mov R14, [R14]; ".repeat(100)).unwrap());
             // The co-runner stores to a *different word of the same line*,
             // so it invalidates core 0's copy without clobbering the
@@ -944,7 +927,7 @@ mod tests {
         let mut m = Machine::with_cores(MicroArch::Skylake, Mode::Kernel, 7, 2);
         let base = m.alloc_region(4096);
         m.state_mut().set_gpr(Gpr::R14, base);
-        m.run(&parse_asm("mov [R14], R14").unwrap()).unwrap();
+        run(&mut m, "mov [R14], R14").unwrap();
         let chase = m.decode(&parse_asm(&"mov R14, [R14]; ".repeat(100)).unwrap());
         let rmw = m.decode(&parse_asm(&format!("add [{:#x}], rbx; ", base + 8).repeat(4)).unwrap());
         let stats = m.run_plan_with_corunners(&chase, &[&rmw]).unwrap();
@@ -972,8 +955,11 @@ mod tests {
     #[test]
     fn msr_0x1a4_controls_prefetchers() {
         let mut m = Machine::new(MicroArch::Skylake, Mode::Kernel, 7);
-        let program = parse_asm("mov rcx, 0x1A4; mov rax, 0xF; mov rdx, 0; wrmsr; rdmsr").unwrap();
-        m.run(&program).unwrap();
+        run(
+            &mut m,
+            "mov rcx, 0x1A4; mov rax, 0xF; mov rdx, 0; wrmsr; rdmsr",
+        )
+        .unwrap();
         assert_eq!(m.state().gpr(Gpr::Rax), 0xF);
         assert_eq!(m.hierarchy().prefetchers().disable_bits(), 0xF);
     }
@@ -991,8 +977,7 @@ mod tests {
             m.write_mem(base, 8, base).unwrap();
 
             let (t0, w0) = m.mem_path_counters();
-            m.run(&parse_asm(&"mov R14, [R14]; ".repeat(10)).unwrap())
-                .unwrap();
+            run(&mut m, &"mov R14, [R14]; ".repeat(10)).unwrap();
             let (t1, w1) = m.mem_path_counters();
             assert_eq!(
                 (t1 - t0, w1 - w0),
@@ -1000,8 +985,7 @@ mod tests {
                 "{mode:?}: a fused load is one translation + one walk"
             );
 
-            m.run(&parse_asm(&"mov [R14+64], rax; ".repeat(10)).unwrap())
-                .unwrap();
+            run(&mut m, &"mov [R14+64], rax; ".repeat(10)).unwrap();
             let (t2, w2) = m.mem_path_counters();
             assert_eq!(
                 (t2 - t1, w2 - w1),
@@ -1009,8 +993,7 @@ mod tests {
                 "{mode:?}: a fused store is one translation + one walk"
             );
 
-            m.run(&parse_asm(&"add [R14+128], rax; ".repeat(10)).unwrap())
-                .unwrap();
+            run(&mut m, &"add [R14+128], rax; ".repeat(10)).unwrap();
             let (t3, w3) = m.mem_path_counters();
             assert_eq!(
                 (t3 - t2, w3 - w2),
@@ -1030,11 +1013,11 @@ mod tests {
         let far = base + 64 * PAGE_SIZE;
         u.write_mem(base, 8, 0x1111).unwrap();
         u.write_mem(far, 8, 0x2222).unwrap();
-        let program = parse_asm(&format!(
-            "mov rax, [{base:#x}]; mov rbx, [{far:#x}]; mov rcx, [{base:#x}]"
-        ))
+        run(
+            &mut u,
+            &format!("mov rax, [{base:#x}]; mov rbx, [{far:#x}]; mov rcx, [{base:#x}]"),
+        )
         .unwrap();
-        u.run(&program).unwrap();
         assert_eq!(u.state().gpr(Gpr::Rax), 0x1111);
         assert_eq!(u.state().gpr(Gpr::Rbx), 0x2222);
         assert_eq!(u.state().gpr(Gpr::Rcx), 0x1111);

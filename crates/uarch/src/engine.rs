@@ -19,8 +19,8 @@
 //! in a per-context [`PmuBatch`] and flush only at architectural
 //! observation points, and runs of register-only ALU instructions step as
 //! fused superblocks (see [`crate::plan`] for the fusion rules).
-//! [`Engine::run`] keeps the legacy instruction-slice signature by
-//! building a transient plan.
+//! [`Engine::decode`] plus [`Engine::run_plan`] (or the stepping API the
+//! multi-core scheduler drives) is the only way to execute a program.
 
 use crate::bpred::BranchPredictor;
 use crate::bus::{Bus, CpuFault};
@@ -532,34 +532,10 @@ impl Engine {
         DecodedProgram::new(program, &self.table)
     }
 
-    /// Runs `program` to completion.
-    ///
-    /// Compatibility wrapper over the plan interpreter: decodes a
-    /// transient plan and discards it. Callers that run the same program
-    /// repeatedly should [`Engine::decode`] once and use
-    /// [`Engine::run_plan`].
+    /// Runs a decoded plan to completion.
     ///
     /// `start_cycle` is the absolute cycle the run begins at; pass the
     /// previous run's [`RunStats::end_cycle`] to keep PMU time monotonic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CpuFault`] on privilege violations, page faults, divide
-    /// errors, or when the instruction limit is exceeded.
-    pub fn run<B: Bus + ?Sized>(
-        &mut self,
-        program: &[Instruction],
-        state: &mut CpuState,
-        pmu: &mut Pmu,
-        bus: &mut B,
-        start_cycle: u64,
-    ) -> Result<RunStats, CpuFault> {
-        let body = PlanBody::build(program, &self.table);
-        self.run_decoded(&body, program, state, pmu, bus, start_cycle)
-    }
-
-    /// Runs a pre-decoded plan to completion. Bit-identical to
-    /// [`Engine::run`] on the plan's program, without the per-run decode.
     ///
     /// # Errors
     ///
@@ -584,14 +560,18 @@ impl Engine {
             self.uarch,
             "plan decoded for a different microarchitecture"
         );
-        self.run_decoded(
-            plan.body(),
-            plan.instructions(),
-            state,
-            pmu,
-            bus,
-            start_cycle,
-        )
+        let (body, insts) = (plan.body(), plan.instructions());
+        let mut ctx = self.begin_plan(start_cycle);
+        loop {
+            match self.step_decoded(&mut ctx, body, insts, state, pmu, bus) {
+                Ok(true) => {}
+                Ok(false) => return Ok(self.finish_plan(&mut ctx, pmu)),
+                Err(f) => {
+                    ctx.batch.flush(pmu);
+                    return Err(f);
+                }
+            }
+        }
     }
 
     /// Creates a fresh execution context for a run beginning at
@@ -725,28 +705,6 @@ impl Engine {
             Next::Jump(target) => target,
         };
         Ok(true)
-    }
-
-    fn run_decoded<B: Bus + ?Sized>(
-        &mut self,
-        body: &PlanBody,
-        insts: &[Instruction],
-        state: &mut CpuState,
-        pmu: &mut Pmu,
-        bus: &mut B,
-        start_cycle: u64,
-    ) -> Result<RunStats, CpuFault> {
-        let mut ctx = self.begin_plan(start_cycle);
-        loop {
-            match self.step_decoded(&mut ctx, body, insts, state, pmu, bus) {
-                Ok(true) => {}
-                Ok(false) => return Ok(self.finish_plan(&mut ctx, pmu)),
-                Err(f) => {
-                    ctx.batch.flush(pmu);
-                    return Err(f);
-                }
-            }
-        }
     }
 
     /// AVX warm-up bookkeeping; returns the latency multiplier for this
@@ -1269,8 +1227,9 @@ fn mem_entry<B: Bus + ?Sized, const READS: bool, const WRITES: bool>(
     // Semantic completion. The data side of every pre-decoded shape went
     // through the fused bus operations above; only the register/flag
     // effects (and the RMW write-back) remain. Must stay bit-identical to
-    // [`exec::execute`] on the same instruction (pinned by
-    // `plan_equivalence` and the differential suites).
+    // [`exec::execute`] on the same instruction (pinned by the oracle
+    // tests, which compare the engine with an `exec::execute` stepping
+    // loop from random register and flag states).
     match fast {
         FastOp::None => {
             let next = exec::execute(&a.insts[pc], a.state, a.bus)?;

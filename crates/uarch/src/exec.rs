@@ -129,9 +129,10 @@ fn set_sub_flags(state: &mut CpuState, a: u64, b: u64, borrow_in: u64, w: Width)
 
 /// Executes a pre-decoded [`FastOp`] semantically. Must be bit-identical
 /// to running the corresponding instruction through [`execute`]: same
-/// result value and the exact same flag updates (pinned by the
-/// `plan_equivalence` and differential suites). Fast ops never touch the
-/// bus, so they cannot fault and always fall through sequentially.
+/// result value and the exact same flag updates (pinned by the oracle
+/// tests, which compare the engine with an [`execute`] stepping loop from
+/// random register and flag states). Fast ops never touch the bus, so
+/// they cannot fault and always fall through sequentially.
 pub(crate) fn execute_fast(op: &FastOp, state: &mut CpuState) {
     let src_val = |state: &CpuState, src: FastSrc| match src {
         FastSrc::Reg(r) => state.gpr(r),
@@ -201,10 +202,10 @@ pub(crate) fn fast_src_val(state: &CpuState, src: FastSrc) -> u64 {
 }
 
 /// Applies a 64-bit [`FastAlu`] operation with the exact flag updates of
-/// the corresponding instruction through [`execute`] (pinned by the
-/// `plan_equivalence` and differential suites). Used by the engine to
-/// complete memory-shape fast ops whose data access already went through
-/// the fused bus path.
+/// the corresponding instruction through [`execute`] (pinned by the same
+/// oracle tests as [`execute_fast`]). Used by the engine to complete
+/// memory-shape fast ops whose data access already went through the fused
+/// bus path.
 pub(crate) fn fast_mem_alu(state: &mut CpuState, op: FastAlu, a: u64, b: u64) -> u64 {
     match op {
         FastAlu::Add => set_add_flags(state, a, b, 0, Width::Q),
@@ -606,64 +607,11 @@ pub fn output_gprs(inst: &Instruction) -> Vec<GprPart> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bus::InterruptEvent;
-    use nanobench_cache::hierarchy::{HitLevel, MemAccessResult};
+    use crate::bus::TestBus;
     use nanobench_x86::asm::parse_asm;
-    use std::collections::HashMap;
-
-    /// A trivial flat-memory bus for semantic tests.
-    #[derive(Default)]
-    struct FlatBus {
-        mem: HashMap<u64, u8>,
-    }
-
-    impl Bus for FlatBus {
-        fn read(&mut self, vaddr: u64, len: u8) -> Result<u64, CpuFault> {
-            let mut v = 0u64;
-            for i in (0..len as u64).rev() {
-                v = (v << 8) | *self.mem.get(&(vaddr + i)).unwrap_or(&0) as u64;
-            }
-            Ok(v)
-        }
-        fn write(&mut self, vaddr: u64, len: u8, value: u64) -> Result<(), CpuFault> {
-            for i in 0..len as u64 {
-                self.mem.insert(vaddr + i, (value >> (8 * i)) as u8);
-            }
-            Ok(())
-        }
-        fn access(&mut self, _vaddr: u64, _w: bool) -> Result<MemAccessResult, CpuFault> {
-            Ok(MemAccessResult {
-                level: HitLevel::L1,
-                latency: 4,
-                slice: None,
-                snoop: nanobench_cache::hierarchy::SnoopResult::Miss,
-                invalidated: 0,
-            })
-        }
-        fn is_kernel(&self) -> bool {
-            true
-        }
-        fn rdpmc_allowed(&self) -> bool {
-            true
-        }
-        fn rdmsr(&mut self, addr: u32) -> Result<u64, CpuFault> {
-            Err(CpuFault::BadMsr { addr })
-        }
-        fn wrmsr(&mut self, addr: u32, _value: u64) -> Result<(), CpuFault> {
-            Err(CpuFault::BadMsr { addr })
-        }
-        fn wbinvd(&mut self) {}
-        fn clflush(&mut self, _vaddr: u64) {}
-        fn prefetch(&mut self, _vaddr: u64) {}
-        fn poll_interrupt(&mut self, _cycle: u64) -> Option<InterruptEvent> {
-            None
-        }
-        fn set_interrupt_flag(&mut self, _enabled: bool) {}
-        fn drain_uncore_lookups(&mut self, _out: &mut Vec<u64>) {}
-    }
 
     fn run_seq(text: &str, state: &mut CpuState) {
-        let bus = &mut FlatBus::default();
+        let bus = &mut TestBus::new(true);
         let insts = parse_asm(text).unwrap();
         let mut pc = 0usize;
         let mut steps = 0;
@@ -765,7 +713,7 @@ mod tests {
     #[test]
     fn vector_dependency_digest() {
         let mut s = CpuState::new();
-        let bus = &mut FlatBus::default();
+        let bus = &mut TestBus::new(true);
         let insts = parse_asm("pxor xmm0, xmm0; paddd xmm1, xmm0; paddd xmm2, xmm0").unwrap();
         for inst in &insts {
             execute(inst, &mut s, bus).unwrap();
@@ -777,7 +725,7 @@ mod tests {
     #[test]
     fn divide_by_zero_faults() {
         let mut s = CpuState::new();
-        let bus = &mut FlatBus::default();
+        let bus = &mut TestBus::new(true);
         let insts = parse_asm("mov rbx, 0; div rbx").unwrap();
         execute(&insts[0], &mut s, bus).unwrap();
         assert_eq!(execute(&insts[1], &mut s, bus), Err(CpuFault::DivideError));

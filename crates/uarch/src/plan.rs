@@ -2,11 +2,9 @@
 //!
 //! nanoBench's methodology runs the *same* static program tens of
 //! thousands of dynamic times (`loop_count` × `unroll_count`, warm-up
-//! runs, both unroll versions of §III-C). The legacy interpreter
-//! re-derived everything about an instruction on every dynamic execution:
-//! descriptor lookups allocated a form key and cloned the µop list, the
-//! memory-operand scans built fresh vectors, and port dispatch collected a
-//! candidate list per µop. A [`DecodedProgram`] hoists all of that into a
+//! runs, both unroll versions of §III-C). A [`DecodedProgram`] hoists
+//! everything the engine needs to know about an instruction — descriptor
+//! lookups, memory-operand classification, port-class resolution — into a
 //! one-shot analysis pass: each static instruction maps to a flat
 //! [`HotEntry`] whose variable-length data (resolved µops, register
 //! dependencies, memory operands) lives in contiguous arenas addressed by
@@ -39,11 +37,13 @@
 //!   that decoded it.
 //! * A plan is specific to a [`MicroArch`]: port classes are resolved to
 //!   concrete [`PortSet`]s at decode time. [`crate::engine::Engine::run_plan`]
-//!   debug-asserts the match.
-//! * The interpreter over a plan is **bit-identical** to the legacy
-//!   instruction-slice path ([`crate::engine::Engine::run`], which now
-//!   builds a transient plan): same PMU counts, cycles, and architectural
-//!   state, pinned by the `plan_equivalence` suite over the full corpus.
+//!   asserts the match.
+//! * Fusion is a pure performance change: a fused run is bit-identical to
+//!   stepping the same plan one instruction at a time
+//!   ([`crate::engine::RunContext::disable_fusion`]) — same PMU counts,
+//!   cycles, and architectural state — and the pre-decoded fast semantics
+//!   match [`crate::exec::execute`]. The `plan_equivalence` suite pins
+//!   both pairs over the full corpus.
 
 use crate::descriptor::{is_move, DescriptorTable, PortClass, UopSpec};
 use crate::exec;
@@ -646,8 +646,8 @@ impl PlanBody {
                 continue;
             }
 
-            // Compute µops: table entry, or the single-ALU-µop default the
-            // legacy path synthesized for unknown mnemonics.
+            // Compute µops: table entry, or a single-ALU-µop default for
+            // mnemonics the table does not describe.
             let desc = table
                 .lookup(inst)
                 .unwrap_or_else(|| crate::descriptor::InstrDesc {

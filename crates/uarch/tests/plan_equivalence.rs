@@ -1,149 +1,38 @@
-//! Plan-vs-legacy equivalence over the full corpus.
+//! The two independent pairs that pin the plan interpreter.
 //!
-//! The decode-once plan layer must be a pure performance change: for every
-//! program in `x86::corpus` — in kernel mode and in user mode with
-//! interrupt injection enabled — the legacy instruction-slice path
-//! (`Engine::run`) and the cached-plan path (`Engine::decode` +
-//! `Engine::run_plan`, one plan replayed for every dynamic run) produce
-//! bit-identical `RunStats`, PMU readings, and architectural state,
-//! including identical faults for the lines that fault.
+//! * **Fusion pair.** `run_plan` fuses straight-line entries into
+//!   superblocks and closes loops in the same dispatch; stepping the same
+//!   plan through `step_plan` with `RunContext::disable_fusion` executes one
+//!   instruction per step. Over corpus chunks of 4, 8 and 16 consecutive
+//!   lines and a looped body with RMW and push/pop, the two agree bit for
+//!   bit — `RunStats` or fault, PMU readings, `CpuState` and memory — in
+//!   kernel mode and in user mode with interrupts masked. With interrupts
+//!   on, fused runs poll once per dispatch, so interrupts land at other
+//!   points and timing legitimately differs; architectural state and
+//!   retired instructions still agree.
+//! * **Oracle pair.** The engine's pre-decoded semantics (`execute_fast`,
+//!   the fused load/store/RMW completions, fused push/pop and the
+//!   loop-close branch) against a plain `exec::execute` stepping loop,
+//!   both started from random register, flag and vector states: same
+//!   fault, same `CpuState` and the same written memory, over every corpus
+//!   line `exec::execute` implements and random looped programs.
 
-use nanobench_cache::hierarchy::CacheHierarchy;
-use nanobench_cache::presets::table1_cpus;
 use nanobench_pmu::event::events;
 use nanobench_pmu::Pmu;
-use nanobench_uarch::bus::{Bus, CpuFault, InterruptEvent};
-use nanobench_uarch::engine::Engine;
+use nanobench_uarch::bus::{Bus, CpuFault, TestBus};
+use nanobench_uarch::engine::{Engine, RunStats};
+use nanobench_uarch::exec::{self, Next};
+use nanobench_uarch::plan::DecodedProgram;
 use nanobench_uarch::port::MicroArch;
 use nanobench_uarch::state::CpuState;
 use nanobench_x86::asm::parse_asm;
-use nanobench_x86::corpus::ROUNDTRIP_CORPUS;
+use nanobench_x86::corpus::{LOOP_BODY_POOL, ROUNDTRIP_CORPUS};
 use nanobench_x86::inst::{Instruction, Mnemonic};
 use nanobench_x86::reg::{Flag, Gpr};
-use std::collections::HashMap;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
-/// A deterministic test environment: flat byte-addressed memory, a real
-/// cache hierarchy (Skylake geometry), and — in user mode — interrupt
-/// injection at fixed intervals. Two instances fed the same call sequence
-/// evolve identically, so any divergence between the two engine paths
-/// shows up as a state mismatch.
-struct TestBus {
-    mem: HashMap<u64, u8>,
-    hierarchy: CacheHierarchy,
-    kernel: bool,
-    interrupts_enabled: bool,
-    next_interrupt: u64,
-    interrupts_taken: u64,
-    uncore_seen: Vec<u64>,
-}
-
-impl TestBus {
-    fn new(kernel: bool, seed: u64) -> TestBus {
-        let cpu = table1_cpus()
-            .into_iter()
-            .find(|c| c.microarch == "Skylake")
-            .expect("Skylake preset exists");
-        let cfg = cpu.hierarchy_config();
-        let slices = cfg.slice_count();
-        TestBus {
-            mem: HashMap::new(),
-            hierarchy: CacheHierarchy::new(&cfg, seed),
-            kernel,
-            interrupts_enabled: !kernel,
-            next_interrupt: 2_000,
-            interrupts_taken: 0,
-            uncore_seen: vec![0; slices],
-        }
-    }
-}
-
-impl Bus for TestBus {
-    fn read(&mut self, vaddr: u64, len: u8) -> Result<u64, CpuFault> {
-        let mut v = 0u64;
-        for i in (0..len as u64).rev() {
-            v = (v << 8) | u64::from(*self.mem.get(&(vaddr + i)).unwrap_or(&0));
-        }
-        Ok(v)
-    }
-
-    fn write(&mut self, vaddr: u64, len: u8, value: u64) -> Result<(), CpuFault> {
-        for i in 0..len as u64 {
-            self.mem.insert(vaddr + i, (value >> (8 * i)) as u8);
-        }
-        Ok(())
-    }
-
-    fn access(
-        &mut self,
-        vaddr: u64,
-        _is_write: bool,
-    ) -> Result<nanobench_cache::hierarchy::MemAccessResult, CpuFault> {
-        Ok(self.hierarchy.access(vaddr))
-    }
-
-    fn is_kernel(&self) -> bool {
-        self.kernel
-    }
-
-    fn rdpmc_allowed(&self) -> bool {
-        true
-    }
-
-    fn rdmsr(&mut self, addr: u32) -> Result<u64, CpuFault> {
-        Err(CpuFault::BadMsr { addr })
-    }
-
-    fn wrmsr(&mut self, addr: u32, _value: u64) -> Result<(), CpuFault> {
-        Err(CpuFault::BadMsr { addr })
-    }
-
-    fn wbinvd(&mut self) {
-        self.hierarchy.wbinvd();
-    }
-
-    fn clflush(&mut self, vaddr: u64) {
-        self.hierarchy.clflush(vaddr);
-    }
-
-    fn prefetch(&mut self, vaddr: u64) {
-        self.hierarchy.access(vaddr);
-    }
-
-    fn poll_interrupt(&mut self, cycle: u64) -> Option<InterruptEvent> {
-        if !self.interrupts_enabled || cycle < self.next_interrupt {
-            return None;
-        }
-        self.next_interrupt = cycle + 2_500;
-        self.interrupts_taken += 1;
-        // The handler perturbs the cache deterministically.
-        for k in 0..4u64 {
-            self.hierarchy
-                .access(0x9_0000 + (self.interrupts_taken * 4 + k) * 64);
-        }
-        Some(InterruptEvent {
-            cycles: 777,
-            instructions: 100,
-            uops: 150,
-        })
-    }
-
-    fn set_interrupt_flag(&mut self, enabled: bool) {
-        self.interrupts_enabled = enabled;
-    }
-
-    fn drain_uncore_lookups(&mut self, out: &mut Vec<u64>) {
-        let current = self.hierarchy.uncore_lookups();
-        out.extend(
-            current
-                .iter()
-                .zip(self.uncore_seen.iter())
-                .map(|(c, s)| c - s),
-        );
-        self.uncore_seen.copy_from_slice(current);
-    }
-}
-
-/// One side of the comparison: engine + state + PMU + bus + cycle cursor.
+/// One side of a pair: engine + state + PMU + bus + cycle cursor.
 struct Side {
     engine: Engine,
     state: CpuState,
@@ -152,12 +41,10 @@ struct Side {
     cycle: u64,
 }
 
-const SEED: u64 = 0x517A;
-
 impl Side {
     fn new(kernel: bool) -> Side {
-        let bus = TestBus::new(kernel, SEED);
-        let mut pmu = Pmu::new(4, bus.uncore_seen.len());
+        let bus = TestBus::new(kernel);
+        let mut pmu = Pmu::new(4, bus.slice_count());
         for (i, code) in [
             events::UOPS_ISSUED_ANY,
             events::MEM_LOAD_L1_HIT,
@@ -176,7 +63,7 @@ impl Side {
         state.set_gpr(Gpr::Rbp, 0x6000);
         state.set_gpr(Gpr::Rsp, 0x7000);
         Side {
-            engine: Engine::new(MicroArch::Skylake, SEED),
+            engine: Engine::new(MicroArch::Skylake, 0x517A),
             state,
             pmu,
             bus,
@@ -184,161 +71,156 @@ impl Side {
         }
     }
 
-    fn pmu_readings(&self) -> Vec<Option<u64>> {
-        let mut out = Vec::new();
-        for fixed in 0..3u32 {
-            out.push(self.pmu.rdpmc((1 << 30) | fixed));
+    /// Runs `plan` fused (`run_plan`) or one instruction per step.
+    fn run(&mut self, plan: &DecodedProgram, fused: bool) -> Result<RunStats, CpuFault> {
+        let result = if fused {
+            let (state, pmu, bus) = (&mut self.state, &mut self.pmu, &mut self.bus);
+            self.engine.run_plan(plan, state, pmu, bus, self.cycle)
+        } else {
+            self.run_stepped(plan)
+        };
+        if let Ok(stats) = &result {
+            self.cycle = stats.end_cycle;
         }
-        for prog in 0..4u32 {
-            out.push(self.pmu.rdpmc(prog));
-        }
-        out
+        result
     }
 
-    fn arch_state(&self) -> (Vec<u64>, Vec<bool>, Vec<u64>) {
-        (
-            Gpr::ALL.iter().map(|g| self.state.gpr(*g)).collect(),
-            Flag::ALL.iter().map(|f| self.state.flag(*f)).collect(),
-            (0..32).map(|v| self.state.vreg_digest(v)).collect(),
-        )
+    /// The public stepping API with fusion off, as the multi-core
+    /// scheduler drives it.
+    fn run_stepped(&mut self, plan: &DecodedProgram) -> Result<RunStats, CpuFault> {
+        let mut ctx = self.engine.begin_plan(self.cycle);
+        ctx.disable_fusion();
+        let mut steps = 0;
+        while self.engine.step_plan(
+            &mut ctx,
+            plan,
+            &mut self.state,
+            &mut self.pmu,
+            &mut self.bus,
+        )? {
+            steps += 1;
+        }
+        assert_eq!(
+            steps,
+            ctx.instructions(),
+            "an unfused step is one instruction"
+        );
+        let stats = self.engine.finish_plan(&mut ctx, &mut self.pmu);
+        assert_eq!(ctx.now(), stats.end_cycle);
+        Ok(stats)
+    }
+
+    fn pmu_readings(&self) -> Vec<Option<u64>> {
+        let fixed = (0..3u32).map(|i| self.pmu.rdpmc((1 << 30) | i));
+        fixed.chain((0..4u32).map(|i| self.pmu.rdpmc(i))).collect()
     }
 }
 
-/// Runs every corpus line (as its own program, three dynamic runs each —
-/// the warm-up/counter-half shape that exercises plan reuse) plus a
-/// branchy looped program, on the legacy path and the cached-plan path,
-/// asserting bit-identical results after every run.
-fn corpus_equivalence(kernel: bool) {
-    let mut legacy = Side::new(kernel);
-    let mut planned = Side::new(kernel);
+fn program(asm: &str) -> (String, Vec<Instruction>) {
+    (asm.to_string(), parse_asm(asm).unwrap())
+}
 
-    let mut programs: Vec<(String, Vec<Instruction>)> = ROUNDTRIP_CORPUS
+/// The corpus cut into consecutive chunks of 4, 8 and 16 lines, so runs of
+/// fusable lines form superblocks.
+fn corpus_chunks() -> Vec<(String, Vec<Instruction>)> {
+    [4, 8, 16]
+        .into_iter()
+        .flat_map(|k| ROUNDTRIP_CORPUS.chunks(k))
+        .map(|chunk| program(&chunk.join("; ")))
+        .collect()
+}
+
+/// A looped, memory-touching body: long enough for user-mode interrupts
+/// to fire mid-run, with an RMW and a push/pop pair in the loop.
+const LOOPED: &str = "mov r15, 200; mov rax, 0; l: add rax, 1; mov [r14+8], rax; \
+                      mov rbx, [r14+8]; imul rbx, rbx; add [r14+64], rbx; push rax; \
+                      push 7; pop rcx; pop rdx; dec r15; jnz l";
+
+/// Whether a program's results depend on timing or counter values, which
+/// interrupts legitimately change.
+fn reads_time_or_counters(program: &[Instruction]) -> bool {
+    program
         .iter()
-        .map(|line| ((*line).to_string(), parse_asm(line).unwrap()))
-        .collect();
-    // A looped, branchy, memory-touching program: long enough for the
-    // user-mode interrupt injection to fire mid-run, with magic
-    // pause/resume markers (§III-I) in the body.
-    let mut looped = parse_asm(
-        "mov r15, 200; mov rax, 0; l: add rax, 1; mov [r14+8], rax; \
-         mov rbx, [r14+8]; imul rbx, rbx; dec r15; jnz l",
-    )
-    .unwrap();
-    looped.insert(2, Instruction::new(Mnemonic::NbResume));
-    looped.push(Instruction::new(Mnemonic::NbPause));
-    programs.push(("looped body".to_string(), looped));
+        .any(|i| matches!(i.mnemonic, Mnemonic::Rdtsc | Mnemonic::Rdpmc))
+}
 
-    for (name, program) in &programs {
-        let plan = planned.engine.decode(program);
-        assert_eq!(plan.len(), program.len());
+/// Runs every program three times (one plan replayed, the warm-up and
+/// counter-half shape) fused on one side and stepped on the other,
+/// asserting after every run that the sides agree. Returns the number of
+/// interrupts the fused side took.
+fn fusion_pair(programs: &[(String, Vec<Instruction>)], kernel: bool, interrupts: bool) -> u64 {
+    let mut fused = Side::new(kernel);
+    let mut stepped = Side::new(kernel);
+    fused.bus.set_interrupt_flag(interrupts);
+    stepped.bus.set_interrupt_flag(interrupts);
+    for (name, program) in programs {
+        let plan = fused.engine.decode(program);
         for round in 0..3 {
-            let a = legacy.engine.run(
-                program,
-                &mut legacy.state,
-                &mut legacy.pmu,
-                &mut legacy.bus,
-                legacy.cycle,
-            );
-            let b = planned.engine.run_plan(
-                &plan,
-                &mut planned.state,
-                &mut planned.pmu,
-                &mut planned.bus,
-                planned.cycle,
-            );
-            assert_eq!(a, b, "{name} (round {round}): RunStats/fault diverged");
-            if let Ok(stats) = a {
-                legacy.cycle = stats.end_cycle;
-                planned.cycle = b.unwrap().end_cycle;
+            let a = fused.run(&plan, true);
+            let b = stepped.run(&plan, false);
+            if interrupts {
+                assert_eq!(
+                    a.map(|s| s.instructions),
+                    b.map(|s| s.instructions),
+                    "{name} (round {round}): retired instructions or fault diverged"
+                );
+            } else {
+                assert_eq!(a, b, "{name} (round {round}): RunStats/fault diverged");
+                assert_eq!(
+                    fused.pmu_readings(),
+                    stepped.pmu_readings(),
+                    "{name} (round {round}): PMU diverged"
+                );
             }
             assert_eq!(
-                legacy.pmu_readings(),
-                planned.pmu_readings(),
-                "{name} (round {round}): PMU diverged"
+                fused.state, stepped.state,
+                "{name} (round {round}): CpuState"
             );
             assert_eq!(
-                legacy.arch_state(),
-                planned.arch_state(),
-                "{name} (round {round}): architectural state diverged"
+                fused.bus.mem, stepped.bus.mem,
+                "{name} (round {round}): memory"
             );
         }
     }
-    assert_eq!(legacy.cycle, planned.cycle);
-    assert_eq!(legacy.bus.interrupts_taken, planned.bus.interrupts_taken);
-    if !kernel {
-        assert!(
-            legacy.bus.interrupts_taken > 0,
-            "user-mode sweep must actually exercise interrupt injection"
-        );
-    }
+    fused.bus.interrupts_taken
 }
 
 #[test]
 fn corpus_kernel_mode() {
-    corpus_equivalence(true);
+    fusion_pair(&corpus_chunks(), true, false);
 }
 
 #[test]
 fn corpus_user_mode_with_interrupts() {
-    corpus_equivalence(false);
+    let chunks = corpus_chunks();
+    assert_eq!(fusion_pair(&chunks, false, false), 0);
+    let untimed: Vec<_> = chunks
+        .into_iter()
+        .filter(|(_, p)| !reads_time_or_counters(p))
+        .collect();
+    assert!(
+        fusion_pair(&untimed, false, true) > 0,
+        "the user-mode sweep must take interrupts"
+    );
 }
 
-/// The public stepping API (`begin_plan` / `step_plan` / `finish_plan`)
-/// — what the multi-core scheduler interleaves — is bit-identical to a
-/// monolithic `run_plan`, including the mid-run interrupt injection that
-/// `poll_interrupt` drives off the context's local cycle.
+/// The looped body — with magic pause/resume markers (§III-I) around the
+/// loop and a divide error in the middle of a superblock — stepped one
+/// instruction at a time through the public API equals the fused
+/// monolithic run, in kernel mode and in user mode with interrupts masked
+/// and on.
 #[test]
 fn stepped_execution_equals_monolithic_run() {
-    for kernel in [true, false] {
-        let mut mono = Side::new(kernel);
-        let mut stepped = Side::new(kernel);
-        let program = parse_asm(
-            "mov r15, 300; l: add rax, 1; mov [r14+8], rax; \
-             mov rbx, [r14+8]; dec r15; jnz l",
-        )
-        .unwrap();
-        let plan_a = mono.engine.decode(&program);
-        let plan_b = stepped.engine.decode(&program);
-        for _ in 0..2 {
-            let a = mono
-                .engine
-                .run_plan(
-                    &plan_a,
-                    &mut mono.state,
-                    &mut mono.pmu,
-                    &mut mono.bus,
-                    mono.cycle,
-                )
-                .unwrap();
-            let mut ctx = stepped.engine.begin_plan(stepped.cycle);
-            let mut steps = 0u64;
-            while stepped
-                .engine
-                .step_plan(
-                    &mut ctx,
-                    &plan_b,
-                    &mut stepped.state,
-                    &mut stepped.pmu,
-                    &mut stepped.bus,
-                )
-                .unwrap()
-            {
-                steps += 1;
-            }
-            let b = stepped.engine.finish_plan(&mut ctx, &mut stepped.pmu);
-            assert_eq!(a, b, "kernel={kernel}: RunStats diverged");
-            // A step dispatches one instruction or one fused ALU
-            // superblock, so there are at most as many steps as
-            // instructions (and strictly fewer when runs fuse).
-            assert!(steps <= a.instructions, "kernel={kernel}");
-            assert_eq!(ctx.instructions(), a.instructions);
-            assert_eq!(ctx.now(), a.end_cycle);
-            mono.cycle = a.end_cycle;
-            stepped.cycle = b.end_cycle;
-            assert_eq!(mono.pmu_readings(), stepped.pmu_readings());
-            assert_eq!(mono.arch_state(), stepped.arch_state());
-        }
-    }
+    let (name, mut looped) = program(LOOPED);
+    looped.insert(2, Instruction::new(Mnemonic::NbResume));
+    looped.push(Instruction::new(Mnemonic::NbPause));
+    let programs = [
+        (name, looped),
+        program("mov rax, 5; xor rbx, rbx; add rcx, rax; div rbx; add rax, 2"),
+    ];
+    fusion_pair(&programs, true, false);
+    fusion_pair(&programs, false, false);
+    assert!(fusion_pair(&programs, false, true) > 0);
 }
 
 /// A single decoded plan replayed across engine resets stays valid: plans
@@ -348,19 +230,127 @@ fn plan_survives_engine_reset() {
     let program = parse_asm("add rax, rax; mulps xmm0, xmm1; mov rbx, [r14]").unwrap();
     let mut side = Side::new(true);
     let plan = side.engine.decode(&program);
-
-    let first = side
-        .engine
-        .run_plan(&plan, &mut side.state, &mut side.pmu, &mut side.bus, 0)
-        .unwrap();
-    let first_state = side.arch_state();
+    let first = side.run(&plan, true).unwrap();
 
     // Fresh everything except the plan object.
     let mut fresh = Side::new(true);
-    let again = fresh
-        .engine
-        .run_plan(&plan, &mut fresh.state, &mut fresh.pmu, &mut fresh.bus, 0)
-        .unwrap();
-    assert_eq!(first, again);
-    assert_eq!(first_state, fresh.arch_state());
+    assert_eq!(fresh.run(&plan, true).unwrap(), first);
+    assert_eq!(fresh.state, side.state);
+}
+
+/// Random initial states per mode for the oracle pair.
+const ORACLE_STATES: usize = 20;
+
+/// The reference semantics: `exec::execute` one instruction at a time,
+/// plus the privilege rule the engine applies before executing.
+fn execute_loop(
+    program: &[Instruction],
+    state: &mut CpuState,
+    bus: &mut TestBus,
+) -> Result<(), CpuFault> {
+    let mut pc = 0;
+    for _ in 0..100_000 {
+        let Some(inst) = program.get(pc) else {
+            return Ok(());
+        };
+        if inst.mnemonic.is_privileged() && !bus.is_kernel() {
+            return Err(CpuFault::PrivilegedInstruction(inst.mnemonic));
+        }
+        pc = match exec::execute(inst, state, bus)? {
+            Next::Seq => pc + 1,
+            Next::Jump(target) => target,
+        };
+    }
+    panic!("runaway reference program");
+}
+
+fn random_state(rng: &mut SmallRng) -> CpuState {
+    let mut state = CpuState::new();
+    for g in Gpr::ALL {
+        state.set_gpr(g, rng.gen());
+    }
+    for f in Flag::ALL {
+        state.set_flag(f, rng.gen());
+    }
+    for v in 0..32 {
+        for lane in 0..8 {
+            state.set_vreg_lane(v, lane, rng.gen());
+        }
+    }
+    state
+}
+
+/// Every corpus line `exec::execute` implements (fences, CPUID, RDTSC,
+/// RDPMC, RDMSR, WRMSR and WBINVD exist only in the engine), the looped
+/// body, and random looped programs over [`LOOP_BODY_POOL`].
+fn oracle_programs(rng: &mut SmallRng) -> Vec<(String, Vec<Instruction>)> {
+    use Mnemonic::*;
+    let mut programs: Vec<_> = ROUNDTRIP_CORPUS
+        .iter()
+        .map(|line| program(line))
+        .filter(|(_, p)| {
+            !matches!(
+                p[0].mnemonic,
+                Lfence | Mfence | Sfence | Cpuid | Rdtsc | Rdpmc | Rdmsr | Wrmsr | Wbinvd
+            )
+        })
+        .collect();
+    programs.push(program(LOOPED));
+    for _ in 0..40 {
+        let body: Vec<&str> = (0..rng.gen_range(1..10))
+            .map(|_| LOOP_BODY_POOL[rng.gen_range(0..LOOP_BODY_POOL.len())])
+            .collect();
+        let iters = rng.gen_range(1..30);
+        programs.push(program(&format!(
+            "mov r15, {iters}; l: {}; dec r15; jnz l",
+            body.join("; ")
+        )));
+    }
+    programs
+}
+
+/// Runs every oracle program from each random state on the engine and on
+/// the `exec::execute` loop, and fails with the count of runs that
+/// diverged in fault, `CpuState` (vector lanes included) or written memory.
+fn oracle_pair(kernel: bool, seed: u64) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let programs = oracle_programs(&mut rng);
+    let mut engine = Side::new(kernel);
+    let mut reference = TestBus::new(kernel);
+    let plans: Vec<_> = programs
+        .iter()
+        .map(|(_, p)| engine.engine.decode(p))
+        .collect();
+    let mut diverged = Vec::new();
+    for _ in 0..ORACLE_STATES {
+        let start = random_state(&mut rng);
+        for ((name, program), plan) in programs.iter().zip(&plans) {
+            engine.state = start.clone();
+            engine.bus.mem.clear();
+            reference.mem.clear();
+            let mut expected = start.clone();
+            let got = engine.run(plan, true).map(|_| ());
+            let want = execute_loop(program, &mut expected, &mut reference);
+            if got != want || engine.state != expected || engine.bus.mem != reference.mem {
+                diverged.push(name.as_str());
+            }
+        }
+    }
+    assert!(
+        diverged.is_empty(),
+        "{} of {} runs diverged from exec::execute (kernel={kernel}), first: {}",
+        diverged.len(),
+        ORACLE_STATES * programs.len(),
+        diverged[0]
+    );
+}
+
+#[test]
+fn engine_matches_exec_oracle_kernel_mode() {
+    oracle_pair(true, 1);
+}
+
+#[test]
+fn engine_matches_exec_oracle_user_mode() {
+    oracle_pair(false, 2);
 }

@@ -1,23 +1,20 @@
 //! Property-based tests on core invariants, spanning crates.
 
-use nanobench::cache::cache::CacheConfig;
-use nanobench::cache::hierarchy::{
-    CacheHierarchy, HierarchyConfig, L3Config, L3PolicyConfig, Latencies,
-};
 use nanobench::cache::policy::{simulate_sequence, PolicyKind, SetSim};
 use nanobench::pmu::event::events;
 use nanobench::pmu::Pmu;
-use nanobench::uarch::bus::{Bus, CpuFault, InterruptEvent};
+use nanobench::uarch::bus::{Bus, TestBus};
 use nanobench::uarch::engine::Engine;
+use nanobench::uarch::exec::{self, Next};
 use nanobench::uarch::port::MicroArch;
 use nanobench::uarch::state::CpuState;
 use nanobench::x86::asm::{format_program, parse_asm};
+use nanobench::x86::corpus::LOOP_BODY_POOL;
 use nanobench::x86::encode::{decode_program, encode_program};
 use nanobench::x86::inst::{Instruction, Mnemonic};
 use nanobench::x86::operand::{MemRef, Operand};
 use nanobench::x86::reg::{Flag, Gpr, VecReg, Width};
 use proptest::prelude::*;
-use std::collections::HashMap;
 
 fn arbitrary_policy() -> impl Strategy<Value = PolicyKind> {
     prop_oneof![
@@ -171,157 +168,24 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Differential engine properties: the legacy `Engine::run` entry point and
-// the dispatch-table plan interpreter (`decode` + `run_plan`) must be
-// bit-identical — RunStats (including faults), PMU readings, and
-// architectural state — over randomly composed programs, in kernel mode and
-// in user mode with interrupt injection, and the co-runner stepping shape
-// (`ctx.restart()` looping) must not depend on superblock fusion.
+// Differential engine properties over random looped programs: the engine
+// (`decode` + `run_plan`) matches a plain `exec::execute` stepping loop from
+// random register, flag and vector states, and the co-runner stepping shape
+// (`ctx.restart()` looping) does not depend on superblock fusion.
 // ---------------------------------------------------------------------------
-
-/// Flat-memory bus with a small real cache hierarchy; deterministic
-/// interrupt injection in user mode.
-struct EngBus {
-    mem: HashMap<u64, u8>,
-    hierarchy: CacheHierarchy,
-    kernel: bool,
-    interrupts_enabled: bool,
-    next_interrupt: u64,
-    uncore_seen: Vec<u64>,
-}
-
-/// A small hierarchy (8-set L1, 2-slice L3) so each proptest case builds
-/// cheaply; geometry and policies still exercise every layer.
-fn small_hierarchy() -> HierarchyConfig {
-    HierarchyConfig {
-        l1: CacheConfig {
-            size_bytes: 4 * 1024,
-            assoc: 8,
-            policy: PolicyKind::Plru,
-        },
-        l2: CacheConfig {
-            size_bytes: 32 * 1024,
-            assoc: 8,
-            policy: PolicyKind::Plru,
-        },
-        l3: L3Config {
-            size_bytes: 256 * 1024,
-            assoc: 16,
-            slices: 2,
-            policy: L3PolicyConfig::Uniform(PolicyKind::Lru),
-        },
-        latencies: Latencies::default(),
-        inclusive_l3: true,
-    }
-}
-
-impl EngBus {
-    fn new(kernel: bool, interrupts: bool) -> EngBus {
-        let cfg = small_hierarchy();
-        let slices = cfg.slice_count();
-        EngBus {
-            mem: HashMap::new(),
-            hierarchy: CacheHierarchy::new(&cfg, 11),
-            kernel,
-            interrupts_enabled: !kernel && interrupts,
-            next_interrupt: 1_000,
-            uncore_seen: vec![0; slices],
-        }
-    }
-}
-
-impl Bus for EngBus {
-    fn read(&mut self, vaddr: u64, len: u8) -> Result<u64, CpuFault> {
-        let mut v = 0u64;
-        for i in (0..len as u64).rev() {
-            v = (v << 8) | u64::from(*self.mem.get(&(vaddr + i)).unwrap_or(&0));
-        }
-        Ok(v)
-    }
-
-    fn write(&mut self, vaddr: u64, len: u8, value: u64) -> Result<(), CpuFault> {
-        for i in 0..len as u64 {
-            self.mem.insert(vaddr + i, (value >> (8 * i)) as u8);
-        }
-        Ok(())
-    }
-
-    fn access(
-        &mut self,
-        vaddr: u64,
-        _is_write: bool,
-    ) -> Result<nanobench::cache::hierarchy::MemAccessResult, CpuFault> {
-        Ok(self.hierarchy.access(vaddr))
-    }
-
-    fn is_kernel(&self) -> bool {
-        self.kernel
-    }
-
-    fn rdpmc_allowed(&self) -> bool {
-        true
-    }
-
-    fn rdmsr(&mut self, addr: u32) -> Result<u64, CpuFault> {
-        Err(CpuFault::BadMsr { addr })
-    }
-
-    fn wrmsr(&mut self, addr: u32, _value: u64) -> Result<(), CpuFault> {
-        Err(CpuFault::BadMsr { addr })
-    }
-
-    fn wbinvd(&mut self) {
-        self.hierarchy.wbinvd();
-    }
-
-    fn clflush(&mut self, vaddr: u64) {
-        self.hierarchy.clflush(vaddr);
-    }
-
-    fn prefetch(&mut self, vaddr: u64) {
-        self.hierarchy.access(vaddr);
-    }
-
-    fn poll_interrupt(&mut self, cycle: u64) -> Option<InterruptEvent> {
-        if !self.interrupts_enabled || cycle < self.next_interrupt {
-            return None;
-        }
-        self.next_interrupt = cycle + 1_500;
-        Some(InterruptEvent {
-            cycles: 400,
-            instructions: 30,
-            uops: 45,
-        })
-    }
-
-    fn set_interrupt_flag(&mut self, enabled: bool) {
-        self.interrupts_enabled = enabled;
-    }
-
-    fn drain_uncore_lookups(&mut self, out: &mut Vec<u64>) {
-        let current = self.hierarchy.uncore_lookups();
-        out.extend(
-            current
-                .iter()
-                .zip(self.uncore_seen.iter())
-                .map(|(c, s)| c - s),
-        );
-        self.uncore_seen.copy_from_slice(current);
-    }
-}
 
 struct EngSide {
     engine: Engine,
     state: CpuState,
     pmu: Pmu,
-    bus: EngBus,
-    cycle: u64,
+    bus: TestBus,
 }
 
 impl EngSide {
     fn new(kernel: bool, interrupts: bool) -> EngSide {
-        let bus = EngBus::new(kernel, interrupts);
-        let mut pmu = Pmu::new(4, bus.uncore_seen.len());
+        let mut bus = TestBus::new(kernel);
+        bus.set_interrupt_flag(!kernel && interrupts);
+        let mut pmu = Pmu::new(4, bus.slice_count());
         for (i, code) in [
             events::UOPS_ISSUED_ANY,
             events::MEM_LOAD_L1_HIT,
@@ -341,88 +205,73 @@ impl EngSide {
             state,
             pmu,
             bus,
-            cycle: 0,
         }
     }
 
     fn pmu_readings(&self) -> Vec<Option<u64>> {
-        let mut out = Vec::new();
-        for fixed in 0..3u32 {
-            out.push(self.pmu.rdpmc((1 << 30) | fixed));
-        }
-        for prog in 0..4u32 {
-            out.push(self.pmu.rdpmc(prog));
-        }
-        out
-    }
-
-    fn arch_state(&self) -> (Vec<u64>, Vec<bool>) {
-        (
-            Gpr::ALL.iter().map(|g| self.state.gpr(*g)).collect(),
-            Flag::ALL.iter().map(|f| self.state.flag(*f)).collect(),
-        )
-    }
-}
-
-/// Body lines the program generator draws from. Index 12 is a
-/// deliberately faulting pair (RDMSR of a non-PMU MSR), so fault paths
-/// are part of the differential.
-fn body_line(op: usize) -> &'static str {
-    match op {
-        0 => "add rax, 1",
-        1 => "mov [r14+8], rax",
-        2 => "mov rbx, [r14+8]",
-        3 => "imul rbx, rax",
-        4 => "xor rcx, rbx",
-        5 => "lea rdx, [rcx+rbx]",
-        6 => "sub r9, rdx",
-        7 => "add [r14+64], rbx",
-        8 => "addps xmm0, xmm1",
-        9 => "mov r10, [rbp+128]",
-        10 => "shl rdx, 3",
-        11 => "nop",
-        _ => "mov rcx, 0x13; rdmsr",
+        let fixed = (0..3u32).map(|i| self.pmu.rdpmc((1 << 30) | i));
+        fixed.chain((0..4u32).map(|i| self.pmu.rdpmc(i))).collect()
     }
 }
 
 fn build_program(ops: &[usize], iters: u64) -> Vec<Instruction> {
-    let body: String = ops.iter().map(|&o| format!("{}; ", body_line(o))).collect();
+    let body: String = ops
+        .iter()
+        .map(|&o| format!("{}; ", LOOP_BODY_POOL[o]))
+        .collect();
     parse_asm(&format!("mov r15, {iters}; l: {body}dec r15; jnz l")).unwrap()
 }
 
 proptest! {
-    /// `Engine::run` (per-run transient decode) and `Engine::run_plan`
-    /// (one cached plan replayed every round) are bit-identical over
-    /// random programs — stats, faults, PMU, and architectural state —
-    /// in kernel mode and in user mode with interrupt injection.
+    /// The engine — its pre-decoded fast semantics, fused memory
+    /// completions and loop-close branch included — leaves the same fault,
+    /// `CpuState` (vector lanes included) and written memory as stepping
+    /// the program through `exec::execute`, from random register, flag and
+    /// vector states, in kernel mode and in user mode with interrupts.
     #[test]
-    fn legacy_run_matches_dispatch_table_plan(
-        ops in proptest::collection::vec(0usize..13, 1..10),
+    fn engine_matches_exec_oracle_on_random_programs(
+        ops in proptest::collection::vec(0usize..LOOP_BODY_POOL.len(), 1..10),
         iters in 1u64..30,
         kernel_sel in 0usize..2,
+        gprs in proptest::collection::vec(0u64..u64::MAX, 16..17),
+        flags in 0u8..64,
+        lanes in proptest::collection::vec(0u64..u64::MAX, 256..257),
     ) {
         let kernel = kernel_sel == 0;
         let program = build_program(&ops, iters);
-        let mut legacy = EngSide::new(kernel, true);
-        let mut planned = EngSide::new(kernel, true);
-        let plan = planned.engine.decode(&program);
-        for round in 0..2 {
-            let a = legacy.engine.run(
-                &program, &mut legacy.state, &mut legacy.pmu, &mut legacy.bus, legacy.cycle,
-            );
-            let b = planned.engine.run_plan(
-                &plan, &mut planned.state, &mut planned.pmu, &mut planned.bus, planned.cycle,
-            );
-            prop_assert_eq!(&a, &b, "round {}: RunStats/fault diverged", round);
-            if let Ok(stats) = a {
-                legacy.cycle = stats.end_cycle;
-                planned.cycle = stats.end_cycle;
-            }
-            prop_assert_eq!(legacy.pmu_readings(), planned.pmu_readings(),
-                "round {}: PMU diverged", round);
-            prop_assert_eq!(legacy.arch_state(), planned.arch_state(),
-                "round {}: architectural state diverged", round);
+        let mut start = CpuState::new();
+        for (g, v) in Gpr::ALL.iter().zip(&gprs) {
+            start.set_gpr(*g, *v);
         }
+        for (i, f) in Flag::ALL.iter().enumerate() {
+            start.set_flag(*f, flags & (1 << i) != 0);
+        }
+        for (i, v) in lanes.iter().enumerate() {
+            start.set_vreg_lane((i / 8) as u8, i % 8, *v);
+        }
+
+        let mut engine = EngSide::new(kernel, true);
+        engine.state = start.clone();
+        let plan = engine.engine.decode(&program);
+        let got = engine
+            .engine
+            .run_plan(&plan, &mut engine.state, &mut engine.pmu, &mut engine.bus, 0)
+            .map(|_| ());
+
+        let mut expected = start;
+        let mut reference = TestBus::new(kernel);
+        let mut pc = 0;
+        let want = loop {
+            let Some(inst) = program.get(pc) else { break Ok(()) };
+            match exec::execute(inst, &mut expected, &mut reference) {
+                Ok(Next::Seq) => pc += 1,
+                Ok(Next::Jump(target)) => pc = target,
+                Err(fault) => break Err(fault),
+            }
+        };
+        prop_assert_eq!(got, want, "fault diverged");
+        prop_assert_eq!(&engine.state, &expected, "CpuState diverged");
+        prop_assert_eq!(&engine.bus.mem, &reference.mem, "memory diverged");
     }
 
     /// The co-runner stepping shape — `step_plan` until the plan
@@ -432,7 +281,7 @@ proptest! {
     /// multi-core interleave loop runs it).
     #[test]
     fn corunner_restart_looping_is_fusion_invariant(
-        ops in proptest::collection::vec(0usize..12, 1..8),
+        ops in proptest::collection::vec(0usize..LOOP_BODY_POOL.len(), 1..8),
         iters in 1u64..12,
         passes in 1usize..4,
         kernel_sel in 0usize..2,
@@ -444,30 +293,19 @@ proptest! {
         // scheduler owns that by disabling fusion. Compare interrupt-free.
         let mut fused = EngSide::new(kernel, false);
         let mut single = EngSide::new(kernel, false);
-        let plan_a = fused.engine.decode(&program);
-        let plan_b = single.engine.decode(&program);
+        let plan = fused.engine.decode(&program);
 
         let mut ctx_a = fused.engine.begin_plan(0);
         let mut ctx_b = single.engine.begin_plan(0);
         ctx_b.disable_fusion();
 
         for ctx_pass in 0..passes {
-            loop {
-                let stepped = fused.engine.step_plan(
-                    &mut ctx_a, &plan_a, &mut fused.state, &mut fused.pmu, &mut fused.bus,
-                ).unwrap();
-                if !stepped {
-                    break;
-                }
-            }
-            loop {
-                let stepped = single.engine.step_plan(
-                    &mut ctx_b, &plan_b, &mut single.state, &mut single.pmu, &mut single.bus,
-                ).unwrap();
-                if !stepped {
-                    break;
-                }
-            }
+            while fused.engine.step_plan(
+                &mut ctx_a, &plan, &mut fused.state, &mut fused.pmu, &mut fused.bus,
+            ).unwrap() {}
+            while single.engine.step_plan(
+                &mut ctx_b, &plan, &mut single.state, &mut single.pmu, &mut single.bus,
+            ).unwrap() {}
             if ctx_pass + 1 < passes {
                 ctx_a.restart();
                 ctx_b.restart();
@@ -477,7 +315,7 @@ proptest! {
         let b = single.engine.finish_plan(&mut ctx_b, &mut single.pmu);
         prop_assert_eq!(a, b, "RunStats diverged between fused and unfused stepping");
         prop_assert_eq!(fused.pmu_readings(), single.pmu_readings());
-        prop_assert_eq!(fused.arch_state(), single.arch_state());
+        prop_assert_eq!(&fused.state, &single.state);
     }
 }
 
@@ -485,10 +323,9 @@ proptest! {
 // Analyzer differential: what the static analyzer accepts must complete,
 // what it rejects must fail *structurally*. A spec the analyzer passes with
 // zero errors runs to completion through the full Algorithm-1 pipeline in
-// the analyzed mode, and its raw instruction sequence executes identically
-// under the legacy interpreter and the dispatch-table plan interpreter; a
-// spec the analyzer rejects turns into `NbError::Lint` through the Deny
-// gate — a structured error, never a fault escaping as a panic.
+// the analyzed mode, and so does its raw instruction sequence on a bare
+// machine; a spec the analyzer rejects turns into `NbError::Lint` through
+// the Deny gate — a structured error, never a fault escaping as a panic.
 // ---------------------------------------------------------------------------
 
 use nanobench::analysis::has_errors;
@@ -583,11 +420,9 @@ proptest! {
         }
     }
 
-    /// Analyzer-accepted instruction sequences are interpreter-agnostic:
-    /// on a machine whose registers are set up the way the generated
-    /// prologue leaves them, the legacy interpreter and the dispatch-table
-    /// plan interpreter both complete and agree bit-for-bit, in kernel and
-    /// in user mode.
+    /// Analyzer-accepted instruction sequences complete on a bare machine
+    /// whose registers are set up the way the generated prologue leaves
+    /// them, in kernel and in user mode.
     #[test]
     fn accepted_programs_complete_in_both_interpreters(
         ops in proptest::collection::vec(0usize..13, 1..8),
@@ -604,15 +439,9 @@ proptest! {
             return; // only accepted specs carry the completion guarantee
         }
 
-        let mut legacy = machine_with_arenas(mode);
-        let mut planned = machine_with_arenas(mode);
-        let plan = planned.decode(&spec.code);
-        let a = legacy.run(&spec.code);
-        let b = planned.run_plan(&plan);
-        prop_assert!(a.is_ok(), "legacy interpreter faulted: {:?}", a);
-        prop_assert_eq!(&a, &b, "interpreters diverged");
-        let gprs_a: Vec<u64> = Gpr::ALL.iter().map(|g| legacy.state().gpr(*g)).collect();
-        let gprs_b: Vec<u64> = Gpr::ALL.iter().map(|g| planned.state().gpr(*g)).collect();
-        prop_assert_eq!(gprs_a, gprs_b, "architectural state diverged");
+        let mut machine = machine_with_arenas(mode);
+        let plan = machine.decode(&spec.code);
+        let outcome = machine.run_plan(&plan);
+        prop_assert!(outcome.is_ok(), "accepted program faulted: {:?}", outcome);
     }
 }
