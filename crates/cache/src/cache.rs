@@ -317,6 +317,12 @@ pub struct Cache {
     states: Vec<u8>,
     /// Most-recently-hit (or filled) way per set, probed before the scan.
     mru_way: Vec<u8>,
+    /// One bit per set (`set / 64`, bit `set % 64`), set by a fill and for
+    /// every set at build and reset: the sets that may differ from their
+    /// flushed state, and so the only ones [`Cache::flush_all`] visits. A
+    /// hit, invalidation or state change needs a present line, which a
+    /// fill already marked.
+    dirty: Vec<u64>,
     policies: Vec<PolicySlot>,
     assoc: usize,
     set_bits: u32,
@@ -353,15 +359,27 @@ impl Cache {
         assert!(assoc > 0);
         assert!(assoc <= MAX_ASSOC, "associativity above {MAX_ASSOC}");
         let ways = num_sets * assoc;
-        Cache {
+        let mut cache = Cache {
             tags: vec![TAG_INVALID; ways],
             states: vec![0; ways.div_ceil(4)],
             mru_way: vec![0; num_sets],
+            dirty: vec![0; num_sets.div_ceil(64)],
             policies: (0..num_sets).map(&mut factory).collect(),
             assoc,
             set_bits: num_sets.trailing_zeros(),
             stats: CacheStats::default(),
-        }
+        };
+        cache.mark_all_dirty();
+        cache
+    }
+
+    /// Marks every set for the next flush (a fresh or reset policy need
+    /// not be in its flushed state).
+    fn mark_all_dirty(&mut self) {
+        // The set count is a power of two: either whole words or one
+        // partial word.
+        let word = u64::MAX >> (64 - self.num_sets().min(64));
+        self.dirty.fill(word);
     }
 
     /// The MESI state packed at arena index `idx` (`set * assoc + way`).
@@ -476,6 +494,7 @@ impl Cache {
             self.set_state_at(base + way, state); // already present (e.g. racing prefetch)
             return None;
         }
+        self.dirty[set >> 6] |= 1 << (set & 63);
         let mut occ = [false; MAX_ASSOC];
         self.occupied(set, &mut occ);
         let way = self.policies[set].on_miss(&occ[..self.assoc]);
@@ -529,13 +548,23 @@ impl Cache {
         }
     }
 
-    /// Flushes the entire cache (as `WBINVD` does).
+    /// Flushes the entire cache (as `WBINVD` does). Only the sets filled
+    /// since the last flush are visited: every other set is empty already
+    /// and its policy in the state [`SetPolicy::on_flush`] would restore.
     pub fn flush_all(&mut self) {
-        self.tags.fill(TAG_INVALID);
-        self.states.fill(0);
-        self.mru_way.fill(0);
-        for policy in &mut self.policies {
-            policy.on_flush();
+        for word in 0..self.dirty.len() {
+            let mut bits = std::mem::take(&mut self.dirty[word]);
+            while bits != 0 {
+                let set = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let base = set * self.assoc;
+                self.tags[base..base + self.assoc].fill(TAG_INVALID);
+                for idx in base..base + self.assoc {
+                    self.set_state_at(idx, LineState::Invalid);
+                }
+                self.mru_way[set] = 0;
+                self.policies[set].on_flush();
+            }
         }
     }
 
@@ -557,6 +586,7 @@ impl Cache {
         self.tags.fill(TAG_INVALID);
         self.states.fill(0);
         self.mru_way.fill(0);
+        self.mark_all_dirty();
         for (s, policy) in self.policies.iter_mut().enumerate() {
             policy.reset(per_set_seed(s));
         }

@@ -624,7 +624,7 @@ impl CacheHierarchy {
             .observe_l1_access(paddr, l1_hit);
         if l1_hit {
             let (latency, snoop, invalidated) = self.private_hit(core, paddr, is_write, lat.l1);
-            self.apply_prefetches(core, l1_pref.into_l1, l1_pref.into_l2);
+            self.apply_prefetches(core, l1_pref.addrs(), &[]);
             return MemAccessResult {
                 level: HitLevel::L1,
                 latency,
@@ -641,7 +641,7 @@ impl CacheHierarchy {
             let state = self.cores[core].l2.state_of(paddr);
             self.cores[core].l1.fill_with_state(paddr, state);
             let (latency, snoop, invalidated) = self.private_hit(core, paddr, is_write, lat.l2);
-            self.apply_prefetches(core, l1_pref.into_l1, l2_pref.into_l2);
+            self.apply_prefetches(core, l1_pref.addrs(), l2_pref.addrs());
             return MemAccessResult {
                 level: HitLevel::L2,
                 latency,
@@ -666,7 +666,7 @@ impl CacheHierarchy {
             };
             self.cores[core].l2.fill_with_state(paddr, fill_state);
             self.cores[core].l1.fill_with_state(paddr, fill_state);
-            self.apply_prefetches(core, l1_pref.into_l1, l2_pref.into_l2);
+            self.apply_prefetches(core, l1_pref.addrs(), l2_pref.addrs());
             let latency = if snoop == SnoopResult::HitM {
                 lat.snoop_hitm
             } else {
@@ -688,7 +688,7 @@ impl CacheHierarchy {
         };
         self.cores[core].l2.fill_with_state(paddr, fill_state);
         self.cores[core].l1.fill_with_state(paddr, fill_state);
-        self.apply_prefetches(core, l1_pref.into_l1, l2_pref.into_l2);
+        self.apply_prefetches(core, l1_pref.addrs(), l2_pref.addrs());
         MemAccessResult {
             level: HitLevel::Memory,
             latency: lat.mem,
@@ -819,8 +819,8 @@ impl CacheHierarchy {
             .any(|(i, c)| i != core && c.state_of(paddr) != LineState::Invalid)
     }
 
-    fn apply_prefetches(&mut self, core: usize, into_l1: Vec<u64>, into_l2: Vec<u64>) {
-        for paddr in into_l2 {
+    fn apply_prefetches(&mut self, core: usize, into_l1: &[u64], into_l2: &[u64]) {
+        for &paddr in into_l2 {
             if !self.cores[core].l2.probe(paddr) {
                 // A prefetch never forces a coherence transition: if some
                 // other core holds the line it is simply dropped (as
@@ -837,7 +837,7 @@ impl CacheHierarchy {
                 self.cores[core].l2.fill(paddr);
             }
         }
-        for paddr in into_l1 {
+        for &paddr in into_l1 {
             if !self.cores[core].l1.probe(paddr) {
                 if !self.cores[core].l2.probe(paddr) {
                     if self.remote_holder(core, paddr) {

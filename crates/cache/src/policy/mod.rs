@@ -21,6 +21,7 @@ pub use qlru::{
     all_meaningful_qlru_variants, HitFunc, InsertAge, QlruPolicy, QlruVariant, RVariant, UVariant,
 };
 
+use crate::cache::MAX_ASSOC;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::fmt;
@@ -57,6 +58,11 @@ pub trait SetPolicy: fmt::Debug + Send {
     fn on_invalidate(&mut self, way: usize);
 
     /// Called when the whole cache is flushed (e.g. `WBINVD`).
+    ///
+    /// Must restore a fixed state that does not depend on the policy's
+    /// history (a random-number stream may stay where it is), so that a
+    /// second flush with no call in between changes nothing: the cache
+    /// skips the sets that were not filled since the previous flush.
     fn on_flush(&mut self);
 
     /// Restores the just-constructed state for `seed`, reusing existing
@@ -247,8 +253,9 @@ impl PolicyKind {
     /// # Errors
     ///
     /// Returns a description of the violated constraint: zero
-    /// associativity, PLRU with a non-power-of-two or >64-way set, or an
-    /// inconsistent permutation specification.
+    /// associativity, PLRU with a non-power-of-two or >64-way set, QLRU
+    /// with more than [`MAX_ASSOC`] ways, or an inconsistent permutation
+    /// specification.
     pub fn validate(&self, assoc: usize) -> Result<(), String> {
         if assoc == 0 {
             return Err("associativity must be positive".to_string());
@@ -263,6 +270,11 @@ impl PolicyKind {
                 if assoc > 64 {
                     return Err(format!("PLRU supports at most 64 ways, got {assoc}"));
                 }
+            }
+            PolicyKind::Qlru(_) if assoc > MAX_ASSOC => {
+                return Err(format!(
+                    "QLRU supports at most {MAX_ASSOC} ways, got {assoc}"
+                ));
             }
             PolicyKind::Permutation(spec) => {
                 spec.validate()?;
@@ -483,6 +495,9 @@ mod tests {
         assert!(PolicyKind::Plru.validate(12).is_err());
         assert!(PolicyKind::Plru.validate(128).is_err());
         assert!(PolicyKind::Plru.validate(16).is_ok());
+        let qlru = PolicyKind::parse("QLRU_H11_M1_R0_U0").unwrap();
+        assert!(qlru.validate(MAX_ASSOC).is_ok());
+        assert!(qlru.validate(MAX_ASSOC + 1).is_err());
         let mut spec = lru_spec(4);
         assert!(PolicyKind::Permutation(spec.clone()).validate(8).is_err());
         assert!(PolicyKind::Permutation(spec.clone()).validate(4).is_ok());

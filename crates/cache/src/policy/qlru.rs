@@ -13,6 +13,7 @@
 //!   selection ("update on miss only").
 
 use super::SetPolicy;
+use crate::cache::MAX_ASSOC;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::fmt;
@@ -350,11 +351,13 @@ impl SetPolicy for QlruPolicy {
         self.ages[way] = self.draw_insert_age();
         if !self.variant.umo {
             // After the fill, the inserted block is the accessed one.
-            let mut occ_after = occupied.to_vec();
+            let mut buf = [false; MAX_ASSOC];
+            let occ_after = &mut buf[..occupied.len()];
+            occ_after.copy_from_slice(occupied);
             if way < occ_after.len() {
                 occ_after[way] = true;
             }
-            self.maybe_update(way, &occ_after);
+            self.maybe_update(way, occ_after);
         }
         way
     }

@@ -82,13 +82,25 @@ impl StreamTable {
     }
 }
 
-/// Prefetch decisions produced for one demand access.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Prefetch decisions produced for one demand access, held inline so the
+/// access path does not allocate: the L2 prefetchers issue at most three
+/// lines (the adjacent line and two streamer lines), the DCU at most one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefetchRequests {
-    /// Physical addresses to prefetch into L2 (and L3).
-    pub into_l2: Vec<u64>,
-    /// Physical addresses to prefetch into L1.
-    pub into_l1: Vec<u64>,
+    addrs: [u64; 3],
+    len: u8,
+}
+
+impl PrefetchRequests {
+    fn push(&mut self, paddr: u64) {
+        self.addrs[usize::from(self.len)] = paddr;
+        self.len += 1;
+    }
+
+    /// The physical addresses to prefetch, in issue order.
+    pub fn addrs(&self) -> &[u64] {
+        &self.addrs[..usize::from(self.len)]
+    }
 }
 
 /// The prefetcher bank of one core.
@@ -145,7 +157,8 @@ impl Prefetchers {
     }
 
     /// Observes a demand access to `paddr` that reached the L2 (i.e. missed
-    /// L1). `l2_hit` tells whether it hit in L2. Returns prefetches to issue.
+    /// L1). `l2_hit` tells whether it hit in L2. Returns the lines to
+    /// prefetch into L2 (and L3).
     pub fn observe_l2_access(&mut self, paddr: u64, l2_hit: bool) -> PrefetchRequests {
         let mut reqs = PrefetchRequests::default();
         let block = paddr / 64;
@@ -153,7 +166,7 @@ impl Prefetchers {
 
         if self.adjacent_line_enabled() && !l2_hit {
             // Adjacent-line: fetch the other half of the 128-byte pair.
-            reqs.into_l2.push((block ^ 1) * 64);
+            reqs.push((block ^ 1) * 64);
         }
         if self.l2_streamer_enabled() {
             let stream = self.l2_streams.entry(page, block);
@@ -171,7 +184,7 @@ impl Prefetchers {
                 for k in 1..=2i64 {
                     let next = block as i64 + stream.stride * k;
                     if next >= 0 && (next as u64 * 64) >> 12 == page {
-                        reqs.into_l2.push(next as u64 * 64);
+                        reqs.push(next as u64 * 64);
                     }
                 }
             }
@@ -179,7 +192,8 @@ impl Prefetchers {
         reqs
     }
 
-    /// Observes a demand access at the L1 level; returns L1 prefetches.
+    /// Observes a demand access at the L1 level; returns the lines to
+    /// prefetch into L1.
     pub fn observe_l1_access(&mut self, paddr: u64, l1_hit: bool) -> PrefetchRequests {
         let mut reqs = PrefetchRequests::default();
         if !self.dcu_enabled() || l1_hit {
@@ -197,7 +211,7 @@ impl Prefetchers {
         stream.last_block = block;
         if stream.confidence >= 1 && ((block + 1) * 64) >> 12 == page {
             // DCU streamer fetches the next sequential line.
-            reqs.into_l1.push((block + 1) * 64);
+            reqs.push((block + 1) * 64);
         }
         reqs
     }
@@ -232,9 +246,9 @@ mod tests {
         assert_eq!(p.disable_bits(), 0xF);
         for i in 0..10u64 {
             let r = p.observe_l2_access(i * 64, false);
-            assert!(r.into_l2.is_empty());
+            assert!(r.addrs().is_empty());
             let r = p.observe_l1_access(i * 64, false);
-            assert!(r.into_l1.is_empty());
+            assert!(r.addrs().is_empty());
         }
     }
 
@@ -243,18 +257,18 @@ mod tests {
         let mut p = Prefetchers::new();
         p.set_disable_bits(0b0101); // only adjacent-line enabled among L2
         let r = p.observe_l2_access(0x80, false); // block 2 -> buddy block 3
-        assert_eq!(r.into_l2, vec![0xC0]);
+        assert_eq!(r.addrs(), [0xC0]);
         let r = p.observe_l2_access(0xC0, false); // block 3 -> buddy block 2
-        assert_eq!(r.into_l2, vec![0x80]);
+        assert_eq!(r.addrs(), [0x80]);
     }
 
     #[test]
     fn streamer_detects_sequential_pattern() {
         let mut p = Prefetchers::new();
         p.set_disable_bits(0b1110); // only the L2 streamer enabled
-        let mut prefetched = Vec::new();
+        let mut prefetched: Vec<u64> = Vec::new();
         for i in 0..8u64 {
-            prefetched.extend(p.observe_l2_access(i * 64, false).into_l2);
+            prefetched.extend(p.observe_l2_access(i * 64, false).addrs());
         }
         // After two same-stride deltas the streamer starts prefetching ahead.
         assert!(prefetched.contains(&(3 * 64)));
@@ -266,9 +280,9 @@ mod tests {
         let mut p = Prefetchers::new();
         p.set_disable_bits(0b1110);
         let base = 4096 - 3 * 64;
-        let mut prefetched = Vec::new();
+        let mut prefetched: Vec<u64> = Vec::new();
         for i in 0..3u64 {
-            prefetched.extend(p.observe_l2_access(base + i * 64, false).into_l2);
+            prefetched.extend(p.observe_l2_access(base + i * 64, false).addrs());
         }
         assert!(
             prefetched.iter().all(|a| *a < 4096),
@@ -289,8 +303,8 @@ mod tests {
         for i in 0..4u64 {
             // Interleave a forward stream on page 0 with a stride-2
             // stream on page 1; per-page state must not interfere.
-            log.push(p.observe_l2_access(i * 64, false).into_l2);
-            log.push(p.observe_l2_access(4096 + i * 128, false).into_l2);
+            log.push(p.observe_l2_access(i * 64, false).addrs().to_vec());
+            log.push(p.observe_l2_access(4096 + i * 128, false).addrs().to_vec());
         }
         let expected: Vec<Vec<u64>> = vec![
             vec![],                             // page 0, block 0: new stream
@@ -320,12 +334,9 @@ mod tests {
         assert_eq!(p.l2_streams_live(), 1);
         // Page 0 must start over: its next two accesses rebuild the
         // stride history before any prefetch is issued again.
-        assert!(p.observe_l2_access(3 * 64, false).into_l2.is_empty());
-        assert!(p.observe_l2_access(4 * 64, false).into_l2.is_empty());
-        assert_eq!(
-            p.observe_l2_access(5 * 64, false).into_l2,
-            vec![6 * 64, 7 * 64]
-        );
+        assert!(p.observe_l2_access(3 * 64, false).addrs().is_empty());
+        assert!(p.observe_l2_access(4 * 64, false).addrs().is_empty());
+        assert_eq!(p.observe_l2_access(5 * 64, false).addrs(), [6 * 64, 7 * 64]);
     }
 
     #[test]
@@ -346,8 +357,8 @@ mod tests {
     fn dcu_next_line() {
         let mut p = Prefetchers::new();
         p.set_disable_bits(0b1011); // only DCU enabled
-        assert!(p.observe_l1_access(0, false).into_l1.is_empty());
+        assert!(p.observe_l1_access(0, false).addrs().is_empty());
         let r = p.observe_l1_access(64, false);
-        assert_eq!(r.into_l1, vec![128]);
+        assert_eq!(r.addrs(), [128]);
     }
 }

@@ -3,17 +3,18 @@
 //! The oracle keeps the pre-refactor representation — per-set
 //! `Vec<Option<u64>>` tags plus per-set `Box<dyn SetPolicy>` — and always
 //! hands the policy a full occupancy slice on hits, i.e. it does not use
-//! the `wants_occupied_on_hit` fast path, has no MRU-way probe, and no
-//! packed state words. Agreement on every observable (hit/miss + MESI
+//! the `wants_occupied_on_hit` fast path, has no MRU-way probe, no packed
+//! state words, and flushes every set rather than only the sets filled
+//! since the last flush. Agreement on every observable (hit/miss + MESI
 //! state, eviction victim, invalidation result, stats, final contents)
-//! pins the refactored storage layout and enum dispatch as
+//! pins the refactored storage layout, enum dispatch and partial flush as
 //! behaviour-preserving across the whole policy library, including the
 //! boxed set-dueling escape hatch.
 
 use std::sync::Arc;
 
 use nanobench_cache::cache::{FollowerPolicy, LeaderPolicy};
-use nanobench_cache::policy::PolicySlot;
+use nanobench_cache::policy::{plru_spec, PolicySlot};
 use nanobench_cache::{
     Cache, CacheStats, LineState, PolicyKind, PselCounter, SetPolicy, LINE_SIZE,
 };
@@ -155,6 +156,17 @@ impl NaiveCache {
         }
     }
 
+    /// What `Cache::reset_with` promises: every set empty, its policy
+    /// reseeded as at construction, the statistics zeroed.
+    fn reset_with(&mut self, per_set_seed: impl Fn(usize) -> u64) {
+        for (s, set) in self.sets.iter_mut().enumerate() {
+            set.tags.fill(None);
+            set.states.fill(LineState::Invalid);
+            set.policy.reset(per_set_seed(s));
+        }
+        self.stats = CacheStats::default();
+    }
+
     fn set_contents(&self, set: usize) -> Vec<Option<u64>> {
         self.sets[set].tags.clone()
     }
@@ -169,10 +181,12 @@ enum Op {
     SetState(u64, LineState),
     StateOf(u64),
     Flush,
+    /// `Cache::reset_with` under the construction's seed derivation.
+    Reset,
 }
 
 /// Draws one [`Op`], weighted toward accesses so replacement state gets
-/// exercised deeply, with flushes rare.
+/// exercised deeply between the flushes and resets.
 struct OpStrategy;
 
 impl Strategy for OpStrategy {
@@ -184,18 +198,20 @@ impl Strategy for OpStrategy {
             1 => LineState::Shared,
             _ => LineState::Modified,
         };
-        match (0u8..19).generate(rng) {
+        match (0u8..22).generate(rng) {
             0..=11 => Op::Access(paddr, state),
             12 | 13 => Op::Invalidate(paddr),
             14 | 15 => Op::SetState(paddr, state),
             16 | 17 => Op::StateOf(paddr),
-            _ => Op::Flush,
+            18..=20 => Op::Flush,
+            _ => Op::Reset,
         }
     }
 }
 
-/// Drives the same stream through both models and checks every observable.
-fn check_equivalence(mut arena: Cache, mut oracle: NaiveCache, ops: &[Op]) {
+/// Drives the same stream through both models and checks every observable;
+/// both were built with [`set_seed`] of `case_seed`.
+fn check_equivalence(mut arena: Cache, mut oracle: NaiveCache, case_seed: u64, ops: &[Op]) {
     for (i, &op) in ops.iter().enumerate() {
         match op {
             Op::Access(paddr, state) => {
@@ -224,6 +240,10 @@ fn check_equivalence(mut arena: Cache, mut oracle: NaiveCache, ops: &[Op]) {
             Op::Flush => {
                 arena.flush_all();
                 oracle.flush_all();
+            }
+            Op::Reset => {
+                arena.reset_with(|set| set_seed(case_seed, set));
+                oracle.reset_with(|set| set_seed(case_seed, set));
             }
         }
     }
@@ -255,6 +275,8 @@ const POLICIES: &[&str] = &[
     "RANDOM",
     "QLRU_H11_M1_R0_U0",
     "QLRU_H00_M1_R2_U1",
+    "QLRU_H00_M2_R0_U0_UMO",
+    "QLRU_H11_MR161_R1_U2",
 ];
 
 proptest! {
@@ -273,7 +295,7 @@ proptest! {
         let oracle = NaiveCache::new(NUM_SETS, assoc, |set| {
             kind.instantiate(assoc, set_seed(case_seed, set))
         });
-        check_equivalence(arena, oracle, &ops);
+        check_equivalence(arena, oracle, case_seed, &ops);
     }
 
     /// Set dueling through the `PolicySlot::Boxed` escape hatch: leader
@@ -319,7 +341,103 @@ proptest! {
         });
         let oracle_psel = PselCounter::new();
         let oracle = NaiveCache::new(NUM_SETS, assoc, make(&oracle_psel));
-        check_equivalence(arena, oracle, &ops);
+        check_equivalence(arena, oracle, case_seed, &ops);
         prop_assert_eq!(arena_psel.value(), oracle_psel.value());
     }
+
+    /// `on_flush` restores a fixed state, so a second flush changes
+    /// nothing (the cache skips the sets not filled since the last flush):
+    /// a clone taken after one flush and the original flushed again make
+    /// the same decisions. A dueling wrapper's clone shares its PSEL
+    /// counter, which is safe here: leaders only write it and followers
+    /// only read it.
+    #[test]
+    fn a_second_flush_changes_nothing(
+        family in 0..FLUSH_FAMILIES,
+        assoc in prop_oneof![Just(4usize), Just(8usize)],
+        seed in 0..u64::MAX,
+        before in collection::vec(0..SET_OPS, 0..60),
+        after in collection::vec(0..SET_OPS, 1..60),
+    ) {
+        let mut policy = flush_family(family, assoc, seed);
+        drive(&mut *policy, assoc, &before);
+        policy.on_flush();
+        let mut flushed_once = policy.clone();
+        policy.on_flush();
+        prop_assert_eq!(
+            drive(&mut *policy, assoc, &after),
+            drive(&mut *flushed_once, assoc, &after)
+        );
+    }
+}
+
+/// Every named kind, then a permutation spec, an A leader, a B leader, a
+/// follower on policy A and a follower on policy B.
+const FLUSH_FAMILIES: usize = POLICIES.len() + 5;
+
+fn flush_family(family: usize, assoc: usize, seed: u64) -> Box<dyn SetPolicy> {
+    if let Some(name) = POLICIES.get(family) {
+        return PolicyKind::parse(name).unwrap().instantiate(assoc, seed);
+    }
+    let qlru = PolicyKind::parse("QLRU_H00_M1_R2_U1").unwrap();
+    let psel = PselCounter::new();
+    match family - POLICIES.len() {
+        0 => PolicyKind::Permutation(plru_spec(assoc)).instantiate(assoc, seed),
+        1 => Box::new(LeaderPolicy::new(
+            PolicyKind::Lru.instantiate(assoc, seed),
+            psel,
+            true,
+        )),
+        2 => Box::new(LeaderPolicy::new(
+            qlru.instantiate(assoc, seed ^ B_SEED_SALT),
+            psel,
+            false,
+        )),
+        k => {
+            if k == 4 {
+                for _ in 0..600 {
+                    psel.miss_in_a();
+                }
+                assert!(psel.use_policy_b());
+            }
+            Box::new(FollowerPolicy::new(
+                PolicyKind::Lru.instantiate(assoc, seed),
+                qlru.instantiate(assoc, seed ^ B_SEED_SALT),
+                psel,
+            ))
+        }
+    }
+}
+
+/// Single-set ops for [`drive`]: `op < 12` accesses block `op`, larger
+/// values invalidate block `op - 12` if it is present.
+const SET_OPS: u64 = 20;
+
+/// Drives `policy` over an initially empty set and returns the way each
+/// miss filled.
+fn drive(policy: &mut dyn SetPolicy, assoc: usize, ops: &[u64]) -> Vec<usize> {
+    let mut tags: Vec<Option<u64>> = vec![None; assoc];
+    let mut victims = Vec::new();
+    for &op in ops {
+        let occupied: Vec<bool> = tags.iter().map(Option::is_some).collect();
+        let (block, invalidate) = if op < 12 {
+            (op, false)
+        } else {
+            (op - 12, true)
+        };
+        match tags.iter().position(|&t| t == Some(block)) {
+            Some(way) if invalidate => {
+                tags[way] = None;
+                policy.on_invalidate(way);
+            }
+            Some(way) => policy.on_hit(way, &occupied),
+            None if invalidate => {}
+            None => {
+                let way = policy.on_miss(&occupied);
+                tags[way] = Some(block);
+                victims.push(way);
+            }
+        }
+    }
+    victims
 }

@@ -32,7 +32,7 @@ pub const ARENA_REGS: [Gpr; 5] = [Gpr::Rsp, Gpr::Rbp, Gpr::Rdi, Gpr::Rsi, Gpr::R
 pub const NO_MEM_ACC_REGS: [Gpr; 6] = [Gpr::R8, Gpr::R9, Gpr::R10, Gpr::R11, Gpr::R12, Gpr::R13];
 
 /// Memory layout used by the generated code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Arenas {
     /// Register save area (16 qwords).
     pub save_area: u64,
@@ -44,17 +44,6 @@ pub struct Arenas {
     pub m2: u64,
     /// Base of each dedicated register arena, in [`ARENA_REGS`] order.
     pub arena_bases: [u64; 5],
-}
-
-/// One generated benchmark function.
-#[derive(Debug, Clone)]
-pub struct GeneratedCode {
-    /// The instruction sequence.
-    pub program: Vec<Instruction>,
-    /// RDPMC selectors measured, in result-slot order.
-    pub selectors: Vec<u32>,
-    /// Whether results live in registers (noMem) or in the m1/m2 areas.
-    pub no_mem: bool,
 }
 
 /// Configuration for one code generation (one `localUnrollCount` version).
@@ -76,20 +65,78 @@ pub struct CodegenRequest<'a> {
     pub arenas: Arenas,
 }
 
+/// Where [`emit`] sends the benchmark function: a `Vec` that builds it
+/// ([`generate`]) or a [`Matcher`] that checks an existing program
+/// against it ([`generates`]).
+trait Sink {
+    /// Index of the next emitted instruction (the loop branch's target).
+    fn pos(&self) -> usize;
+    /// Emits one instruction.
+    fn inst(&mut self, mnemonic: Mnemonic, operands: &[Operand]);
+    /// Emits a run of instructions taken verbatim from the request.
+    fn slice(&mut self, insts: &[Instruction]);
+}
+
+impl Sink for Vec<Instruction> {
+    fn pos(&self) -> usize {
+        self.len()
+    }
+
+    fn inst(&mut self, mnemonic: Mnemonic, operands: &[Operand]) {
+        self.push(Instruction::with_operands(mnemonic, operands.to_vec()));
+    }
+
+    fn slice(&mut self, insts: &[Instruction]) {
+        self.extend_from_slice(insts);
+    }
+}
+
+/// Compares each emitted piece with the program at the same position,
+/// without building anything; `ok` stays true while every piece matched.
+struct Matcher<'a> {
+    program: &'a [Instruction],
+    pos: usize,
+    ok: bool,
+}
+
+impl Sink for Matcher<'_> {
+    fn pos(&self) -> usize {
+        self.pos
+    }
+
+    fn inst(&mut self, mnemonic: Mnemonic, operands: &[Operand]) {
+        self.ok = self.ok
+            && self
+                .program
+                .get(self.pos)
+                .is_some_and(|i| i.mnemonic == mnemonic && i.operands == operands);
+        self.pos += 1;
+    }
+
+    fn slice(&mut self, insts: &[Instruction]) {
+        let end = self.pos + insts.len();
+        self.ok = self.ok && self.program.get(self.pos..end) == Some(insts);
+        self.pos = end;
+    }
+}
+
 fn abs_mem(addr: u64) -> Operand {
     Operand::Mem(MemRef::absolute(addr, Width::Q))
 }
 
-fn mov_to_mem(addr: u64, reg: Gpr) -> Instruction {
-    Instruction::binary(Mnemonic::Mov, abs_mem(addr), Operand::gpr(reg))
+fn mov_to_mem(out: &mut impl Sink, addr: u64, reg: Gpr) {
+    out.inst(Mnemonic::Mov, &[abs_mem(addr), Operand::gpr(reg)]);
 }
 
-fn mov_from_mem(reg: Gpr, addr: u64) -> Instruction {
-    Instruction::binary(Mnemonic::Mov, Operand::gpr(reg), abs_mem(addr))
+fn mov_from_mem(out: &mut impl Sink, reg: Gpr, addr: u64) {
+    out.inst(Mnemonic::Mov, &[Operand::gpr(reg), abs_mem(addr)]);
 }
 
-fn mov_imm(reg: Gpr, value: u64) -> Instruction {
-    Instruction::binary(Mnemonic::Mov, Operand::gpr(reg), Operand::imm(value as i64))
+fn mov_imm(out: &mut impl Sink, reg: Gpr, value: u64) {
+    out.inst(
+        Mnemonic::Mov,
+        &[Operand::gpr(reg), Operand::imm(value as i64)],
+    );
 }
 
 /// Emits the counter-read sequence (line 4 / line 10 of Algorithm 1).
@@ -101,68 +148,50 @@ fn mov_imm(reg: Gpr, value: u64) -> Instruction {
 /// noMem mode: subtracts (for m1) or adds (for m2) each counter value
 /// into R8+slot, clobbering only RAX/RCX/RDX which the benchmark must not
 /// rely on in this mode.
-fn emit_read_counters(out: &mut Vec<Instruction>, req: &CodegenRequest, first: bool) {
+fn emit_read_counters(out: &mut impl Sink, req: &CodegenRequest, first: bool) {
     let results = if first { req.arenas.m1 } else { req.arenas.m2 };
     let scratch = req.arenas.scratch;
     if !req.no_mem {
-        out.push(mov_to_mem(scratch, Gpr::Rax));
-        out.push(mov_to_mem(scratch + 8, Gpr::Rcx));
-        out.push(mov_to_mem(scratch + 16, Gpr::Rdx));
+        mov_to_mem(out, scratch, Gpr::Rax);
+        mov_to_mem(out, scratch + 8, Gpr::Rcx);
+        mov_to_mem(out, scratch + 16, Gpr::Rdx);
     }
     for (slot, sel) in req.selectors.iter().enumerate() {
-        out.push(Instruction::new(Mnemonic::Lfence));
-        out.push(mov_imm(Gpr::Rcx, *sel as u64));
-        out.push(Instruction::new(Mnemonic::Rdpmc));
-        out.push(Instruction::binary(
-            Mnemonic::Shl,
-            Operand::gpr(Gpr::Rdx),
-            Operand::imm(32),
-        ));
-        out.push(Instruction::binary(
+        out.inst(Mnemonic::Lfence, &[]);
+        mov_imm(out, Gpr::Rcx, *sel as u64);
+        out.inst(Mnemonic::Rdpmc, &[]);
+        out.inst(Mnemonic::Shl, &[Operand::gpr(Gpr::Rdx), Operand::imm(32)]);
+        out.inst(
             Mnemonic::Or,
-            Operand::gpr(Gpr::Rax),
-            Operand::gpr(Gpr::Rdx),
-        ));
+            &[Operand::gpr(Gpr::Rax), Operand::gpr(Gpr::Rdx)],
+        );
         if req.no_mem {
             let acc = NO_MEM_ACC_REGS[slot];
             let op = if first { Mnemonic::Sub } else { Mnemonic::Add };
-            out.push(Instruction::binary(
-                op,
-                Operand::gpr(acc),
-                Operand::gpr(Gpr::Rax),
-            ));
+            out.inst(op, &[Operand::gpr(acc), Operand::gpr(Gpr::Rax)]);
         } else {
-            out.push(mov_to_mem(results + 8 * slot as u64, Gpr::Rax));
+            mov_to_mem(out, results + 8 * slot as u64, Gpr::Rax);
         }
     }
-    out.push(Instruction::new(Mnemonic::Lfence));
+    out.inst(Mnemonic::Lfence, &[]);
     if !req.no_mem {
-        out.push(mov_from_mem(Gpr::Rax, scratch));
-        out.push(mov_from_mem(Gpr::Rcx, scratch + 8));
-        out.push(mov_from_mem(Gpr::Rdx, scratch + 16));
+        mov_from_mem(out, Gpr::Rax, scratch);
+        mov_from_mem(out, Gpr::Rcx, scratch + 8);
+        mov_from_mem(out, Gpr::Rdx, scratch + 16);
     }
 }
 
-/// Generates the benchmark function per Algorithm 1.
-///
-/// # Panics
-///
-/// Panics if `selectors` exceeds the noMem accumulator registers in noMem
-/// mode (callers multiplex counters across runs instead, §III-J).
-pub fn generate(req: &CodegenRequest) -> GeneratedCode {
+/// Emits the benchmark function per Algorithm 1 into `out`.
+fn emit(req: &CodegenRequest, out: &mut impl Sink) {
     assert!(
         !req.no_mem || req.selectors.len() <= NO_MEM_ACC_REGS.len(),
         "noMem mode supports at most {} counters per run",
         NO_MEM_ACC_REGS.len()
     );
-    let mut out = Vec::new();
 
     // Line 2: saveRegs — all 16 GPRs to the save area.
     for reg in Gpr::ALL {
-        out.push(mov_to_mem(
-            req.arenas.save_area + 8 * reg.number() as u64,
-            reg,
-        ));
+        mov_to_mem(out, req.arenas.save_area + 8 * reg.number() as u64, reg);
     }
     // §III-G: point RSP/RBP/RDI/RSI/R14 into their dedicated areas. RSP
     // points into the middle of its area so both pushes and positive
@@ -174,72 +203,91 @@ pub fn generate(req: &CodegenRequest) -> GeneratedCode {
         } else {
             base
         };
-        out.push(mov_imm(*reg, target));
+        mov_imm(out, *reg, target);
     }
     if req.no_mem {
         for acc in NO_MEM_ACC_REGS.iter().take(req.selectors.len()) {
-            out.push(Instruction::binary(
-                Mnemonic::Xor,
-                Operand::gpr(*acc),
-                Operand::gpr(*acc),
-            ));
+            out.inst(Mnemonic::Xor, &[Operand::gpr(*acc), Operand::gpr(*acc)]);
         }
     }
 
     // Line 3: codeInit.
-    out.extend_from_slice(req.init);
+    out.slice(req.init);
 
     // Line 4: m1 <- readPerfCtrs.
-    emit_read_counters(&mut out, req, true);
+    emit_read_counters(out, req, true);
 
     // Lines 5–9: optional loop around the unrolled body. The loop counter
     // lives in R15, which the benchmark must not modify when looping
     // (§III-B).
     if req.loop_count > 0 {
-        out.push(mov_imm(Gpr::R15, req.loop_count));
-        let loop_top = out.len();
+        mov_imm(out, Gpr::R15, req.loop_count);
+        let loop_top = out.pos();
         for _ in 0..req.local_unroll {
-            out.extend_from_slice(req.code);
+            out.slice(req.code);
         }
-        out.push(Instruction::unary(Mnemonic::Dec, Operand::gpr(Gpr::R15)));
-        out.push(Instruction::unary(Mnemonic::Jnz, Operand::Label(loop_top)));
+        out.inst(Mnemonic::Dec, &[Operand::gpr(Gpr::R15)]);
+        out.inst(Mnemonic::Jnz, &[Operand::Label(loop_top)]);
     } else {
         for _ in 0..req.local_unroll {
-            out.extend_from_slice(req.code);
+            out.slice(req.code);
         }
     }
 
     // Line 10: m2 <- readPerfCtrs.
-    emit_read_counters(&mut out, req, false);
+    emit_read_counters(out, req, false);
 
     // In noMem mode the deltas live in R8..; spill them to the m2 area
     // before the registers are restored (measurement is already complete
     // here, so these stores cannot perturb the counters).
     if req.no_mem {
         for (slot, acc) in NO_MEM_ACC_REGS.iter().take(req.selectors.len()).enumerate() {
-            out.push(mov_to_mem(req.arenas.m2 + 8 * slot as u64, *acc));
+            mov_to_mem(out, req.arenas.m2 + 8 * slot as u64, *acc);
         }
     }
 
     // Line 11: restoreRegs.
     for reg in Gpr::ALL {
-        out.push(mov_from_mem(
-            reg,
-            req.arenas.save_area + 8 * reg.number() as u64,
-        ));
+        mov_from_mem(out, reg, req.arenas.save_area + 8 * reg.number() as u64);
     }
+}
 
-    GeneratedCode {
-        program: out,
-        selectors: req.selectors.to_vec(),
-        no_mem: req.no_mem,
-    }
+/// Generates the benchmark function per Algorithm 1.
+///
+/// # Panics
+///
+/// Panics if `selectors` exceeds the noMem accumulator registers in noMem
+/// mode (callers multiplex counters across runs instead, §III-J).
+pub fn generate(req: &CodegenRequest) -> Vec<Instruction> {
+    let mut out = Vec::new();
+    emit(req, &mut out);
+    out
+}
+
+/// Whether `program` is exactly what [`generate`] returns for `req`,
+/// decided without building it: the emitter runs once more and compares
+/// each piece in place, the init part and every body copy as whole
+/// slices.
+///
+/// # Panics
+///
+/// Panics where [`generate`] does.
+pub fn generates(req: &CodegenRequest, program: &[Instruction]) -> bool {
+    let mut matcher = Matcher {
+        program,
+        pos: 0,
+        ok: true,
+    };
+    emit(req, &mut matcher);
+    matcher.ok && matcher.pos == program.len()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use nanobench_x86::asm::parse_asm;
+    use nanobench_x86::corpus::LOOP_BODY_POOL;
+    use proptest::prelude::*;
 
     fn arenas() -> Arenas {
         Arenas {
@@ -267,19 +315,22 @@ mod tests {
         let g = generate(&req);
         // 16 saves + 5 arena inits + 1 init + 2 counter reads + 3 copies
         // + 16 restores; counter reads bracket the body.
-        let body_count = g.program.iter().filter(|i| **i == code[0]).count();
+        let body_count = g.iter().filter(|i| **i == code[0]).count();
         assert_eq!(body_count, 3);
-        let rdpmc_count = g
-            .program
-            .iter()
-            .filter(|i| i.mnemonic == Mnemonic::Rdpmc)
-            .count();
+        let rdpmc_count = g.iter().filter(|i| i.mnemonic == Mnemonic::Rdpmc).count();
         assert_eq!(rdpmc_count, 2);
         // First instruction saves RAX; last restores R15.
-        assert_eq!(g.program[0], mov_to_mem(0x1000, Gpr::Rax));
         assert_eq!(
-            *g.program.last().unwrap(),
-            mov_from_mem(Gpr::R15, 0x1000 + 8 * 15)
+            g[0],
+            Instruction::binary(Mnemonic::Mov, abs_mem(0x1000), Operand::gpr(Gpr::Rax))
+        );
+        assert_eq!(
+            *g.last().unwrap(),
+            Instruction::binary(
+                Mnemonic::Mov,
+                Operand::gpr(Gpr::R15),
+                abs_mem(0x1000 + 8 * 15)
+            )
         );
     }
 
@@ -297,12 +348,10 @@ mod tests {
         };
         let g = generate(&req);
         let has_dec_r15 = g
-            .program
             .iter()
             .any(|i| i.mnemonic == Mnemonic::Dec && i.dst() == Some(&Operand::gpr(Gpr::R15)));
         assert!(has_dec_r15);
         let jnz = g
-            .program
             .iter()
             .find(|i| i.mnemonic == Mnemonic::Jnz)
             .expect("loop branch");
@@ -311,7 +360,7 @@ mod tests {
             other => panic!("expected label, got {other:?}"),
         };
         // The branch targets the first body instruction.
-        assert_eq!(g.program[target].mnemonic, Mnemonic::Nop);
+        assert_eq!(g[target].mnemonic, Mnemonic::Nop);
     }
 
     #[test]
@@ -327,22 +376,13 @@ mod tests {
             arenas: arenas(),
         };
         let g = generate(&req);
-        let subs = g
-            .program
-            .iter()
-            .filter(|i| i.mnemonic == Mnemonic::Sub)
-            .count();
-        let adds = g
-            .program
-            .iter()
-            .filter(|i| i.mnemonic == Mnemonic::Add)
-            .count();
+        let subs = g.iter().filter(|i| i.mnemonic == Mnemonic::Sub).count();
+        let adds = g.iter().filter(|i| i.mnemonic == Mnemonic::Add).count();
         assert_eq!(subs, 2);
         assert_eq!(adds, 2);
         // The only stores to the result areas are the two post-measurement
         // accumulator spills.
         let result_stores = g
-            .program
             .iter()
             .filter(
                 |i| matches!(i.dst(), Some(Operand::Mem(m)) if (0x1200..0x1400).contains(&m.disp)),
@@ -364,5 +404,62 @@ mod tests {
             arenas: arenas(),
         };
         let _ = generate(&req);
+    }
+
+    fn pool_program(picks: &[usize]) -> Vec<Instruction> {
+        picks
+            .iter()
+            .flat_map(|&i| parse_asm(LOOP_BODY_POOL[i]).unwrap())
+            .collect()
+    }
+
+    /// `inst` with one field changed.
+    fn neighbour(inst: &Instruction) -> Instruction {
+        let mut out = inst.clone();
+        match out.operands.last_mut() {
+            Some(Operand::Imm(v)) => *v += 1,
+            Some(Operand::Mem(m)) => m.disp += 8,
+            Some(Operand::Label(t)) => *t += 1,
+            _ => out.operands.push(Operand::imm(1)),
+        }
+        out
+    }
+
+    proptest! {
+        /// `generates` accepts `generate`'s output and rejects every
+        /// program one instruction away from it.
+        #[test]
+        fn generates_accepts_exactly_the_generated_program(
+            init in collection::vec(0..LOOP_BODY_POOL.len(), 0..4),
+            code in collection::vec(0..LOOP_BODY_POOL.len(), 0..5),
+            local_unroll in 0usize..4,
+            loop_count in prop_oneof![Just(0u64), 1u64..5],
+            selectors in collection::vec(0u32..8, 0..7),
+            no_mem in prop_oneof![Just(false), Just(true)],
+        ) {
+            let (init, code) = (pool_program(&init), pool_program(&code));
+            let req = CodegenRequest {
+                init: &init,
+                code: &code,
+                local_unroll,
+                loop_count,
+                selectors: &selectors,
+                no_mem,
+                arenas: arenas(),
+            };
+            let program = generate(&req);
+            prop_assert!(generates(&req, &program));
+            for i in 0..program.len() {
+                let mut replaced = program.clone();
+                replaced[i] = neighbour(&program[i]);
+                prop_assert!(!generates(&req, &replaced), "replaced {i}");
+                let mut dropped = program.clone();
+                dropped.remove(i);
+                prop_assert!(!generates(&req, &dropped), "dropped {i}");
+            }
+            let mut appended = program.clone();
+            appended.push(program[0].clone());
+            prop_assert!(!generates(&req, &appended));
+        }
     }
 }

@@ -6,7 +6,6 @@
 //! to the rest (§III-C).
 
 use crate::codegen::Arenas;
-use crate::codegen::GeneratedCode;
 use crate::error::NbError;
 use nanobench_machine::Machine;
 use nanobench_uarch::plan::DecodedProgram;
@@ -91,7 +90,8 @@ impl Aggregate {
 }
 
 /// Runs the generated code once — through its pre-decoded `plan` — and
-/// extracts the per-counter deltas (`m2 - m1`).
+/// extracts the per-counter deltas (`m2 - m1`) of its `slots` counter
+/// reads; `no_mem` says the code was generated in noMem mode (§III-I).
 ///
 /// `corunner_plans` loop on cores 1..N of a multi-core machine while the
 /// plan runs on core 0 (pass `&[]` for an uncontended measurement — the
@@ -105,7 +105,8 @@ impl Aggregate {
 /// Propagates CPU faults from the run.
 pub fn run_once(
     machine: &mut Machine,
-    generated: &GeneratedCode,
+    slots: usize,
+    no_mem: bool,
     plan: &DecodedProgram,
     corunner_plans: &[&DecodedProgram],
     stub_plan: Option<&DecodedProgram>,
@@ -119,18 +120,18 @@ pub fn run_once(
     } else {
         machine.run_plan_with_corunners(plan, corunner_plans)?;
     }
-    let mut deltas = Vec::with_capacity(generated.selectors.len());
-    if generated.no_mem {
+    let mut deltas = Vec::with_capacity(slots);
+    if no_mem {
         // The generated code spilled the register accumulators to the m2
         // area after the second counter read.
-        for slot in 0..generated.selectors.len() as u64 {
+        for slot in 0..slots as u64 {
             let delta = machine
                 .read_mem(arenas.m2 + 8 * slot, 8)
                 .expect("m2 area is mapped");
             deltas.push(delta as i64);
         }
     } else {
-        for slot in 0..generated.selectors.len() as u64 {
+        for slot in 0..slots as u64 {
             let m1 = machine
                 .read_mem(arenas.m1 + 8 * slot, 8)
                 .expect("m1 area is mapped");
@@ -153,7 +154,8 @@ pub fn run_once(
 #[allow(clippy::too_many_arguments)]
 pub fn measure(
     machine: &mut Machine,
-    generated: &GeneratedCode,
+    slots: usize,
+    no_mem: bool,
     plan: &DecodedProgram,
     corunner_plans: &[&DecodedProgram],
     stub_plan: Option<&DecodedProgram>,
@@ -164,9 +166,17 @@ pub fn measure(
     scratch: &mut Vec<i64>,
 ) -> Result<Vec<f64>, NbError> {
     assert!(n > 0, "need at least one measurement");
-    let mut samples: Vec<Vec<i64>> = vec![Vec::with_capacity(n); generated.selectors.len()];
+    let mut samples: Vec<Vec<i64>> = vec![Vec::with_capacity(n); slots];
     for i in 0..warm_up + n {
-        let deltas = run_once(machine, generated, plan, corunner_plans, stub_plan, arenas)?;
+        let deltas = run_once(
+            machine,
+            slots,
+            no_mem,
+            plan,
+            corunner_plans,
+            stub_plan,
+            arenas,
+        )?;
         if i >= warm_up {
             for (slot, d) in deltas.into_iter().enumerate() {
                 samples[slot].push(d);

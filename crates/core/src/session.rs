@@ -36,7 +36,6 @@ use nanobench_uarch::port::MicroArch;
 use nanobench_x86::asm::parse_asm;
 use nanobench_x86::encode::decode_program;
 use nanobench_x86::inst::Instruction;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::path::Path;
@@ -60,9 +59,11 @@ struct CachedPlan {
     last_used: u64,
 }
 
-/// Session-level cache of decoded execution plans, keyed by a hash of the
-/// generated instruction sequence (verified by full program comparison on
-/// hit, so key collisions cannot alias two programs).
+/// Session-level cache of decoded execution plans. A generated program is
+/// keyed by its codegen request ([`request_key`]) and a co-runner by its
+/// instructions ([`hash_key`]); every hit is verified against the cached
+/// instructions, so a key collision re-decodes instead of aliasing two
+/// programs.
 #[derive(Debug, Default)]
 struct PlanCache {
     plans: HashMap<u64, CachedPlan>,
@@ -90,12 +91,115 @@ impl PlanCache {
             self.plans.remove(&victim);
         }
     }
+
+    /// Makes `key`'s plan present and most recently used. A cached plan
+    /// whose instructions pass `is_match` is a hit; otherwise `decode`
+    /// runs, into the colliding slot or a new one (evicting the LRU plan
+    /// at the cap).
+    ///
+    /// Keys ensured back-to-back stay valid together: each call marks its
+    /// entry most-recently-used, so later calls in the same batch can only
+    /// evict *older* entries (the cap far exceeds the plans one run needs
+    /// — one measured program plus its co-runners).
+    fn ensure(
+        &mut self,
+        key: u64,
+        is_match: impl Fn(&[Instruction]) -> bool,
+        decode: impl FnOnce() -> DecodedProgram,
+    ) {
+        let tick = self.next_tick();
+        match self.plans.get_mut(&key) {
+            Some(cached) if is_match(cached.plan.instructions()) => {
+                cached.last_used = tick;
+                self.hits += 1;
+            }
+            Some(cached) => {
+                self.misses += 1;
+                cached.plan = decode();
+                cached.last_used = tick;
+            }
+            None => {
+                if self.plans.len() >= PLAN_CACHE_CAP {
+                    self.evict_lru();
+                }
+                self.misses += 1;
+                let plan = decode();
+                self.plans.insert(
+                    key,
+                    CachedPlan {
+                        plan,
+                        last_used: tick,
+                    },
+                );
+            }
+        }
+    }
 }
 
-fn program_key(program: &[Instruction]) -> u64 {
-    let mut h = DefaultHasher::new();
-    program.hash(&mut h);
+/// The plan-cache key hasher: the multiply-rotate step of FxHash, one
+/// multiply per word. Keys are verified on every hit, so they need speed
+/// rather than resistance to crafted collisions.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(n.into());
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.write_u64(n.into());
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+/// [`KeyHasher`] digest of `value`: the plan-cache key of a co-runner
+/// program, and the parts a [`request_key`] is folded from.
+fn hash_key(value: &(impl Hash + ?Sized)) -> u64 {
+    let mut h = KeyHasher::default();
+    value.hash(&mut h);
     h.finish()
+}
+
+/// Key of the program `req` generates, from everything
+/// [`codegen::generate`] reads; `init_hash` and `code_hash` are the
+/// [`hash_key`]s of `req.init` and `req.code`. The code enters only when
+/// the local unroll count is above 0, so basic mode's code-free baseline
+/// version (§III-C) keeps one plan across specs.
+fn request_key(req: &CodegenRequest, init_hash: u64, code_hash: u64) -> u64 {
+    let body_hash = if req.local_unroll > 0 { code_hash } else { 0 };
+    hash_key(&(
+        init_hash,
+        req.local_unroll,
+        body_hash,
+        req.loop_count,
+        req.selectors,
+        req.no_mem,
+        req.arenas,
+    ))
 }
 
 /// What a [`Session`] does with the static analyzer's verdict before
@@ -581,6 +685,10 @@ impl Session {
 
         let mut fixed_values = [0.0f64; 3];
         let mut prog_entries: Vec<(String, f64)> = Vec::new();
+        let part_hashes = (
+            hash_key(spec.init.as_slice()),
+            hash_key(spec.code.as_slice()),
+        );
 
         for (round, chunk) in chunks.iter().enumerate() {
             for i in 0..n_prog {
@@ -595,8 +703,8 @@ impl Session {
             } else {
                 (spec.unroll_count.max(1), 2 * spec.unroll_count.max(1))
             };
-            let agg_a = self.measure_version(spec, unroll_a, &selectors)?;
-            let agg_b = self.measure_version(spec, unroll_b, &selectors)?;
+            let agg_a = self.measure_version(spec, part_hashes, unroll_a, &selectors)?;
+            let agg_b = self.measure_version(spec, part_hashes, unroll_b, &selectors)?;
 
             for (slot, value) in agg_b
                 .iter()
@@ -636,50 +744,14 @@ impl Session {
         self.plan_cache.plans.len()
     }
 
-    /// Looks `program` up in the plan cache, decoding and inserting it on
-    /// a miss (evicting the LRU plan at the cap), and returns its key.
-    /// Hits are verified by full program comparison, so a hash collision
-    /// re-decodes into the colliding slot instead of aliasing.
-    ///
-    /// Keys ensured back-to-back stay valid together: each `ensure` marks
-    /// its entry most-recently-used, so later ensures in the same batch
-    /// can only evict *older* entries (the cap far exceeds the plans one
-    /// run needs — one measured program plus its co-runners).
-    fn ensure_plan(&mut self, program: &[Instruction]) -> u64 {
-        let key = program_key(program);
-        let cache = &mut self.plan_cache;
-        let tick = cache.next_tick();
-        match cache.plans.get_mut(&key) {
-            Some(cached) if cached.plan.instructions() == program => {
-                cached.last_used = tick;
-                cache.hits += 1;
-            }
-            Some(cached) => {
-                // Hash collision: replace the slot with this program.
-                cache.misses += 1;
-                cached.plan = self.machine.decode(program);
-                cached.last_used = tick;
-            }
-            None => {
-                if cache.plans.len() >= PLAN_CACHE_CAP {
-                    cache.evict_lru();
-                }
-                cache.misses += 1;
-                cache.plans.insert(
-                    key,
-                    CachedPlan {
-                        plan: self.machine.decode(program),
-                        last_used: tick,
-                    },
-                );
-            }
-        }
-        key
-    }
-
+    /// Runs one unroll version of `spec` per Algorithm 2. `part_hashes`
+    /// are the [`hash_key`]s of `spec.init` and `spec.code`. On a
+    /// plan-cache hit the program is only compared with the cached one,
+    /// never built; it is generated and decoded on a miss.
     fn measure_version(
         &mut self,
         spec: &BenchSpec,
+        (init_hash, code_hash): (u64, u64),
         local_unroll: usize,
         selectors: &[u32],
     ) -> Result<Vec<f64>, NbError> {
@@ -692,16 +764,26 @@ impl Session {
             no_mem: spec.no_mem,
             arenas: self.arenas,
         };
-        let generated = codegen::generate(&request);
 
         // Ensure every plan this run needs (measured program first, then
         // co-runners) before borrowing any of them out of the cache.
-        let key = self.ensure_plan(&generated.program);
+        let key = request_key(&request, init_hash, code_hash);
+        let machine = &self.machine;
+        self.plan_cache.ensure(
+            key,
+            |cached| codegen::generates(&request, cached),
+            || machine.decode(&codegen::generate(&request)),
+        );
         let corunner_keys: Vec<u64> = spec
             .corunners
             .iter()
             .filter(|p| !p.is_empty())
-            .map(|p| self.ensure_plan(p))
+            .map(|p| {
+                let key = hash_key(p.as_slice());
+                self.plan_cache
+                    .ensure(key, |cached| cached == p.as_slice(), || machine.decode(p));
+                key
+            })
             .collect();
         let plan = &self.plan_cache.plans[&key].plan;
         let corunner_plans: Vec<&DecodedProgram> = corunner_keys
@@ -721,7 +803,8 @@ impl Session {
 
         measure(
             &mut self.machine,
-            &generated,
+            selectors.len(),
+            spec.no_mem,
             plan,
             &corunner_plans,
             stub_plan,
