@@ -8,9 +8,8 @@ use std::sync::Arc;
 pub const LINE_SIZE: u64 = 64;
 
 /// Seed salt separating a dueling set's policy-B random stream from its
-/// policy-A stream (shared between construction and reset so both derive
-/// identical streams).
-pub(crate) const POLICY_B_SEED_SALT: u64 = 0xB00B;
+/// policy-A stream ([`Dueling::slot`] and its reset both apply it).
+pub const POLICY_B_SEED_SALT: u64 = 0xB00B;
 
 /// Per-set seed derivation used by [`Cache::new`] and [`Cache::reset_seeded`].
 fn derive_set_seed(cache_seed: u64, set: usize) -> u64 {
@@ -29,19 +28,10 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
-    /// Number of sets (`size / (assoc * 64)`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry is inconsistent (zero or non-power-of-two
-    /// set count).
+    /// Number of sets (`size / (assoc * 64)`); [`Cache::new`] requires a
+    /// power of two.
     pub fn num_sets(&self) -> usize {
-        let sets = self.size_bytes / (self.assoc as u64 * LINE_SIZE);
-        assert!(
-            sets > 0 && sets.is_power_of_two(),
-            "set count must be a power of two"
-        );
-        sets as usize
+        (self.size_bytes / (self.assoc as u64 * LINE_SIZE)) as usize
     }
 }
 
@@ -158,116 +148,81 @@ impl PselCounter {
     }
 }
 
-/// A leader-set wrapper: delegates to `inner` and reports misses to the
-/// PSEL counter.
+/// The dueling role of a set (§VI-B3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SetRole {
+    /// Dedicated to policy A.
+    LeaderA,
+    /// Dedicated to policy B.
+    LeaderB,
+    /// Follows the currently winning policy.
+    Follower,
+}
+
+/// One set of a set-dueling cache, the state behind
+/// [`PolicySlot::Dueling`]. A leader always runs its own policy and moves
+/// the shared PSEL counter on every miss; a follower routes each decision
+/// to whichever policy PSEL currently favours, and the inactive policy's
+/// state freezes, like hardware reinterpreting the same status bits.
 #[derive(Debug, Clone)]
-pub struct LeaderPolicy {
-    inner: Box<dyn SetPolicy>,
+pub struct Dueling {
+    role: SetRole,
+    /// Policy A's and policy B's state. A leader keeps both but only ever
+    /// consults its own.
+    policies: [PolicySlot; 2],
     psel: Arc<PselCounter>,
-    /// `true` if this leader runs policy A.
-    is_a: bool,
-    /// Cached `inner.wants_occupied_on_hit()` — the answer never changes
-    /// over a policy's lifetime, and the cache asks on every hit.
+    /// Whether a policy this set may consult reads the occupancy on
+    /// hits: fixed for the set's lifetime, and the cache asks on every hit.
     wants_occupied: bool,
 }
 
-impl LeaderPolicy {
-    /// Wraps `inner` as a leader for policy A (`is_a`) or B.
-    pub fn new(inner: Box<dyn SetPolicy>, psel: Arc<PselCounter>, is_a: bool) -> LeaderPolicy {
-        let wants_occupied = inner.wants_occupied_on_hit();
-        LeaderPolicy {
-            inner,
-            psel,
-            is_a,
-            wants_occupied,
-        }
-    }
-}
-
-impl SetPolicy for LeaderPolicy {
-    fn on_hit(&mut self, way: usize, occupied: &[bool]) {
-        self.inner.on_hit(way, occupied);
-    }
-
-    fn wants_occupied_on_hit(&self) -> bool {
-        self.wants_occupied
-    }
-
-    fn on_miss(&mut self, occupied: &[bool]) -> usize {
-        if self.is_a {
-            self.psel.miss_in_a();
-        } else {
-            self.psel.miss_in_b();
-        }
-        self.inner.on_miss(occupied)
-    }
-
-    fn on_invalidate(&mut self, way: usize) {
-        self.inner.on_invalidate(way);
-    }
-
-    fn on_flush(&mut self) {
-        self.inner.on_flush();
-    }
-
-    fn reset(&mut self, seed: u64) {
-        // The B leader's inner policy was instantiated with the salted
-        // seed; reproduce that derivation so reset replays construction.
-        let inner_seed = if self.is_a {
-            seed
-        } else {
-            seed ^ POLICY_B_SEED_SALT
+impl Dueling {
+    /// Builds a set with `role` dueling `policy_a` against `policy_b`
+    /// over the shared `psel`. Policy A draws from `seed` and policy B
+    /// from `seed ^ POLICY_B_SEED_SALT`, here and in [`SetPolicy::reset`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`PolicyKind::validate`] rejects either policy for
+    /// `assoc` ways.
+    pub fn slot(
+        role: SetRole,
+        policy_a: &PolicyKind,
+        policy_b: &PolicyKind,
+        assoc: usize,
+        seed: u64,
+        psel: &Arc<PselCounter>,
+    ) -> PolicySlot {
+        let policies = [
+            policy_a.instantiate(assoc, seed),
+            policy_b.instantiate(assoc, seed ^ POLICY_B_SEED_SALT),
+        ];
+        let wants_occupied = match role {
+            SetRole::LeaderA => policies[0].wants_occupied_on_hit(),
+            SetRole::LeaderB => policies[1].wants_occupied_on_hit(),
+            SetRole::Follower => policies.iter().any(PolicySlot::wants_occupied_on_hit),
         };
-        self.inner.reset(inner_seed);
-    }
-
-    fn box_clone(&self) -> Box<dyn SetPolicy> {
-        Box::new(self.clone())
-    }
-}
-
-/// A follower-set wrapper: holds state for both candidate policies and
-/// routes each decision to whichever one the PSEL counter currently favours
-/// (the inactive policy's state freezes, like hardware reinterpreting the
-/// same status bits).
-#[derive(Debug, Clone)]
-pub struct FollowerPolicy {
-    a: Box<dyn SetPolicy>,
-    b: Box<dyn SetPolicy>,
-    psel: Arc<PselCounter>,
-    /// Cached "either candidate reads the occupancy on hits" — the answer
-    /// never changes over a policy's lifetime, and the cache asks on every
-    /// hit.
-    wants_occupied: bool,
-}
-
-impl FollowerPolicy {
-    /// Creates a follower over the two candidate policies.
-    pub fn new(
-        a: Box<dyn SetPolicy>,
-        b: Box<dyn SetPolicy>,
-        psel: Arc<PselCounter>,
-    ) -> FollowerPolicy {
-        // Either inner policy may be active when a hit lands.
-        let wants_occupied = a.wants_occupied_on_hit() || b.wants_occupied_on_hit();
-        FollowerPolicy {
-            a,
-            b,
-            psel,
+        PolicySlot::Dueling(Box::new(Dueling {
+            role,
+            policies,
+            psel: Arc::clone(psel),
             wants_occupied,
-        }
+        }))
     }
 
-    fn active(&mut self) -> &mut Box<dyn SetPolicy> {
-        if self.psel.use_policy_b() {
-            &mut self.b
-        } else {
-            &mut self.a
-        }
+    /// The policy this set's next decision goes to.
+    #[inline]
+    fn active(&mut self) -> &mut PolicySlot {
+        let b = match self.role {
+            SetRole::LeaderA => false,
+            SetRole::LeaderB => true,
+            SetRole::Follower => self.psel.use_policy_b(),
+        };
+        &mut self.policies[usize::from(b)]
     }
 }
 
-impl SetPolicy for FollowerPolicy {
+impl SetPolicy for Dueling {
     fn on_hit(&mut self, way: usize, occupied: &[bool]) {
         self.active().on_hit(way, occupied);
     }
@@ -277,26 +232,29 @@ impl SetPolicy for FollowerPolicy {
     }
 
     fn on_miss(&mut self, occupied: &[bool]) -> usize {
+        match self.role {
+            SetRole::LeaderA => self.psel.miss_in_a(),
+            SetRole::LeaderB => self.psel.miss_in_b(),
+            SetRole::Follower => {}
+        }
         self.active().on_miss(occupied)
     }
 
     fn on_invalidate(&mut self, way: usize) {
-        self.a.on_invalidate(way);
-        self.b.on_invalidate(way);
+        for policy in &mut self.policies {
+            policy.on_invalidate(way);
+        }
     }
 
     fn on_flush(&mut self) {
-        self.a.on_flush();
-        self.b.on_flush();
+        for policy in &mut self.policies {
+            policy.on_flush();
+        }
     }
 
     fn reset(&mut self, seed: u64) {
-        self.a.reset(seed);
-        self.b.reset(seed ^ POLICY_B_SEED_SALT);
-    }
-
-    fn box_clone(&self) -> Box<dyn SetPolicy> {
-        Box::new(self.clone())
+        self.policies[0].reset(seed);
+        self.policies[1].reset(seed ^ POLICY_B_SEED_SALT);
     }
 }
 
@@ -336,13 +294,13 @@ impl Cache {
         Cache::with_policies(config.num_sets(), config.assoc, |set| {
             config
                 .policy
-                .instantiate_slot(config.assoc, derive_set_seed(seed, set))
+                .instantiate(config.assoc, derive_set_seed(seed, set))
         })
     }
 
     /// Builds a cache with a custom per-set policy factory (used for set
-    /// dueling, where leader and follower sets differ; wrap those in
-    /// [`PolicySlot::Boxed`]).
+    /// dueling, where leader and follower sets differ; build those with
+    /// [`Dueling::slot`]).
     ///
     /// # Panics
     ///
@@ -637,24 +595,16 @@ mod tests {
 
     #[test]
     fn dueling_wrappers_forward_wants_occupied_on_hit() {
-        // Regression: the set-dueling wrappers must forward the hit-path
-        // occupancy requirement, or a wrapped non-UMO QLRU silently sees
-        // an empty occupancy slice on hits (observable as wrong Table I
-        // inference on the adaptive-L3 parts).
-        let qlru = crate::policy::QlruVariant::parse("QLRU_H11_M1_R1_U2").unwrap();
-        let kind = PolicyKind::Qlru(qlru);
+        // Regression: a dueling set must forward the hit-path occupancy
+        // requirement, or a non-UMO QLRU inside it silently sees an empty
+        // occupancy slice on hits (observable as wrong Table I inference
+        // on the adaptive-L3 parts).
+        let qlru = PolicyKind::parse("QLRU_H11_M1_R1_U2").unwrap();
         let psel = PselCounter::new();
-        let leader = LeaderPolicy::new(kind.instantiate(4, 0), psel.clone(), true);
-        assert!(leader.wants_occupied_on_hit());
-        let follower = FollowerPolicy::new(
-            kind.instantiate(4, 0),
-            PolicyKind::Lru.instantiate(4, 0),
-            psel,
-        );
-        assert!(follower.wants_occupied_on_hit());
-        let lru_leader =
-            LeaderPolicy::new(PolicyKind::Lru.instantiate(4, 0), PselCounter::new(), true);
-        assert!(!lru_leader.wants_occupied_on_hit());
+        let slot = |role| Dueling::slot(role, &qlru, &PolicyKind::Lru, 4, 0, &psel);
+        assert!(slot(SetRole::LeaderA).wants_occupied_on_hit());
+        assert!(slot(SetRole::Follower).wants_occupied_on_hit());
+        assert!(!slot(SetRole::LeaderB).wants_occupied_on_hit());
     }
 
     #[test]
@@ -719,11 +669,9 @@ mod tests {
 
     #[test]
     fn follower_switches_with_psel() {
-        use crate::policy::PolicyKind;
         let psel = PselCounter::new();
-        let a = PolicyKind::Lru.instantiate(4, 0);
-        let b = PolicyKind::Fifo.instantiate(4, 0);
-        let mut f = FollowerPolicy::new(a, b, Arc::clone(&psel));
+        let (a, b) = (PolicyKind::Lru, PolicyKind::Fifo);
+        let mut f = Dueling::slot(SetRole::Follower, &a, &b, 4, 0, &psel);
         let occ = [true; 4];
         // With PSEL at midpoint, policy A (LRU) is active: hits reorder.
         f.on_hit(0, &occ);

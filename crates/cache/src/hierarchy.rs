@@ -4,10 +4,9 @@
 //! coherence layer between the cores' private caches.
 
 use crate::cache::{
-    Cache, CacheConfig, CacheStats, FollowerPolicy, LeaderPolicy, LineState, PselCounter,
-    POLICY_B_SEED_SALT,
+    Cache, CacheConfig, CacheStats, Dueling, LineState, PselCounter, SetRole, MAX_ASSOC,
 };
-use crate::policy::{PolicyKind, PolicySlot};
+use crate::policy::PolicyKind;
 use crate::prefetch::Prefetchers;
 use crate::slice::{SliceHash, SliceHashError};
 use std::fmt;
@@ -47,8 +46,15 @@ pub enum HierarchyError {
     /// A multi-core hierarchy over a non-inclusive L3 (the snoop protocol
     /// relies on inclusion).
     NonInclusiveMultiCore,
-    /// L3 sets per slice not a power of two.
-    L3Geometry(usize),
+    /// A cache level that cannot be built: its set count (per slice for
+    /// the L3) is not a power of two, it has more than [`MAX_ASSOC`] ways,
+    /// or [`PolicyKind::validate`] rejects one of its policies.
+    Level {
+        /// `"L1"`, `"L2"` or `"L3"`.
+        level: &'static str,
+        /// The violated constraint.
+        reason: String,
+    },
     /// Invalid L3 slice count.
     Slice(SliceHashError),
 }
@@ -62,9 +68,7 @@ impl fmt::Display for HierarchyError {
             HierarchyError::NonInclusiveMultiCore => {
                 f.write_str("multi-core hierarchies require an inclusive L3")
             }
-            HierarchyError::L3Geometry(sets) => {
-                write!(f, "L3 sets per slice must be a power of two (got {sets})")
-            }
+            HierarchyError::Level { level, reason } => write!(f, "{level}: {reason}"),
             HierarchyError::Slice(e) => e.fmt(f),
         }
     }
@@ -260,17 +264,6 @@ impl SliceLeaders {
     }
 }
 
-/// The dueling role of an L3 set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SetRole {
-    /// Dedicated to policy A.
-    LeaderA,
-    /// Dedicated to policy B.
-    LeaderB,
-    /// Follows the currently winning policy.
-    Follower,
-}
-
 /// L3 replacement configuration: a single policy, or set dueling between
 /// two policies with per-slice leader ranges.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -334,6 +327,32 @@ impl HierarchyConfig {
     pub fn slice_count(&self) -> usize {
         self.l3.slices
     }
+}
+
+/// Checks that one level can be built: each of its `policies` accepts
+/// `assoc` ways, `assoc` is at most [`MAX_ASSOC`], and its set count is a
+/// power of two. `sets` is only called once the policies have ruled out
+/// zero ways, which it divides by.
+fn check_level(
+    level: &'static str,
+    assoc: usize,
+    policies: &[&PolicyKind],
+    sets: impl FnOnce() -> usize,
+) -> Result<(), HierarchyError> {
+    let fail = |reason| Err(HierarchyError::Level { level, reason });
+    for policy in policies {
+        if let Err(e) = policy.validate(assoc) {
+            return fail(format!("policy {policy}: {e}"));
+        }
+    }
+    if assoc > MAX_ASSOC {
+        return fail(format!("associativity {assoc} above {MAX_ASSOC}"));
+    }
+    let sets = sets();
+    if !sets.is_power_of_two() {
+        return fail(format!("set count must be a power of two (got {sets})"));
+    }
+    Ok(())
 }
 
 /// One core's private cache levels plus its prefetcher bank.
@@ -420,8 +439,8 @@ impl CacheHierarchy {
     ///
     /// # Panics
     ///
-    /// Panics if `n_cores` is 0 or greater than 8, or if the L3 geometry
-    /// is inconsistent.
+    /// Panics if [`CacheHierarchy::try_new_multi`] rejects the
+    /// configuration.
     pub fn new_multi(config: &HierarchyConfig, seed: u64, n_cores: usize) -> CacheHierarchy {
         match CacheHierarchy::try_new_multi(config, seed, n_cores) {
             Ok(h) => h,
@@ -432,6 +451,11 @@ impl CacheHierarchy {
     /// Fallible form of [`CacheHierarchy::new_multi`]: returns the
     /// constraint violation instead of panicking, for callers assembling
     /// configurations from external input.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`HierarchyError`] naming the violated constraint (for a
+    /// cache level, the level).
     pub fn try_new_multi(
         config: &HierarchyConfig,
         seed: u64,
@@ -449,58 +473,57 @@ impl CacheHierarchy {
         if n_cores > 1 && !config.inclusive_l3 {
             return Err(HierarchyError::NonInclusiveMultiCore);
         }
-        let psel = PselCounter::new();
-        let sets_per_slice = config.l3.sets_per_slice();
-        if !sets_per_slice.is_power_of_two() {
-            return Err(HierarchyError::L3Geometry(sets_per_slice));
+        let slices = config.slice_count();
+        let hash = SliceHash::new(slices).map_err(HierarchyError::Slice)?;
+        let l3_policies = match &config.l3.policy {
+            L3PolicyConfig::Uniform(kind) => vec![kind],
+            L3PolicyConfig::Adaptive {
+                policy_a, policy_b, ..
+            } => vec![policy_a, policy_b],
+        };
+        for (level, cache) in [("L1", &config.l1), ("L2", &config.l2)] {
+            check_level(level, cache.assoc, &[&cache.policy], || cache.num_sets())?;
         }
-        let mut l3 = Vec::with_capacity(config.l3.slices);
-        for slice in 0..config.l3.slices {
+        check_level("L3", config.l3.assoc, &l3_policies, || {
+            config.l3.sets_per_slice()
+        })?;
+        let psel = PselCounter::new();
+        let (sets_per_slice, assoc) = (config.l3.sets_per_slice(), config.l3.assoc);
+        let mut l3 = Vec::with_capacity(slices);
+        for slice in 0..slices {
             let slice_seed = seed ^ ((slice as u64 + 1) << 48);
             let cache = match &config.l3.policy {
                 L3PolicyConfig::Uniform(kind) => {
-                    Cache::with_policies(sets_per_slice, config.l3.assoc, |set| {
-                        kind.instantiate_slot(config.l3.assoc, slice_seed ^ set as u64)
+                    Cache::with_policies(sets_per_slice, assoc, |set| {
+                        kind.instantiate(assoc, slice_seed ^ set as u64)
                     })
                 }
                 L3PolicyConfig::Adaptive {
                     policy_a,
                     policy_b,
                     leaders,
-                } => {
-                    let slice_leaders = leaders.get(slice).cloned().unwrap_or_default();
-                    let psel = Arc::clone(&psel);
-                    Cache::with_policies(sets_per_slice, config.l3.assoc, move |set| {
-                        let sa = policy_a.instantiate(config.l3.assoc, slice_seed ^ set as u64);
-                        let sb = policy_b.instantiate(
-                            config.l3.assoc,
-                            slice_seed ^ set as u64 ^ POLICY_B_SEED_SALT,
-                        );
-                        // Dueling wrappers stay behind the boxed escape
-                        // hatch; only the uniform families devirtualize.
-                        PolicySlot::Boxed(match slice_leaders.role_of(set) {
-                            SetRole::LeaderA => {
-                                Box::new(LeaderPolicy::new(sa, Arc::clone(&psel), true))
-                            }
-                            SetRole::LeaderB => {
-                                Box::new(LeaderPolicy::new(sb, Arc::clone(&psel), false))
-                            }
-                            SetRole::Follower => {
-                                Box::new(FollowerPolicy::new(sa, sb, Arc::clone(&psel)))
-                            }
-                        })
-                    })
-                }
+                } => Cache::with_policies(sets_per_slice, assoc, |set| {
+                    let role = leaders
+                        .get(slice)
+                        .map_or(SetRole::Follower, |l| l.role_of(set));
+                    Dueling::slot(
+                        role,
+                        policy_a,
+                        policy_b,
+                        assoc,
+                        slice_seed ^ set as u64,
+                        &psel,
+                    )
+                }),
             };
             l3.push(cache);
         }
-        let slices = config.slice_count();
         Ok(CacheHierarchy {
             cores: (0..n_cores)
                 .map(|core| PrivateCaches::new(config, seed, core))
                 .collect(),
             l3,
-            hash: SliceHash::new(slices).map_err(HierarchyError::Slice)?,
+            hash,
             psel,
             uncore_lookups: vec![0; slices],
             uncore_total: 0,
@@ -1207,6 +1230,41 @@ mod tests {
             },
             latencies: Latencies::default(),
             inclusive_l3: true,
+        }
+    }
+
+    #[test]
+    fn try_new_multi_names_the_level_it_rejects() {
+        let ivb = crate::presets::cpu_by_microarch("Ivy Bridge")
+            .unwrap()
+            .hierarchy_config();
+        let with = |edit: fn(&mut HierarchyConfig)| {
+            let mut config = ivb.clone();
+            edit(&mut config);
+            config
+        };
+        for (config, level) in [
+            (
+                with(|c| c.l3.policy = L3PolicyConfig::Uniform(PolicyKind::Plru)),
+                "L3",
+            ),
+            (
+                with(|c| {
+                    if let L3PolicyConfig::Adaptive { policy_b, .. } = &mut c.l3.policy {
+                        *policy_b = PolicyKind::Plru;
+                    }
+                }),
+                "L3",
+            ),
+            (with(|c| c.l1.assoc = 12), "L1"),
+            (with(|c| c.l1.size_bytes = 48 * 1024), "L1"),
+            (with(|c| c.l2.size_bytes = 192 * 1024), "L2"),
+        ] {
+            let err = CacheHierarchy::try_new_multi(&config, 1, 1).err();
+            assert!(
+                matches!(&err, Some(HierarchyError::Level { level: l, .. }) if *l == level),
+                "expected an {level} error, got {err:?}"
+            );
         }
     }
 

@@ -32,10 +32,10 @@ pub mod prefetch;
 pub mod presets;
 pub mod slice;
 
-pub use cache::{Cache, CacheConfig, CacheStats, LineState, PselCounter, LINE_SIZE};
+pub use cache::{Cache, CacheConfig, CacheStats, LineState, PselCounter, SetRole, LINE_SIZE};
 pub use hierarchy::{
     CacheHierarchy, CoherenceViolation, CoreOutOfRange, HierarchyConfig, HierarchyError, HitLevel,
-    L3Config, L3PolicyConfig, Latencies, MemAccessResult, ProtocolMutation, SetRole, SliceLeaders,
+    L3Config, L3PolicyConfig, Latencies, MemAccessResult, ProtocolMutation, SliceLeaders,
     SnoopResult,
 };
 pub use policy::{PolicyKind, QlruVariant, SetPolicy};

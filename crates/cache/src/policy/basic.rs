@@ -61,10 +61,6 @@ impl SetPolicy for Lru {
     fn reset(&mut self, _seed: u64) {
         self.on_flush();
     }
-
-    fn box_clone(&self) -> Box<dyn SetPolicy> {
-        Box::new(self.clone())
-    }
 }
 
 /// First-in first-out replacement: hits do not update state.
@@ -113,10 +109,6 @@ impl SetPolicy for Fifo {
 
     fn reset(&mut self, _seed: u64) {
         self.on_flush();
-    }
-
-    fn box_clone(&self) -> Box<dyn SetPolicy> {
-        Box::new(self.clone())
     }
 }
 
@@ -211,10 +203,6 @@ impl SetPolicy for Plru {
     fn reset(&mut self, _seed: u64) {
         self.tree = 0;
     }
-
-    fn box_clone(&self) -> Box<dyn SetPolicy> {
-        Box::new(self.clone())
-    }
 }
 
 /// Uniformly random replacement (victim drawn from all ways on a full set).
@@ -248,10 +236,6 @@ impl SetPolicy for RandomPolicy {
     fn reset(&mut self, seed: u64) {
         use rand::SeedableRng;
         self.rng = SmallRng::seed_from_u64(seed);
-    }
-
-    fn box_clone(&self) -> Box<dyn SetPolicy> {
-        Box::new(self.clone())
     }
 }
 

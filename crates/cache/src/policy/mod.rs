@@ -21,7 +21,7 @@ pub use qlru::{
     all_meaningful_qlru_variants, HitFunc, InsertAge, QlruPolicy, QlruVariant, RVariant, UVariant,
 };
 
-use crate::cache::MAX_ASSOC;
+use crate::cache::{Dueling, MAX_ASSOC};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::fmt;
@@ -72,22 +72,11 @@ pub trait SetPolicy: fmt::Debug + Send {
     /// cache replays bit-identically to a freshly built one.
     /// Deterministic policies ignore `seed`.
     fn reset(&mut self, seed: u64);
-
-    /// Clones the policy into a fresh box (object-safe `Clone`).
-    fn box_clone(&self) -> Box<dyn SetPolicy>;
 }
 
-impl Clone for Box<dyn SetPolicy> {
-    fn clone(&self) -> Box<dyn SetPolicy> {
-        self.box_clone()
-    }
-}
-
-/// Devirtualized per-set policy dispatch: one variant per built-in policy
-/// family, so the cache's access path resolves policy calls through a
-/// direct `match` instead of a vtable. [`PolicySlot::Boxed`] is the escape
-/// hatch for wrapper policies (the set-dueling leader/follower wrappers)
-/// and external [`SetPolicy`] implementations.
+/// A set's replacement policy: one variant per built-in policy family plus
+/// set dueling, so the cache's access path resolves policy calls through a
+/// direct `match` instead of a vtable.
 #[derive(Debug, Clone)]
 pub enum PolicySlot {
     /// Least-recently-used.
@@ -104,13 +93,12 @@ pub enum PolicySlot {
     Permutation(PermutationPolicy),
     /// Uniformly random replacement.
     Random(RandomPolicy),
-    /// Dynamic dispatch for wrappers and external policies.
-    Boxed(Box<dyn SetPolicy>),
+    /// A set of a set-dueling cache (boxed: it holds two inner slots).
+    Dueling(Box<Dueling>),
 }
 
-/// Delegates a [`SetPolicy`] method call to whichever concrete policy the
-/// slot holds (direct call for the built-in variants, vtable only for
-/// `Boxed`).
+/// Delegates a [`SetPolicy`] method call to whichever policy the slot
+/// holds.
 macro_rules! for_each_slot {
     ($slot:expr, $p:ident => $call:expr) => {
         match $slot {
@@ -121,44 +109,38 @@ macro_rules! for_each_slot {
             PolicySlot::Qlru($p) => $call,
             PolicySlot::Permutation($p) => $call,
             PolicySlot::Random($p) => $call,
-            PolicySlot::Boxed($p) => $call,
+            PolicySlot::Dueling($p) => $call,
         }
     };
 }
 
-impl PolicySlot {
-    /// [`SetPolicy::on_hit`].
+impl SetPolicy for PolicySlot {
     #[inline]
-    pub fn on_hit(&mut self, way: usize, occupied: &[bool]) {
+    fn on_hit(&mut self, way: usize, occupied: &[bool]) {
         for_each_slot!(self, p => p.on_hit(way, occupied))
     }
 
-    /// [`SetPolicy::wants_occupied_on_hit`].
     #[inline]
-    pub fn wants_occupied_on_hit(&self) -> bool {
+    fn wants_occupied_on_hit(&self) -> bool {
         for_each_slot!(self, p => p.wants_occupied_on_hit())
     }
 
-    /// [`SetPolicy::on_miss`].
     #[inline]
-    pub fn on_miss(&mut self, occupied: &[bool]) -> usize {
+    fn on_miss(&mut self, occupied: &[bool]) -> usize {
         for_each_slot!(self, p => p.on_miss(occupied))
     }
 
-    /// [`SetPolicy::on_invalidate`].
     #[inline]
-    pub fn on_invalidate(&mut self, way: usize) {
+    fn on_invalidate(&mut self, way: usize) {
         for_each_slot!(self, p => p.on_invalidate(way))
     }
 
-    /// [`SetPolicy::on_flush`].
     #[inline]
-    pub fn on_flush(&mut self) {
+    fn on_flush(&mut self) {
         for_each_slot!(self, p => p.on_flush())
     }
 
-    /// [`SetPolicy::reset`].
-    pub fn reset(&mut self, seed: u64) {
+    fn reset(&mut self, seed: u64) {
         for_each_slot!(self, p => p.reset(seed))
     }
 }
@@ -299,49 +281,11 @@ impl PolicyKind {
     /// # Errors
     ///
     /// Returns the error of [`PolicyKind::validate`].
-    pub fn try_instantiate(&self, assoc: usize, seed: u64) -> Result<Box<dyn SetPolicy>, String> {
-        self.validate(assoc)?;
-        Ok(match self {
-            PolicyKind::Lru => Box::new(Lru::new(assoc)),
-            PolicyKind::Fifo => Box::new(Fifo::new(assoc)),
-            PolicyKind::Plru => Box::new(Plru::new(assoc)),
-            PolicyKind::Mru { fill_sets_all_ones } => {
-                Box::new(Mru::new(assoc, *fill_sets_all_ones))
-            }
-            PolicyKind::Qlru(v) => {
-                Box::new(QlruPolicy::new(assoc, *v, SmallRng::seed_from_u64(seed)))
-            }
-            PolicyKind::Permutation(spec) => Box::new(PermutationPolicy::try_new(spec.clone())?),
-            PolicyKind::Random => Box::new(RandomPolicy::new(assoc, SmallRng::seed_from_u64(seed))),
-        })
-    }
-
-    /// Instantiates per-set state for a set with `assoc` ways.
-    ///
-    /// `seed` provides determinism for probabilistic policies; derive it
-    /// from (cache seed, set index) so different sets draw independently.
-    /// Use [`PolicyKind::try_instantiate`] where the policy comes from
-    /// user input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`PolicyKind::validate`] rejects the combination (e.g.
-    /// `assoc` is 0, or the policy is PLRU and `assoc` is not a power of
-    /// two).
-    pub fn instantiate(&self, assoc: usize, seed: u64) -> Box<dyn SetPolicy> {
-        match self.try_instantiate(assoc, seed) {
-            Ok(policy) => policy,
-            Err(e) => panic!("cannot instantiate policy {}: {e}", self.name()),
-        }
-    }
-
-    /// Like [`PolicyKind::try_instantiate`], but returns the devirtualized
-    /// [`PolicySlot`] the cache's hot path dispatches through.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of [`PolicyKind::validate`].
-    pub fn try_instantiate_slot(&self, assoc: usize, seed: u64) -> Result<PolicySlot, String> {
+    // Inlined into `instantiate`, which runs once per set when a cache is
+    // built: a second call and a `Result` copy per set slow a Skylake
+    // hierarchy build by about a tenth.
+    #[inline(always)]
+    pub fn try_instantiate(&self, assoc: usize, seed: u64) -> Result<PolicySlot, String> {
         self.validate(assoc)?;
         Ok(match self {
             PolicyKind::Lru => PolicySlot::Lru(Lru::new(assoc)),
@@ -362,14 +306,16 @@ impl PolicyKind {
         })
     }
 
-    /// Panicking counterpart of [`PolicyKind::try_instantiate_slot`], for
+    /// Panicking counterpart of [`PolicyKind::try_instantiate`], for
     /// validated configurations.
     ///
     /// # Panics
     ///
-    /// Panics if [`PolicyKind::validate`] rejects the combination.
-    pub fn instantiate_slot(&self, assoc: usize, seed: u64) -> PolicySlot {
-        match self.try_instantiate_slot(assoc, seed) {
+    /// Panics if [`PolicyKind::validate`] rejects the combination (e.g.
+    /// `assoc` is 0, or the policy is PLRU and `assoc` is not a power of
+    /// two).
+    pub fn instantiate(&self, assoc: usize, seed: u64) -> PolicySlot {
+        match self.try_instantiate(assoc, seed) {
             Ok(slot) => slot,
             Err(e) => panic!("cannot instantiate policy {}: {e}", self.name()),
         }
@@ -406,7 +352,7 @@ pub fn simulate_sequence(kind: &PolicyKind, assoc: usize, seed: u64, blocks: &[u
 #[derive(Debug, Clone)]
 pub struct SetSim {
     tags: Vec<Option<u64>>,
-    policy: Box<dyn SetPolicy>,
+    policy: PolicySlot,
 }
 
 impl SetSim {

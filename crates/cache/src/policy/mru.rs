@@ -81,10 +81,6 @@ impl SetPolicy for Mru {
     fn reset(&mut self, _seed: u64) {
         self.bits.fill(true);
     }
-
-    fn box_clone(&self) -> Box<dyn SetPolicy> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

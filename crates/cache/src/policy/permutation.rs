@@ -297,10 +297,6 @@ impl SetPolicy for PermutationPolicy {
     fn reset(&mut self, _seed: u64) {
         self.order.clone_from(&self.spec.initial_order);
     }
-
-    fn box_clone(&self) -> Box<dyn SetPolicy> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

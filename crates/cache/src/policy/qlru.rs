@@ -375,10 +375,6 @@ impl SetPolicy for QlruPolicy {
         self.ages.fill(3);
         self.rng = SmallRng::seed_from_u64(seed);
     }
-
-    fn box_clone(&self) -> Box<dyn SetPolicy> {
-        Box::new(self.clone())
-    }
 }
 
 fn find_empty(occupied: &[bool], replace: RVariant) -> Option<usize> {

@@ -468,6 +468,42 @@ mod tests {
     }
 
     #[test]
+    fn leader_sets_step_psel_as_section_vi_d_reports() {
+        // The PSEL step of one cold access to sets 512, 768 and 600 of
+        // each slice, prefetchers off.
+        let none = [0, 0, 0];
+        let (a_then_b, b_then_a) = ([1, -1, 0], [-1, 1, 0]);
+        for (arch, steps) in [
+            ("Ivy Bridge", vec![a_then_b; 4]),
+            ("Haswell", vec![a_then_b, none, none, none]),
+            ("Broadwell", vec![a_then_b, b_then_a]),
+            ("Skylake", vec![none; 2]),
+        ] {
+            let cpu = cpu_by_microarch(arch).unwrap();
+            assert_eq!(steps.len(), cpu.l3_slices, "{arch}");
+            let config = cpu.hierarchy_config();
+            let sets = config.l3.sets_per_slice() as u64;
+            let mut h = crate::hierarchy::CacheHierarchy::new(&config, 7);
+            h.prefetchers_mut().disable_all();
+            for (slice, steps) in steps.into_iter().enumerate() {
+                for (set, step) in [512u64, 768, 600].into_iter().zip(steps) {
+                    let paddr = (0..)
+                        .map(|k| (set + k * sets) * 64)
+                        .find(|&p| h.l3_location(p) == (slice, set as usize))
+                        .unwrap();
+                    let before = h.psel().value();
+                    h.access(paddr);
+                    assert_eq!(
+                        h.psel().value() - before,
+                        step,
+                        "{arch}: slice {slice}, set {set}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn hierarchies_instantiate() {
         for cpu in table1_cpus() {
             let _ = crate::hierarchy::CacheHierarchy::new(&cpu.hierarchy_config(), 7);

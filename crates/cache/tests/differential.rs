@@ -1,22 +1,23 @@
-//! Differential test: the arena/enum cache against a naive reference model.
+//! Differential test: the arena cache against a naive reference model.
 //!
-//! The oracle keeps the pre-refactor representation — per-set
-//! `Vec<Option<u64>>` tags plus per-set `Box<dyn SetPolicy>` — and always
-//! hands the policy a full occupancy slice on hits, i.e. it does not use
-//! the `wants_occupied_on_hit` fast path, has no MRU-way probe, no packed
-//! state words, and flushes every set rather than only the sets filled
-//! since the last flush. Agreement on every observable (hit/miss + MESI
-//! state, eviction victim, invalidation result, stats, final contents)
-//! pins the refactored storage layout, enum dispatch and partial flush as
-//! behaviour-preserving across the whole policy library, including the
-//! boxed set-dueling escape hatch.
+//! The oracle keeps its own storage — per-set `Vec<Option<u64>>` tags and
+//! `Vec<LineState>` states — and always hands the policy a full occupancy
+//! slice on hits, i.e. it does not use the `wants_occupied_on_hit` fast
+//! path, has no MRU-way probe, no packed state words, flushes every set
+//! rather than only the sets filled since the last flush, and rebuilds
+//! every set on a reset instead of reseeding it. Its sets hold the
+//! library's single-policy `PolicySlot`s, but set dueling is its own
+//! model: leaders step the oracle's own PSEL integer on misses and
+//! followers consult it, never the library's `Dueling` arm. Agreement on
+//! every observable (hit/miss + MESI state, eviction victim, invalidation
+//! result, stats, final contents, final PSEL) pins the storage layout,
+//! partial flush, reset and set dueling as behaviour-preserving across the
+//! whole policy library.
 
-use std::sync::Arc;
-
-use nanobench_cache::cache::{FollowerPolicy, LeaderPolicy};
+use nanobench_cache::cache::{Dueling, POLICY_B_SEED_SALT};
 use nanobench_cache::policy::{plru_spec, PolicySlot};
 use nanobench_cache::{
-    Cache, CacheStats, LineState, PolicyKind, PselCounter, SetPolicy, LINE_SIZE,
+    Cache, CacheStats, LineState, PolicyKind, PselCounter, SetPolicy, SetRole, LINE_SIZE,
 };
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -26,10 +27,10 @@ const NUM_SETS: usize = 4;
 /// 2x the largest associativity, so evictions and re-fills are common.
 const BLOCK_SPAN: u64 = 32;
 
-/// Mirrors the salt the hierarchy uses to split a dueling set's policy-B
-/// stream from its policy-A stream. The exact value is irrelevant here —
-/// both models below must merely derive identical seeds.
-const B_SEED_SALT: u64 = 0xB00B;
+/// The oracle's PSEL: a 10-bit saturating counter that starts at its
+/// midpoint; followers use policy B while it is above the midpoint.
+const PSEL_START: i32 = 512;
+const PSEL_MAX: i32 = 1023;
 
 /// Per-set seed derivation applied identically to both models (the
 /// cache-internal derivation is private, which is fine: equivalence only
@@ -38,34 +39,54 @@ fn set_seed(case_seed: u64, set: usize) -> u64 {
     case_seed ^ (set as u64).wrapping_mul(0x517c_c1b7_2722_0a95)
 }
 
-/// The pre-refactor cache representation, reimplemented as a test oracle.
+/// A set's policies in the oracle: `[policy]`, or a dueling follower's
+/// `[A, B]`; and what a miss adds to PSEL (+1 in an A leader, -1 in a B
+/// leader, 0 elsewhere).
+type SetPolicies = (Vec<PolicySlot>, i32);
+
+/// A plain cache reimplemented as a test oracle.
 struct NaiveSet {
     tags: Vec<Option<u64>>,
     states: Vec<LineState>,
-    policy: Box<dyn SetPolicy>,
+    policies: SetPolicies,
 }
 
 struct NaiveCache {
     sets: Vec<NaiveSet>,
     stats: CacheStats,
+    psel: i32,
+    /// Builds each set's policies, at construction and on every reset.
+    factory: Box<dyn Fn(usize) -> SetPolicies>,
 }
 
 impl NaiveCache {
     fn new(
         num_sets: usize,
         assoc: usize,
-        mut factory: impl FnMut(usize) -> Box<dyn SetPolicy>,
+        factory: impl Fn(usize) -> SetPolicies + 'static,
     ) -> NaiveCache {
         NaiveCache {
             sets: (0..num_sets)
                 .map(|s| NaiveSet {
                     tags: vec![None; assoc],
                     states: vec![LineState::Invalid; assoc],
-                    policy: factory(s),
+                    policies: factory(s),
                 })
                 .collect(),
             stats: CacheStats::default(),
+            psel: PSEL_START,
+            factory: Box::new(factory),
         }
+    }
+
+    /// The policy `set`'s next decision goes to; a miss first steps PSEL.
+    fn decide(&mut self, set: usize, miss: bool) -> &mut PolicySlot {
+        let (policies, step) = &mut self.sets[set].policies;
+        if miss {
+            self.psel = (self.psel + *step).clamp(0, PSEL_MAX);
+        }
+        let b = policies.len() == 2 && self.psel > PSEL_START;
+        &mut policies[usize::from(b)]
     }
 
     fn set_index(&self, paddr: u64) -> usize {
@@ -86,7 +107,7 @@ impl NaiveCache {
         match self.find_way(set, block) {
             Some(way) => {
                 let occ = self.occupied(set);
-                self.sets[set].policy.on_hit(way, &occ);
+                self.decide(set, false).on_hit(way, &occ);
                 self.stats.hits += 1;
                 Some(self.sets[set].states[way])
             }
@@ -105,7 +126,7 @@ impl NaiveCache {
             return None;
         }
         let occ = self.occupied(set);
-        let way = self.sets[set].policy.on_miss(&occ);
+        let way = self.decide(set, true).on_miss(&occ);
         let evicted = self.sets[set].tags[way];
         self.sets[set].tags[way] = Some(block);
         self.sets[set].states[way] = state;
@@ -141,7 +162,9 @@ impl NaiveCache {
             Some(way) => {
                 self.sets[set].tags[way] = None;
                 self.sets[set].states[way] = LineState::Invalid;
-                self.sets[set].policy.on_invalidate(way);
+                for p in &mut self.sets[set].policies.0 {
+                    p.on_invalidate(way);
+                }
                 true
             }
             None => false,
@@ -152,17 +175,17 @@ impl NaiveCache {
         for set in &mut self.sets {
             set.tags.fill(None);
             set.states.fill(LineState::Invalid);
-            set.policy.on_flush();
+            set.policies.0.iter_mut().for_each(PolicySlot::on_flush);
         }
     }
 
-    /// What `Cache::reset_with` promises: every set empty, its policy
-    /// reseeded as at construction, the statistics zeroed.
-    fn reset_with(&mut self, per_set_seed: impl Fn(usize) -> u64) {
+    /// What `Cache::reset_with` promises: every set empty, its policy as
+    /// at construction, the statistics zeroed (PSEL is not the cache's).
+    fn reset(&mut self) {
         for (s, set) in self.sets.iter_mut().enumerate() {
             set.tags.fill(None);
             set.states.fill(LineState::Invalid);
-            set.policy.reset(per_set_seed(s));
+            set.policies = (self.factory)(s);
         }
         self.stats = CacheStats::default();
     }
@@ -210,8 +233,9 @@ impl Strategy for OpStrategy {
 }
 
 /// Drives the same stream through both models and checks every observable;
-/// both were built with [`set_seed`] of `case_seed`.
-fn check_equivalence(mut arena: Cache, mut oracle: NaiveCache, case_seed: u64, ops: &[Op]) {
+/// both were built with [`set_seed`] of `case_seed`. Returns the oracle's
+/// final PSEL.
+fn check_equivalence(mut arena: Cache, mut oracle: NaiveCache, case_seed: u64, ops: &[Op]) -> i32 {
     for (i, &op) in ops.iter().enumerate() {
         match op {
             Op::Access(paddr, state) => {
@@ -243,7 +267,7 @@ fn check_equivalence(mut arena: Cache, mut oracle: NaiveCache, case_seed: u64, o
             }
             Op::Reset => {
                 arena.reset_with(|set| set_seed(case_seed, set));
-                oracle.reset_with(|set| set_seed(case_seed, set));
+                oracle.reset();
             }
         }
     }
@@ -263,6 +287,7 @@ fn check_equivalence(mut arena: Cache, mut oracle: NaiveCache, case_seed: u64, o
             "final state of block {block}"
         );
     }
+    oracle.psel
 }
 
 /// Every parseable policy family exercised by the plain differential run.
@@ -279,8 +304,15 @@ const POLICIES: &[&str] = &[
     "QLRU_H11_MR161_R1_U2",
 ];
 
+/// Dueling policy pairs `(A, B)`: a deterministic pair, and Ivy Bridge's
+/// L3 pair, whose probabilistic B checks the policy-B seed derivation.
+const DUELING_PAIRS: &[(&str, &str)] = &[
+    ("LRU", "QLRU_H00_M1_R2_U1"),
+    ("QLRU_H11_M1_R1_U2", "QLRU_H11_MR161_R1_U2"),
+];
+
 proptest! {
-    /// Uniform-policy caches: the enum fast path against the boxed oracle.
+    /// Uniform-policy caches: the arena against the oracle.
     #[test]
     fn arena_cache_matches_naive_model(
         policy_idx in 0..POLICIES.len(),
@@ -290,67 +322,51 @@ proptest! {
     ) {
         let kind = PolicyKind::parse(POLICIES[policy_idx]).unwrap();
         let arena = Cache::with_policies(NUM_SETS, assoc, |set| {
-            kind.instantiate_slot(assoc, set_seed(case_seed, set))
-        });
-        let oracle = NaiveCache::new(NUM_SETS, assoc, |set| {
             kind.instantiate(assoc, set_seed(case_seed, set))
+        });
+        let oracle = NaiveCache::new(NUM_SETS, assoc, move |set| {
+            (vec![kind.instantiate(assoc, set_seed(case_seed, set))], 0)
         });
         check_equivalence(arena, oracle, case_seed, &ops);
     }
 
-    /// Set dueling through the `PolicySlot::Boxed` escape hatch: leader
-    /// sets 0 (policy A) and 1 (policy B), followers elsewhere, each model
-    /// owning an independent PSEL counter that must evolve identically.
+    /// Set dueling: leader sets 0 (policy A) and 1 (policy B), followers
+    /// elsewhere. The arena runs the library's `Dueling` arm over a
+    /// `PselCounter`; the oracle runs its own dueling model.
     #[test]
     fn dueling_cache_matches_naive_model(
+        pair in 0..DUELING_PAIRS.len(),
         assoc in prop_oneof![Just(4usize), Just(8usize)],
         case_seed in 0..u64::MAX,
         ops in collection::vec(OpStrategy, 1..200),
     ) {
-        let a = PolicyKind::Lru;
-        let b = PolicyKind::parse("QLRU_H00_M1_R2_U1").unwrap();
-        let make = |psel: &Arc<PselCounter>| {
-            let psel = Arc::clone(psel);
-            let (a, b) = (a.clone(), b.clone());
-            move |set: usize| -> Box<dyn SetPolicy> {
-                let sa = set_seed(case_seed, set);
-                let sb = sa ^ B_SEED_SALT;
-                match set {
-                    0 => Box::new(LeaderPolicy::new(
-                        a.instantiate(assoc, sa),
-                        Arc::clone(&psel),
-                        true,
-                    )),
-                    1 => Box::new(LeaderPolicy::new(
-                        b.instantiate(assoc, sb),
-                        Arc::clone(&psel),
-                        false,
-                    )),
-                    _ => Box::new(FollowerPolicy::new(
-                        a.instantiate(assoc, sa),
-                        b.instantiate(assoc, sb),
-                        Arc::clone(&psel),
-                    )),
-                }
-            }
-        };
-        let arena_psel = PselCounter::new();
-        let arena_factory = make(&arena_psel);
+        let a = PolicyKind::parse(DUELING_PAIRS[pair].0).unwrap();
+        let b = PolicyKind::parse(DUELING_PAIRS[pair].1).unwrap();
+        let psel = PselCounter::new();
+        let roles = [SetRole::LeaderA, SetRole::LeaderB, SetRole::Follower, SetRole::Follower];
         let arena = Cache::with_policies(NUM_SETS, assoc, |set| {
-            PolicySlot::Boxed(arena_factory(set))
+            Dueling::slot(roles[set], &a, &b, assoc, set_seed(case_seed, set), &psel)
         });
-        let oracle_psel = PselCounter::new();
-        let oracle = NaiveCache::new(NUM_SETS, assoc, make(&oracle_psel));
-        check_equivalence(arena, oracle, case_seed, &ops);
-        prop_assert_eq!(arena_psel.value(), oracle_psel.value());
+        let oracle = NaiveCache::new(NUM_SETS, assoc, move |set| {
+            let seed = set_seed(case_seed, set);
+            let policy_a = || a.instantiate(assoc, seed);
+            let policy_b = || b.instantiate(assoc, seed ^ POLICY_B_SEED_SALT);
+            match set {
+                0 => (vec![policy_a()], 1),
+                1 => (vec![policy_b()], -1),
+                _ => (vec![policy_a(), policy_b()], 0),
+            }
+        });
+        let oracle_psel = check_equivalence(arena, oracle, case_seed, &ops);
+        prop_assert_eq!(psel.value(), oracle_psel);
     }
 
     /// `on_flush` restores a fixed state, so a second flush changes
     /// nothing (the cache skips the sets not filled since the last flush):
     /// a clone taken after one flush and the original flushed again make
-    /// the same decisions. A dueling wrapper's clone shares its PSEL
-    /// counter, which is safe here: leaders only write it and followers
-    /// only read it.
+    /// the same decisions. A dueling set's clone shares its PSEL counter,
+    /// which is safe here: leaders only write it and followers only read
+    /// it.
     #[test]
     fn a_second_flush_changes_nothing(
         family in 0..FLUSH_FAMILIES,
@@ -360,13 +376,13 @@ proptest! {
         after in collection::vec(0..SET_OPS, 1..60),
     ) {
         let mut policy = flush_family(family, assoc, seed);
-        drive(&mut *policy, assoc, &before);
+        drive(&mut policy, assoc, &before);
         policy.on_flush();
         let mut flushed_once = policy.clone();
         policy.on_flush();
         prop_assert_eq!(
-            drive(&mut *policy, assoc, &after),
-            drive(&mut *flushed_once, assoc, &after)
+            drive(&mut policy, assoc, &after),
+            drive(&mut flushed_once, assoc, &after)
         );
     }
 }
@@ -375,24 +391,17 @@ proptest! {
 /// follower on policy A and a follower on policy B.
 const FLUSH_FAMILIES: usize = POLICIES.len() + 5;
 
-fn flush_family(family: usize, assoc: usize, seed: u64) -> Box<dyn SetPolicy> {
+fn flush_family(family: usize, assoc: usize, seed: u64) -> PolicySlot {
     if let Some(name) = POLICIES.get(family) {
         return PolicyKind::parse(name).unwrap().instantiate(assoc, seed);
     }
     let qlru = PolicyKind::parse("QLRU_H00_M1_R2_U1").unwrap();
     let psel = PselCounter::new();
+    let dueling = |role| Dueling::slot(role, &PolicyKind::Lru, &qlru, assoc, seed, &psel);
     match family - POLICIES.len() {
         0 => PolicyKind::Permutation(plru_spec(assoc)).instantiate(assoc, seed),
-        1 => Box::new(LeaderPolicy::new(
-            PolicyKind::Lru.instantiate(assoc, seed),
-            psel,
-            true,
-        )),
-        2 => Box::new(LeaderPolicy::new(
-            qlru.instantiate(assoc, seed ^ B_SEED_SALT),
-            psel,
-            false,
-        )),
+        1 => dueling(SetRole::LeaderA),
+        2 => dueling(SetRole::LeaderB),
         k => {
             if k == 4 {
                 for _ in 0..600 {
@@ -400,11 +409,7 @@ fn flush_family(family: usize, assoc: usize, seed: u64) -> Box<dyn SetPolicy> {
                 }
                 assert!(psel.use_policy_b());
             }
-            Box::new(FollowerPolicy::new(
-                PolicyKind::Lru.instantiate(assoc, seed),
-                qlru.instantiate(assoc, seed ^ B_SEED_SALT),
-                psel,
-            ))
+            dueling(SetRole::Follower)
         }
     }
 }
@@ -415,7 +420,7 @@ const SET_OPS: u64 = 20;
 
 /// Drives `policy` over an initially empty set and returns the way each
 /// miss filled.
-fn drive(policy: &mut dyn SetPolicy, assoc: usize, ops: &[u64]) -> Vec<usize> {
+fn drive(policy: &mut PolicySlot, assoc: usize, ops: &[u64]) -> Vec<usize> {
     let mut tags: Vec<Option<u64>> = vec![None; assoc];
     let mut victims = Vec::new();
     for &op in ops {

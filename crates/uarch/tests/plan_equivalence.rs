@@ -4,7 +4,8 @@
 //!   superblocks and closes loops in the same dispatch; stepping the same
 //!   plan through `step_plan` with `RunContext::disable_fusion` executes one
 //!   instruction per step. Over corpus chunks of 4, 8 and 16 consecutive
-//!   lines and a looped body with RMW and push/pop, the two agree bit for
+//!   lines, a looped body with RMW and push/pop, and a loop closed by each
+//!   other fused condition (`jnc`, `jc`, `jz`), the two agree bit for
 //!   bit — `RunStats` or fault, PMU readings, `CpuState` and memory — in
 //!   kernel mode and in user mode with interrupts masked. With interrupts
 //!   on, fused runs poll once per dispatch, so interrupts land at other
@@ -15,7 +16,8 @@
 //!   loop-close branch) against a plain `exec::execute` stepping loop,
 //!   both started from random register, flag and vector states: same
 //!   fault, same `CpuState` and the same written memory, over every corpus
-//!   line `exec::execute` implements and random looped programs.
+//!   line `exec::execute` implements and random looped programs closed by
+//!   each fused condition.
 
 use nanobench_pmu::event::events;
 use nanobench_pmu::Pmu;
@@ -136,6 +138,19 @@ const LOOPED: &str = "mov r15, 200; mov rax, 0; l: add rax, 1; mov [r14+8], rax;
                       mov rbx, [r14+8]; imul rbx, rbx; add [r14+64], rbx; push rax; \
                       push 7; pop rcx; pop rdx; dec r15; jnz l";
 
+/// `body` looped `n` times under loop-close shape `close`: `dec r15; jnz`,
+/// `sub r15, 1; jnc`, `add r15, 1; cmp r15, n; jc`, or a `dec r15; jz`
+/// exit over a `jmp` back, so every fused loop-close condition is taken
+/// and falls through.
+fn looped(body: &str, n: u32, close: usize) -> String {
+    match close % 4 {
+        0 => format!("mov r15, {n}; l: {body}; dec r15; jnz l"),
+        1 => format!("mov r15, {}; l: {body}; sub r15, 1; jnc l", n - 1),
+        2 => format!("mov r15, 0; l: {body}; add r15, 1; cmp r15, {n}; jc l"),
+        _ => format!("mov r15, {n}; l: {body}; dec r15; jz e; jmp l; e: nop"),
+    }
+}
+
 /// Whether a program's results depend on timing or counter values, which
 /// interrupts legitimately change.
 fn reads_time_or_counters(program: &[Instruction]) -> bool {
@@ -205,19 +220,21 @@ fn corpus_user_mode_with_interrupts() {
 }
 
 /// The looped body — with magic pause/resume markers (§III-I) around the
-/// loop and a divide error in the middle of a superblock — stepped one
-/// instruction at a time through the public API equals the fused
-/// monolithic run, in kernel mode and in user mode with interrupts masked
-/// and on.
+/// loop and a divide error in the middle of a superblock — and a loop
+/// under each other loop-close shape, stepped one instruction at a time
+/// through the public API, equal the fused monolithic run, in kernel mode
+/// and in user mode with interrupts masked and on.
 #[test]
 fn stepped_execution_equals_monolithic_run() {
-    let (name, mut looped) = program(LOOPED);
-    looped.insert(2, Instruction::new(Mnemonic::NbResume));
-    looped.push(Instruction::new(Mnemonic::NbPause));
-    let programs = [
-        (name, looped),
+    let (name, mut marked) = program(LOOPED);
+    marked.insert(2, Instruction::new(Mnemonic::NbResume));
+    marked.push(Instruction::new(Mnemonic::NbPause));
+    let mut programs = vec![
+        (name, marked),
         program("mov rax, 5; xor rbx, rbx; add rcx, rax; div rbx; add rax, 2"),
     ];
+    programs
+        .extend((1..4).map(|close| program(&looped("add rax, r15; mov [r14+8], rax", 50, close))));
     fusion_pair(&programs, true, false);
     fusion_pair(&programs, false, false);
     assert!(fusion_pair(&programs, false, true) > 0);
@@ -282,7 +299,8 @@ fn random_state(rng: &mut SmallRng) -> CpuState {
 
 /// Every corpus line `exec::execute` implements (fences, CPUID, RDTSC,
 /// RDPMC, RDMSR, WRMSR and WBINVD exist only in the engine), the looped
-/// body, and random looped programs over [`LOOP_BODY_POOL`].
+/// body, and random looped programs over [`LOOP_BODY_POOL`] under every
+/// loop-close shape.
 fn oracle_programs(rng: &mut SmallRng) -> Vec<(String, Vec<Instruction>)> {
     use Mnemonic::*;
     let mut programs: Vec<_> = ROUNDTRIP_CORPUS
@@ -296,15 +314,12 @@ fn oracle_programs(rng: &mut SmallRng) -> Vec<(String, Vec<Instruction>)> {
         })
         .collect();
     programs.push(program(LOOPED));
-    for _ in 0..40 {
+    for close in 0..40 {
         let body: Vec<&str> = (0..rng.gen_range(1..10))
             .map(|_| LOOP_BODY_POOL[rng.gen_range(0..LOOP_BODY_POOL.len())])
             .collect();
         let iters = rng.gen_range(1..30);
-        programs.push(program(&format!(
-            "mov r15, {iters}; l: {}; dec r15; jnz l",
-            body.join("; ")
-        )));
+        programs.push(program(&looped(&body.join("; "), iters, close)));
     }
     programs
 }
