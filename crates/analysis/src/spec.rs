@@ -24,7 +24,7 @@ use nanobench_x86::defuse;
 use nanobench_x86::encode::encode_program;
 use nanobench_x86::inst::{Instruction, Mnemonic};
 use nanobench_x86::operand::{MemRef, Operand};
-use nanobench_x86::reg::{Flag, Gpr, Width};
+use nanobench_x86::reg::{Flag, Gpr, GprPart, VecReg, Width};
 use std::collections::{HashMap, HashSet};
 
 /// The environment a spec is analyzed against: execution mode, codegen
@@ -326,6 +326,8 @@ impl<'a> Analyzer<'a> {
 
     fn scan(&mut self, part: Part, insts: &[Instruction]) {
         let mut reads_buf: Vec<MemRef> = Vec::new();
+        let mut gprs_buf: Vec<GprPart> = Vec::new();
+        let mut vregs_buf: Vec<VecReg> = Vec::new();
         for (idx, inst) in insts.iter().enumerate() {
             let i = idx as u32;
             let m = inst.mnemonic;
@@ -449,7 +451,8 @@ impl<'a> Analyzer<'a> {
                         );
                     }
                 }
-                for v in defuse::vec_reads(inst) {
+                defuse::vec_reads(inst, &mut vregs_buf);
+                for v in &vregs_buf {
                     if self.flow.vec & (1 << u32::from(v.index)) == 0 {
                         self.report(
                             Severity::Warning,
@@ -532,7 +535,8 @@ impl<'a> Analyzer<'a> {
             }
 
             // -- writes ---------------------------------------------------
-            for g in defuse::output_gprs(inst) {
+            defuse::output_gprs(inst, &mut gprs_buf);
+            for g in &gprs_buf {
                 let n = g.reg.number() as usize;
                 self.flow.gpr[n] |= write_mask(g.width);
                 self.flow.arena[n] = false;
@@ -600,6 +604,7 @@ fn kernel_lines(init: &[Instruction], code: &[Instruction], env: &AnalysisEnv) -
     }
     let mut lines = HashSet::new();
     let mut reads = Vec::new();
+    let mut outs = Vec::new();
     for inst in init.iter().chain(code.iter()) {
         defuse::mem_reads(inst, &mut reads);
         let write = defuse::mem_writes(inst);
@@ -616,7 +621,8 @@ fn kernel_lines(init: &[Instruction], code: &[Instruction], env: &AnalysisEnv) -
                 lines.insert(addr.wrapping_add(mem.width.bytes() as u64 - 1) / 64);
             }
         }
-        for g in defuse::output_gprs(inst) {
+        defuse::output_gprs(inst, &mut outs);
+        for g in &outs {
             base_of[g.reg.number() as usize] = None;
         }
     }
@@ -626,7 +632,8 @@ fn kernel_lines(init: &[Instruction], code: &[Instruction], env: &AnalysisEnv) -
 /// One constant-propagation step over a co-runner instruction: `mov
 /// r64/r32, imm` defines a register, `add`/`sub r64, imm` adjusts a known
 /// one, zero idioms define zero, and every other write kills the value.
-fn const_step(vals: &mut [Option<u64>; 16], inst: &Instruction) {
+/// `outs` is scratch for the instruction's GPR writes.
+fn const_step(vals: &mut [Option<u64>; 16], inst: &Instruction, outs: &mut Vec<GprPart>) {
     let mut update = None;
     if defuse::is_zero_idiom(inst) {
         if let Some(Operand::Gpr(g)) = inst.dst() {
@@ -648,7 +655,8 @@ fn const_step(vals: &mut [Option<u64>; 16], inst: &Instruction) {
             _ => {}
         }
     }
-    for g in defuse::output_gprs(inst) {
+    defuse::output_gprs(inst, outs);
+    for g in outs.iter() {
         vals[g.reg.number() as usize] = None;
     }
     if let Some((n, v)) = update {
@@ -700,6 +708,7 @@ pub fn analyze_corunner(
     let mut diags = Vec::new();
     let mut seen = HashSet::new();
     let mut reads = Vec::new();
+    let mut outs = Vec::new();
     for (idx, inst) in corunner.iter().enumerate() {
         let i = idx as u32;
         defuse::mem_reads(inst, &mut reads);
@@ -726,7 +735,7 @@ pub fn analyze_corunner(
                 }
             }
         }
-        const_step(&mut vals, inst);
+        const_step(&mut vals, inst, &mut outs);
     }
     diags
 }

@@ -186,7 +186,10 @@ impl CacheSeq {
 
     /// Generates the microbenchmark body for a sequence.
     fn body(&self, seq: &AccessSeq) -> Vec<Instruction> {
-        let mut out = Vec::new();
+        // Each access adds its load, at most two rounds of eviction loads
+        // and at most two counting markers; one marker may close the body.
+        let pads = 2 * self.pool.evictors.len();
+        let mut out = Vec::with_capacity(seq.items.len() * (pads + 3) + 1);
         let mut counting = true;
         let set_counting = |out: &mut Vec<Instruction>, on: bool, counting: &mut bool| {
             if *counting != on {

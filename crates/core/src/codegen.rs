@@ -83,7 +83,7 @@ impl Sink for Vec<Instruction> {
     }
 
     fn inst(&mut self, mnemonic: Mnemonic, operands: &[Operand]) {
-        self.push(Instruction::with_operands(mnemonic, operands.to_vec()));
+        self.push(Instruction::with_operands(mnemonic, operands));
     }
 
     fn slice(&mut self, insts: &[Instruction]) {
@@ -109,7 +109,7 @@ impl Sink for Matcher<'_> {
             && self
                 .program
                 .get(self.pos)
-                .is_some_and(|i| i.mnemonic == mnemonic && i.operands == operands);
+                .is_some_and(|i| i.mnemonic == mnemonic && *i.operands == *operands);
         self.pos += 1;
     }
 
@@ -415,7 +415,7 @@ mod tests {
 
     /// `inst` with one field changed.
     fn neighbour(inst: &Instruction) -> Instruction {
-        let mut out = inst.clone();
+        let mut out = *inst;
         match out.operands.last_mut() {
             Some(Operand::Imm(v)) => *v += 1,
             Some(Operand::Mem(m)) => m.disp += 8,
@@ -458,7 +458,7 @@ mod tests {
                 prop_assert!(!generates(&req, &dropped), "dropped {i}");
             }
             let mut appended = program.clone();
-            appended.push(program[0].clone());
+            appended.push(program[0]);
             prop_assert!(!generates(&req, &appended));
         }
     }

@@ -1,12 +1,15 @@
 //! Heap allocations as exact counts: a plan-cache hit must not build the
-//! program it replays, and the simulated memory path must not allocate
-//! per access. A counting global allocator tallies allocations on the
-//! current thread only, so the tests of this binary can run in parallel.
+//! program it replays, the simulated memory path must not allocate per
+//! access, and building, parsing and decoding a program must not allocate
+//! per instruction. A counting global allocator tallies allocations on
+//! the current thread only, so the tests of this binary can run in
+//! parallel.
 
 use nanobench_core::{BenchSpec, Session};
 use nanobench_machine::{Machine, Mode};
 use nanobench_uarch::port::MicroArch;
 use nanobench_x86::asm::parse_asm;
+use nanobench_x86::{Gpr, Instruction, Mnemonic, Operand};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -62,18 +65,29 @@ fn allocations_in<T>(f: impl FnOnce() -> T) -> u64 {
 
 #[test]
 fn plan_cache_hits_allocate_independently_of_program_size() {
-    let load = parse_asm("mov rax, [r14]").unwrap().remove(0);
-    let warm_run = |len: usize| {
+    // The measured window also rebuilds the body from fresh instructions:
+    // neither building it nor replaying its plans allocates per
+    // instruction. Fresh instructions of an equal program must be equal
+    // plan-cache keys, so the rebuilt body must hit.
+    let warm_rebuild_and_run = |len: usize| {
+        let body = || -> Vec<Instruction> {
+            (0..len)
+                .map(|_| Instruction::binary(Mnemonic::Mov, Gpr::Rax, Operand::mem(Gpr::R14)))
+                .collect()
+        };
         let mut session = Session::kernel(MicroArch::Skylake);
         let mut spec = BenchSpec::new();
-        spec.code(vec![load.clone(); len]);
+        spec.code(body());
         session.run(&spec).unwrap();
-        let allocations = allocations_in(|| session.run(&spec).unwrap());
+        let allocations = allocations_in(|| {
+            spec.code(body());
+            session.run(&spec).unwrap()
+        });
         // Both unroll versions were replayed from the cache.
         assert_eq!(session.plan_cache_stats(), (2, 2));
         allocations
     };
-    assert_eq!(warm_run(100), warm_run(2_000));
+    assert_eq!(warm_rebuild_and_run(100), warm_rebuild_and_run(2_000));
 }
 
 #[test]
@@ -105,4 +119,31 @@ fn l2_missing_load_stream_allocates_independently_of_its_length() {
     let (long_allocations, long_misses) = run(&long);
     assert!(0 < short_misses && short_misses < long_misses);
     assert_eq!(short_allocations, long_allocations);
+}
+
+#[test]
+fn decoding_a_program_does_not_allocate_per_instruction() {
+    let machine = Machine::new(MicroArch::Skylake, Mode::Kernel, 1);
+    let program = parse_asm(
+        &"mov rax, [r14]; add rax, rbx; imul rcx, rdx; mov [r14+8], rcx; \
+          vaddps ymm0, ymm1, ymm2\n"
+            .repeat(400),
+    )
+    .unwrap();
+    assert_eq!(program.len(), 2_000);
+    let allocations = allocations_in(|| machine.decode(&program));
+    assert!(allocations < 100, "{allocations} allocations");
+}
+
+#[test]
+fn parsing_asm_makes_a_few_allocations_per_statement() {
+    let statements = 2_000;
+    let text: String = (0..statements)
+        .map(|k| format!("mov rax, [r14+{}]\n", 8 * k))
+        .collect();
+    let allocations = allocations_in(|| parse_asm(&text).unwrap());
+    assert!(
+        allocations < 10 * statements,
+        "{allocations} allocations for {statements} statements"
+    );
 }

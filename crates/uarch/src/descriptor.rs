@@ -9,7 +9,8 @@
 //! [`PortConfig`](crate::port::PortConfig).
 
 use crate::port::{MicroArch, PortConfig, PortSet};
-use nanobench_x86::inst::{Instruction, Mnemonic};
+use nanobench_x86::defuse;
+use nanobench_x86::inst::{Instruction, Mnemonic, MAX_OPERANDS};
 use nanobench_x86::operand::Operand;
 use std::collections::HashMap;
 
@@ -104,40 +105,48 @@ impl InstrDesc {
     }
 }
 
-/// Operand-kind signature used to key descriptor forms. Memory operands
-/// are normalized to registers for the compute-µop lookup.
+/// The kind of one operand in a descriptor form. Memory operands are
+/// normalized to registers for the compute-µop lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum OpKind {
+enum OpKind {
     R,
     I,
     V,
 }
 
-fn normalized_form(inst: &Instruction) -> Vec<OpKind> {
-    inst.operands
-        .iter()
-        .map(|op| match op {
+/// Operand-kind signature used to key descriptor forms: one kind per
+/// operand, then `None` in the unused slots.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Form([Option<OpKind>; MAX_OPERANDS]);
+
+impl Form {
+    fn new(kinds: impl IntoIterator<Item = OpKind>) -> Form {
+        let mut form = [None; MAX_OPERANDS];
+        for (slot, kind) in form.iter_mut().zip(kinds) {
+            *slot = Some(kind);
+        }
+        Form(form)
+    }
+
+    fn of(inst: &Instruction) -> Form {
+        Form::new(inst.operands.iter().map(|op| match op {
             Operand::Gpr(_) | Operand::Mem(_) | Operand::Label(_) => OpKind::R,
             Operand::Imm(_) => OpKind::I,
             Operand::Vec(_) => OpKind::V,
-        })
-        .collect()
+        }))
+    }
 }
 
-/// Whether the mnemonic is a pure data move: with a memory operand it has
-/// no compute µop (the load/store µop is everything). Delegates to the
-/// shared def/use metadata in [`nanobench_x86::defuse`].
-pub fn is_move(m: Mnemonic) -> bool {
-    nanobench_x86::defuse::is_move(m)
-}
+/// The descriptor of a pure move with a memory operand: no compute µop
+/// (the load/store µop is everything).
+static NO_COMPUTE: InstrDesc = InstrDesc { uops: Vec::new() };
 
 /// Per-microarchitecture descriptor table.
 #[derive(Debug, Clone)]
 pub struct DescriptorTable {
     uarch: MicroArch,
     ports: PortConfig,
-    exact: HashMap<(Mnemonic, Vec<OpKind>), InstrDesc>,
+    exact: HashMap<(Mnemonic, Form), InstrDesc>,
     default: HashMap<Mnemonic, InstrDesc>,
 }
 
@@ -169,26 +178,14 @@ impl DescriptorTable {
     /// Pure moves with memory operands yield an empty descriptor. Returns
     /// `None` for instructions the engine handles specially (fences,
     /// counter reads, privileged instructions).
-    pub fn lookup(&self, inst: &Instruction) -> Option<InstrDesc> {
+    pub fn lookup(&self, inst: &Instruction) -> Option<&InstrDesc> {
         let m = inst.mnemonic;
-        if is_move(m) && inst.operands.iter().any(|o| matches!(o, Operand::Mem(_))) {
-            return Some(InstrDesc { uops: Vec::new() });
+        if defuse::is_move(m) && inst.operands.iter().any(|o| matches!(o, Operand::Mem(_))) {
+            return Some(&NO_COMPUTE);
         }
-        let form = normalized_form(inst);
-        if let Some(d) = self.exact.get(&(m, form)) {
-            return Some(d.clone());
-        }
-        self.default.get(&m).cloned()
-    }
-
-    /// All (mnemonic, form) pairs with explicit entries — the instruction
-    /// variants case study I sweeps over.
-    pub fn variants(&self) -> Vec<(Mnemonic, Vec<OpKind>)> {
-        let mut v: Vec<_> = self.exact.keys().cloned().collect();
-        // The key strings are built once per entry, not once per
-        // comparison as a plain sort_by_key closure would.
-        v.sort_by_cached_key(|(m, f)| (format!("{m}"), f.len(), format!("{f:?}")));
-        v
+        self.exact
+            .get(&(m, Form::of(inst)))
+            .or_else(|| self.default.get(&m))
     }
 
     fn def(&mut self, m: Mnemonic, uops: Vec<UopSpec>) {
@@ -196,7 +193,8 @@ impl DescriptorTable {
     }
 
     fn form(&mut self, m: Mnemonic, form: &[OpKind], uops: Vec<UopSpec>) {
-        self.exact.insert((m, form.to_vec()), InstrDesc { uops });
+        self.exact
+            .insert((m, Form::new(form.iter().copied())), InstrDesc { uops });
     }
 
     /// Latency tweaks for older parts, applied to vector arithmetic.
@@ -499,7 +497,7 @@ mod tests {
 
     fn desc(table: &DescriptorTable, text: &str) -> InstrDesc {
         let insts = parse_asm(text).unwrap();
-        table.lookup(&insts[0]).expect("descriptor exists")
+        table.lookup(&insts[0]).expect("descriptor exists").clone()
     }
 
     #[test]
@@ -559,7 +557,7 @@ mod tests {
         // defaults across operand forms; the explicit table alone should
         // cover a meaningful set.
         let t = DescriptorTable::for_uarch(MicroArch::Skylake);
-        assert!(t.variants().len() >= 15);
+        assert!(t.exact.len() >= 15, "got {}", t.exact.len());
         assert!(t.default.len() >= 100, "got {}", t.default.len());
     }
 }

@@ -12,7 +12,7 @@ use crate::plan::{FastAlu, FastOp, FastSrc};
 use crate::state::CpuState;
 use nanobench_x86::inst::{Instruction, Mnemonic};
 use nanobench_x86::operand::{MemRef, Operand};
-use nanobench_x86::reg::{Flag, Gpr, GprPart, Width};
+use nanobench_x86::reg::{Flag, Gpr, Width};
 
 /// Control-flow outcome of an instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -590,25 +590,12 @@ pub fn branch_taken(inst: &Instruction, state: &CpuState) -> bool {
     }
 }
 
-/// The GPRs an instruction reads (for dependency tracking), including
-/// address registers of memory operands.
-///
-/// Delegates to [`nanobench_x86::defuse`], the single source of truth for
-/// per-instruction read/write sets.
-pub fn input_gprs(inst: &Instruction) -> Vec<GprPart> {
-    nanobench_x86::defuse::input_gprs(inst)
-}
-
-/// The GPRs an instruction writes (see [`nanobench_x86::defuse`]).
-pub fn output_gprs(inst: &Instruction) -> Vec<GprPart> {
-    nanobench_x86::defuse::output_gprs(inst)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bus::TestBus;
     use nanobench_x86::asm::parse_asm;
+    use nanobench_x86::defuse;
 
     fn run_seq(text: &str, state: &mut CpuState) {
         let bus = &mut TestBus::new(true);
@@ -734,16 +721,19 @@ mod tests {
     #[test]
     fn io_dependency_metadata() {
         let insts = parse_asm("add rax, [r14+rcx*8]").unwrap();
-        let ins = input_gprs(&insts[0]);
+        let mut ins = Vec::new();
+        defuse::input_gprs(&insts[0], &mut ins);
         let regs: Vec<Gpr> = ins.iter().map(|g| g.reg).collect();
         assert!(regs.contains(&Gpr::Rax)); // RMW reads dst
         assert!(regs.contains(&Gpr::R14));
         assert!(regs.contains(&Gpr::Rcx));
-        let outs = output_gprs(&insts[0]);
+        let mut outs = Vec::new();
+        defuse::output_gprs(&insts[0], &mut outs);
         assert_eq!(outs.len(), 1);
         assert_eq!(outs[0].reg, Gpr::Rax);
 
         let mov = parse_asm("mov rax, rbx").unwrap();
-        assert!(!input_gprs(&mov[0]).iter().any(|g| g.reg == Gpr::Rax));
+        defuse::input_gprs(&mov[0], &mut ins);
+        assert!(!ins.iter().any(|g| g.reg == Gpr::Rax));
     }
 }

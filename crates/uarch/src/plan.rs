@@ -45,13 +45,12 @@
 //!   match [`crate::exec::execute`]. The `plan_equivalence` suite pins
 //!   both pairs over the full corpus.
 
-use crate::descriptor::{is_move, DescriptorTable, PortClass, UopSpec};
-use crate::exec;
+use crate::descriptor::{DescriptorTable, PortClass, UopSpec};
 use crate::port::{MicroArch, PortSet};
 use nanobench_x86::defuse;
 use nanobench_x86::inst::{Instruction, Mnemonic};
 use nanobench_x86::operand::{MemRef, Operand};
-use nanobench_x86::reg::{Gpr, Width};
+use nanobench_x86::reg::{Gpr, GprPart, VecReg, Width};
 
 /// A µop with its port class resolved to the concrete ports of the
 /// microarchitecture the plan was decoded for.
@@ -258,16 +257,16 @@ pub(crate) enum FastCc {
 /// Pre-decoded semantics for the dominant 64-bit ALU and memory shapes.
 /// Decode resolves the operand pattern once so the fused block handler
 /// executes these without re-matching mnemonic and operands on
-/// every dynamic instruction ([`exec::execute_fast`] for register-only
-/// ops; the memory shapes run through the engine's fused bus path);
-/// anything not covered falls back to the generic interpreter via
-/// [`FastOp::None`].
+/// every dynamic instruction ([`crate::exec::execute_fast`] for
+/// register-only ops; the memory shapes run through the engine's fused
+/// bus path); anything not covered falls back to the generic interpreter
+/// via [`FastOp::None`].
 /// Register-only fast ops never touch the bus, so they cannot fault; the
-/// memory shapes fault exactly where [`exec::execute`] would (the data
-/// access).
+/// memory shapes fault exactly where [`crate::exec::execute`] would (the
+/// data access).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum FastOp {
-    /// Not pre-decoded: execute through [`exec::execute`].
+    /// Not pre-decoded: execute through [`crate::exec::execute`].
     None,
     /// `mov r64, r64/imm` (no flags).
     Mov { dst: Gpr, src: FastSrc },
@@ -556,15 +555,13 @@ fn flags_written(m: Mnemonic) -> bool {
     !defuse::flags_written(m).is_empty()
 }
 
-/// Memory operands an instruction reads.
-fn mem_reads(inst: &Instruction, out: &mut Vec<MemRef>) {
-    defuse::mem_reads(inst, out);
-}
-
-/// Memory operands an instruction writes.
-fn mem_writes(inst: &Instruction) -> Option<MemRef> {
-    defuse::mem_writes(inst)
-}
+/// The compute µops of a form the descriptor table does not describe: one
+/// ALU µop.
+const ALU_DEFAULT: &[UopSpec] = &[UopSpec {
+    class: PortClass::Alu,
+    latency: 1,
+    recip: 1,
+}];
 
 impl PlanBody {
     /// Analyzes every instruction of `program` against the descriptor
@@ -580,6 +577,9 @@ impl PlanBody {
             reads: Vec::new(),
             writes: Vec::new(),
         };
+        // Def/use scratch, reused across instructions.
+        let mut gprs_buf: Vec<GprPart> = Vec::new();
+        let mut vregs_buf: Vec<VecReg> = Vec::new();
         let mut reads_buf: Vec<MemRef> = Vec::new();
         for inst in program {
             let m = inst.mnemonic;
@@ -648,18 +648,10 @@ impl PlanBody {
 
             // Compute µops: table entry, or a single-ALU-µop default for
             // mnemonics the table does not describe.
-            let desc = table
-                .lookup(inst)
-                .unwrap_or_else(|| crate::descriptor::InstrDesc {
-                    uops: vec![UopSpec {
-                        class: PortClass::Alu,
-                        latency: 1,
-                        recip: 1,
-                    }],
-                });
+            let uops = table.lookup(inst).map_or(ALU_DEFAULT, |d| &d.uops);
             hot.uops = Span::push(
                 &mut body.uops,
-                desc.uops.iter().map(|u| ResolvedUop {
+                uops.iter().map(|u| ResolvedUop {
                     ports: u.class.resolve(ports),
                     latency: u.latency,
                     recip: u.recip,
@@ -668,34 +660,21 @@ impl PlanBody {
 
             // Register dependencies (input order is irrelevant: readiness
             // is a max over the set).
-            hot.in_regs = Span::push(
-                &mut body.regs,
-                exec::input_gprs(inst).iter().map(|g| g.reg.number()),
-            );
-            cold.in_vregs = Span::push(
-                &mut body.regs,
-                inst.operands.iter().enumerate().filter_map(|(i, op)| {
-                    if let Operand::Vec(v) = op {
-                        if i > 0 || !is_move(m) || inst.operands.len() > 2 {
-                            return Some(v.index);
-                        }
-                    }
-                    None
-                }),
-            );
-            hot.out_regs = Span::push(
-                &mut body.regs,
-                exec::output_gprs(inst).iter().map(|g| g.reg.number()),
-            );
+            defuse::input_gprs(inst, &mut gprs_buf);
+            hot.in_regs = Span::push(&mut body.regs, gprs_buf.iter().map(|g| g.reg.number()));
+            defuse::vec_reads(inst, &mut vregs_buf);
+            cold.in_vregs = Span::push(&mut body.regs, vregs_buf.iter().map(|v| v.index));
+            defuse::output_gprs(inst, &mut gprs_buf);
+            hot.out_regs = Span::push(&mut body.regs, gprs_buf.iter().map(|g| g.reg.number()));
             if let Some(Operand::Vec(v)) = inst.dst() {
                 cold.out_vreg = Some(v.index);
             }
 
             // Memory operands.
-            mem_reads(inst, &mut reads_buf);
+            defuse::mem_reads(inst, &mut reads_buf);
             hot.reads = Span::push(&mut body.reads, reads_buf.iter().copied());
             let mut covered = false;
-            if let Some(mem) = mem_writes(inst) {
+            if let Some(mem) = defuse::mem_writes(inst) {
                 covered = reads_buf.contains(&mem);
                 hot.writes = Span::push(
                     &mut body.writes,

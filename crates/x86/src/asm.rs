@@ -6,7 +6,7 @@
 //! `;` or newlines; labels (`name:`) and label references in branches are
 //! supported and resolved to instruction indices.
 
-use crate::inst::{Instruction, Mnemonic};
+use crate::inst::{Instruction, Mnemonic, Operands, MAX_OPERANDS};
 use crate::operand::{MemRef, Operand};
 use crate::reg::{parse_gpr, parse_vec_reg, Gpr, Width};
 use std::collections::HashMap;
@@ -242,10 +242,9 @@ pub(crate) fn mnemonic_name(m: Mnemonic) -> &'static str {
 
 /// Parses a mnemonic name (case-insensitive).
 pub fn parse_mnemonic(name: &str) -> Option<Mnemonic> {
-    let lower = name.to_ascii_lowercase();
     MNEMONIC_TABLE
         .iter()
-        .find(|(n, _)| *n == lower)
+        .find(|(n, _)| n.eq_ignore_ascii_case(name))
         .map(|(_, m)| *m)
 }
 
@@ -259,7 +258,8 @@ pub fn parse_mnemonic(name: &str) -> Option<Mnemonic> {
 /// # Errors
 ///
 /// Returns [`ParseAsmError`] on unknown mnemonics or registers, malformed
-/// memory operands, or unresolved label references.
+/// memory operands, displacements outside the 64-bit range, more than
+/// [`MAX_OPERANDS`] operands, or unresolved label references.
 ///
 /// # Examples
 ///
@@ -310,7 +310,7 @@ pub fn parse_asm(text: &str) -> Result<Vec<Instruction>, ParseAsmError> {
             message: format!("unknown mnemonic `{mnem_tok}`"),
         })?;
 
-        let mut operands = Vec::new();
+        let mut operands = Operands::new();
         if !rest.is_empty() {
             for op_text in split_operands(rest) {
                 let op_text = op_text.trim();
@@ -324,6 +324,12 @@ pub fn parse_asm(text: &str) -> Result<Vec<Instruction>, ParseAsmError> {
                 if mnemonic == Mnemonic::Mov && op_text.eq_ignore_ascii_case("cr3") {
                     mnemonic = Mnemonic::MovCr3;
                     continue;
+                }
+                if operands.len() == MAX_OPERANDS {
+                    return Err(ParseAsmError {
+                        statement: statement_no,
+                        message: format!("more than {MAX_OPERANDS} operands"),
+                    });
                 }
                 match parse_operand(op_text, statement_no)? {
                     ParsedOperand::Operand(op) => operands.push(op),
@@ -339,13 +345,13 @@ pub fn parse_asm(text: &str) -> Result<Vec<Instruction>, ParseAsmError> {
         // path and the §III-E byte path (whose encodings carry no memory
         // width) see identical instructions.
         if mnemonic.is_vector() {
-            for op in &mut operands {
+            for op in operands.iter_mut() {
                 if let Operand::Mem(m) = op {
                     m.width = Width::Q;
                 }
             }
         }
-        instructions.push(Instruction::with_operands(mnemonic, operands));
+        instructions.push(Instruction { mnemonic, operands });
     }
 
     for (inst_idx, op_idx, name, stmt) in fixups {
@@ -441,7 +447,9 @@ fn parse_number(s: &str) -> Option<i64> {
     } else {
         body.parse::<i64>().ok()?
     };
-    Some(if neg { -value } else { value })
+    // Wrapping: `-0x8000000000000000` is `i64::MIN`, whose magnitude has
+    // no `i64`.
+    Some(if neg { value.wrapping_neg() } else { value })
 }
 
 fn parse_operand(text: &str, stmt: usize) -> Result<ParsedOperand, ParseAsmError> {
@@ -569,7 +577,15 @@ fn parse_mem_expr(inner: &str, width: Width, stmt: usize) -> Result<MemRef, Pars
                 });
             }
         } else if let Some(n) = parse_number(term) {
-            disp += if neg { -n } else { n };
+            disp = if neg {
+                disp.checked_sub(n)
+            } else {
+                disp.checked_add(n)
+            }
+            .ok_or_else(|| ParseAsmError {
+                statement: stmt,
+                message: format!("displacement out of range in `[{inner}]`"),
+            })?;
         } else {
             return Err(ParseAsmError {
                 statement: stmt,
@@ -702,6 +718,38 @@ mod tests {
     #[test]
     fn unknown_mnemonic_is_error() {
         assert!(parse_asm("frobnicate rax").is_err());
+    }
+
+    #[test]
+    fn out_of_range_displacements_are_errors() {
+        for text in [
+            "nop; mov rax, [0x7fffffffffffffff + 1]",
+            "nop; mov rax, [rbx - 0x8000000000000000]",
+        ] {
+            let err = parse_asm(text).unwrap_err();
+            assert_eq!(err.statement, 2, "{text}");
+            assert!(err.message.contains("displacement out of range"), "{err}");
+        }
+    }
+
+    #[test]
+    fn most_negative_immediate_parses() {
+        let insts = parse_asm("mov rax, -0x8000000000000000").unwrap();
+        assert_eq!(insts[0].operands[1].as_imm(), Some(i64::MIN));
+    }
+
+    #[test]
+    fn a_fifth_operand_is_an_error() {
+        let err = parse_asm("nop\nadd rax, rbx, rcx, rdx, rsi").unwrap_err();
+        assert_eq!(err.statement, 2);
+        assert!(err.message.contains("more than 4 operands"), "{err}");
+        // Four still fit.
+        assert_eq!(
+            parse_asm("add rax, rbx, rcx, rdx").unwrap()[0]
+                .operands
+                .len(),
+            4
+        );
     }
 
     #[test]

@@ -85,9 +85,10 @@ pub fn is_move(m: Mnemonic) -> bool {
 }
 
 /// The GPRs an instruction reads (for dependency tracking), including
-/// address registers of memory operands.
-pub fn input_gprs(inst: &Instruction) -> Vec<GprPart> {
-    let mut regs = Vec::new();
+/// address registers of memory operands, appended to `out` (which is
+/// cleared first).
+pub fn input_gprs(inst: &Instruction, out: &mut Vec<GprPart>) {
+    out.clear();
     let m = inst.mnemonic;
     for (i, op) in inst.operands.iter().enumerate() {
         match op {
@@ -95,88 +96,62 @@ pub fn input_gprs(inst: &Instruction) -> Vec<GprPart> {
                 // The first operand is written; whether it is also read
                 // depends on the mnemonic.
                 if (i > 0 || reads_dst(m)) => {
-                    regs.push(*g);
+                    out.push(*g);
                 }
             Operand::Mem(mem) => {
                 if let Some(b) = mem.base {
-                    regs.push(GprPart::full(b));
+                    out.push(GprPart::full(b));
                 }
                 if let Some((idx, _)) = mem.index {
-                    regs.push(GprPart::full(idx));
+                    out.push(GprPart::full(idx));
                 }
             }
             _ => {}
         }
     }
-    regs.extend(implicit_gpr_reads(inst));
-    regs
+    push_implicit_gpr_reads(inst, out);
 }
 
-/// The implicit (non-operand) GPR reads of an instruction.
-pub fn implicit_gpr_reads(inst: &Instruction) -> Vec<GprPart> {
-    let mut regs = Vec::new();
+/// Appends the implicit (non-operand) GPR reads of an instruction to `out`.
+fn push_implicit_gpr_reads(inst: &Instruction, out: &mut Vec<GprPart>) {
     let m = inst.mnemonic;
-    match m {
-        Mnemonic::Mul | Mnemonic::Imul if inst.operands.len() == 1 => {
-            regs.push(GprPart::full(Gpr::Rax));
-        }
-        Mnemonic::Div | Mnemonic::Idiv => {
-            regs.push(GprPart::full(Gpr::Rax));
-            regs.push(GprPart::full(Gpr::Rdx));
-        }
-        Mnemonic::Push | Mnemonic::Pop | Mnemonic::Call | Mnemonic::Ret => {
-            regs.push(GprPart::full(Gpr::Rsp));
-        }
-        Mnemonic::Rdpmc | Mnemonic::Rdmsr | Mnemonic::Wrmsr => {
-            regs.push(GprPart::full(Gpr::Rcx));
-            if m == Mnemonic::Wrmsr {
-                regs.push(GprPart::full(Gpr::Rax));
-                regs.push(GprPart::full(Gpr::Rdx));
-            }
-        }
-        _ => {}
-    }
-    regs
+    let regs: &[Gpr] = match m {
+        Mnemonic::Mul | Mnemonic::Imul if inst.operands.len() == 1 => &[Gpr::Rax],
+        Mnemonic::Div | Mnemonic::Idiv => &[Gpr::Rax, Gpr::Rdx],
+        Mnemonic::Push | Mnemonic::Pop | Mnemonic::Call | Mnemonic::Ret => &[Gpr::Rsp],
+        Mnemonic::Rdpmc | Mnemonic::Rdmsr => &[Gpr::Rcx],
+        Mnemonic::Wrmsr => &[Gpr::Rcx, Gpr::Rax, Gpr::Rdx],
+        _ => &[],
+    };
+    out.extend(regs.iter().map(|&r| GprPart::full(r)));
 }
 
-/// The GPRs an instruction writes.
-pub fn output_gprs(inst: &Instruction) -> Vec<GprPart> {
-    let mut regs = Vec::new();
+/// The GPRs an instruction writes, appended to `out` (which is cleared
+/// first).
+pub fn output_gprs(inst: &Instruction, out: &mut Vec<GprPart>) {
+    out.clear();
     let m = inst.mnemonic;
     if writes_dst(m) {
         if let Some(Operand::Gpr(g)) = inst.dst() {
-            regs.push(*g);
+            out.push(*g);
         }
     }
     if m == Mnemonic::Xchg || m == Mnemonic::Xadd {
         if let Some(Operand::Gpr(g)) = inst.src() {
-            regs.push(*g);
+            out.push(*g);
         }
     }
-    match m {
-        Mnemonic::Mul | Mnemonic::Imul if inst.operands.len() == 1 => {
-            regs.push(GprPart::full(Gpr::Rax));
-            regs.push(GprPart::full(Gpr::Rdx));
-        }
-        Mnemonic::Div | Mnemonic::Idiv => {
-            regs.push(GprPart::full(Gpr::Rax));
-            regs.push(GprPart::full(Gpr::Rdx));
-        }
-        Mnemonic::Push | Mnemonic::Pop | Mnemonic::Call | Mnemonic::Ret => {
-            regs.push(GprPart::full(Gpr::Rsp));
-        }
+    let implicit: &[Gpr] = match m {
+        Mnemonic::Mul | Mnemonic::Imul if inst.operands.len() == 1 => &[Gpr::Rax, Gpr::Rdx],
+        Mnemonic::Div | Mnemonic::Idiv => &[Gpr::Rax, Gpr::Rdx],
+        Mnemonic::Push | Mnemonic::Pop | Mnemonic::Call | Mnemonic::Ret => &[Gpr::Rsp],
         Mnemonic::Rdtsc | Mnemonic::Rdtscp | Mnemonic::Rdpmc | Mnemonic::Rdmsr => {
-            regs.push(GprPart::full(Gpr::Rax));
-            regs.push(GprPart::full(Gpr::Rdx));
+            &[Gpr::Rax, Gpr::Rdx]
         }
-        Mnemonic::Cpuid => {
-            for r in [Gpr::Rax, Gpr::Rbx, Gpr::Rcx, Gpr::Rdx] {
-                regs.push(GprPart::full(r));
-            }
-        }
-        _ => {}
-    }
-    regs
+        Mnemonic::Cpuid => &[Gpr::Rax, Gpr::Rbx, Gpr::Rcx, Gpr::Rdx],
+        _ => &[],
+    };
+    out.extend(implicit.iter().map(|&r| GprPart::full(r)));
 }
 
 /// The GPRs an instruction reads as *data* (explicit operands plus
@@ -192,7 +167,7 @@ pub fn data_gpr_reads(inst: &Instruction) -> Vec<GprPart> {
             }
         }
     }
-    regs.extend(implicit_gpr_reads(inst));
+    push_implicit_gpr_reads(inst, &mut regs);
     regs
 }
 
@@ -242,21 +217,20 @@ pub fn flags_written(m: Mnemonic) -> &'static [Flag] {
     }
 }
 
-/// The vector registers an instruction reads. The first operand of a
-/// two-operand pure move is write-only; everything else reads its vector
-/// operands (three-operand AVX forms read the destination slot too, which
-/// is how the plan builder has always modeled them).
-pub fn vec_reads(inst: &Instruction) -> Vec<VecReg> {
+/// The vector registers an instruction reads, appended to `out` (which is
+/// cleared first). The first operand of a two-operand pure move is
+/// write-only; everything else reads its vector operands (three-operand
+/// AVX forms read the destination slot too).
+pub fn vec_reads(inst: &Instruction, out: &mut Vec<VecReg>) {
+    out.clear();
     let m = inst.mnemonic;
-    let mut regs = Vec::new();
     for (i, op) in inst.operands.iter().enumerate() {
         if let Operand::Vec(v) = op {
             if i > 0 || !is_move(m) || inst.operands.len() > 2 {
-                regs.push(*v);
+                out.push(*v);
             }
         }
     }
-    regs
 }
 
 /// The vector register an instruction writes (destination operand).
@@ -353,7 +327,9 @@ mod tests {
             let inst = one(text);
             let mut all: Vec<Gpr> = data_gpr_reads(&inst).iter().map(|g| g.reg).collect();
             all.extend(addr_gprs(&inst));
-            let mut from_input: Vec<Gpr> = input_gprs(&inst).iter().map(|g| g.reg).collect();
+            let mut inputs = Vec::new();
+            input_gprs(&inst, &mut inputs);
+            let mut from_input: Vec<Gpr> = inputs.iter().map(|g| g.reg).collect();
             all.sort_by_key(|g| g.number());
             from_input.sort_by_key(|g| g.number());
             assert_eq!(all, from_input, "{text}");

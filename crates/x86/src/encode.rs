@@ -1517,7 +1517,7 @@ pub fn decode_program(bytes: &[u8]) -> Result<Vec<Instruction>, DecodeError> {
                 }
             }
         };
-        for op in &mut insts[inst_idx].operands {
+        for op in insts[inst_idx].operands.iter_mut() {
             if matches!(op, Operand::Label(_)) {
                 *op = Operand::Label(label);
             }
@@ -1824,7 +1824,7 @@ fn decode_vec_entry(
             VForm::RmImm => {
                 let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(cl), Width::Q)?;
                 let imm = d.u8()? as i64;
-                Instruction::with_operands(m, vec![vreg(reg, cl), rm, Operand::Imm(imm)])
+                Instruction::with_operands(m, &[vreg(reg, cl), rm, Operand::Imm(imm)])
             }
             VForm::Mr => {
                 let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(cl), Width::Q)?;
@@ -1832,7 +1832,7 @@ fn decode_vec_entry(
             }
             VForm::Rvm => {
                 let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(cl), Width::Q)?;
-                Instruction::with_operands(m, vec![vreg(reg, cl), vreg(vvvv, cl), rm])
+                Instruction::with_operands(m, &[vreg(reg, cl), vreg(vvvv, cl), rm])
             }
             VForm::RvmImm => {
                 if !l {
@@ -1842,7 +1842,7 @@ fn decode_vec_entry(
                 let imm = d.u8()? as i64;
                 Instruction::with_operands(
                     m,
-                    vec![vreg(reg, cl), vreg(vvvv, cl), rm, Operand::Imm(imm)],
+                    &[vreg(reg, cl), vreg(vvvv, cl), rm, Operand::Imm(imm)],
                 )
             }
             VForm::VecRm => {
@@ -1887,7 +1887,7 @@ fn decode_vec_entry(
                 let imm = d.u8()? as i64;
                 Instruction::with_operands(
                     m,
-                    vec![
+                    &[
                         vreg(reg, VecClass::Ymm),
                         vreg(vvvv, VecClass::Ymm),
                         rm,
@@ -1901,7 +1901,7 @@ fn decode_vec_entry(
                 }
                 let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(VecClass::Xmm), Width::Q)?;
                 let imm = d.u8()? as i64;
-                Instruction::with_operands(m, vec![rm, vreg(reg, VecClass::Ymm), Operand::Imm(imm)])
+                Instruction::with_operands(m, &[rm, vreg(reg, VecClass::Ymm), Operand::Imm(imm)])
             }
             VForm::Bare(_) => Instruction::new(m),
         })

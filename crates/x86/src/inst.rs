@@ -418,32 +418,135 @@ impl fmt::Display for Mnemonic {
     }
 }
 
-/// A decoded instruction: a mnemonic plus up to four operands.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// The most operands an instruction has: three-operand AVX forms take an
+/// immediate as a fourth.
+pub const MAX_OPERANDS: usize = 4;
+
+/// An instruction's operands, held inline: at most [`MAX_OPERANDS`], in
+/// Intel order (destination first).
+///
+/// Derefs to the live operands. The unused slots take no part in equality
+/// or hashing, so two instructions are equal exactly when their mnemonics
+/// and operand slices are.
+#[derive(Clone, Copy)]
+pub struct Operands {
+    len: u8,
+    slots: [Operand; MAX_OPERANDS],
+}
+
+impl Operands {
+    /// No operands.
+    pub const fn new() -> Operands {
+        Operands {
+            len: 0,
+            slots: [Operand::Imm(0); MAX_OPERANDS],
+        }
+    }
+
+    /// Appends an operand.
+    ///
+    /// # Panics
+    ///
+    /// If the list already holds [`MAX_OPERANDS`] operands.
+    pub fn push(&mut self, op: Operand) {
+        assert!(
+            (self.len as usize) < MAX_OPERANDS,
+            "an instruction has at most {MAX_OPERANDS} operands"
+        );
+        self.slots[self.len as usize] = op;
+        self.len += 1;
+    }
+
+    /// The live operands.
+    pub fn as_slice(&self) -> &[Operand] {
+        &self.slots[..self.len as usize]
+    }
+}
+
+impl Default for Operands {
+    fn default() -> Operands {
+        Operands::new()
+    }
+}
+
+impl std::ops::Deref for Operands {
+    type Target = [Operand];
+
+    fn deref(&self) -> &[Operand] {
+        self.as_slice()
+    }
+}
+
+impl std::ops::DerefMut for Operands {
+    fn deref_mut(&mut self) -> &mut [Operand] {
+        &mut self.slots[..self.len as usize]
+    }
+}
+
+impl<'a> IntoIterator for &'a Operands {
+    type Item = &'a Operand;
+    type IntoIter = std::slice::Iter<'a, Operand>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.as_slice().iter()
+    }
+}
+
+impl PartialEq for Operands {
+    fn eq(&self, other: &Operands) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Operands {}
+
+impl std::hash::Hash for Operands {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl fmt::Debug for Operands {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_slice(), f)
+    }
+}
+
+/// A decoded instruction: a mnemonic plus up to four operands, held
+/// inline, so an instruction is a plain `Copy` value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Instruction {
     /// The operation.
     pub mnemonic: Mnemonic,
     /// The operands, in Intel order (destination first).
-    pub operands: Vec<Operand>,
+    pub operands: Operands,
 }
 
 impl Instruction {
     /// Creates an instruction with no operands.
-    pub fn new(mnemonic: Mnemonic) -> Instruction {
+    pub const fn new(mnemonic: Mnemonic) -> Instruction {
         Instruction {
             mnemonic,
-            operands: Vec::new(),
+            operands: Operands::new(),
         }
     }
 
     /// Creates an instruction with the given operands.
-    pub fn with_operands(mnemonic: Mnemonic, operands: Vec<Operand>) -> Instruction {
-        Instruction { mnemonic, operands }
+    ///
+    /// # Panics
+    ///
+    /// If `operands` holds more than [`MAX_OPERANDS`] operands.
+    pub fn with_operands(mnemonic: Mnemonic, operands: &[Operand]) -> Instruction {
+        let mut inst = Instruction::new(mnemonic);
+        for &op in operands {
+            inst.operands.push(op);
+        }
+        inst
     }
 
     /// Creates a one-operand instruction.
     pub fn unary(mnemonic: Mnemonic, op: impl Into<Operand>) -> Instruction {
-        Instruction::with_operands(mnemonic, vec![op.into()])
+        Instruction::with_operands(mnemonic, &[op.into()])
     }
 
     /// Creates a two-operand instruction.
@@ -452,7 +555,7 @@ impl Instruction {
         dst: impl Into<Operand>,
         src: impl Into<Operand>,
     ) -> Instruction {
-        Instruction::with_operands(mnemonic, vec![dst.into(), src.into()])
+        Instruction::with_operands(mnemonic, &[dst.into(), src.into()])
     }
 
     /// First operand (destination in Intel syntax), if present.
@@ -509,6 +612,62 @@ mod tests {
         assert!(Mnemonic::Jnz.is_branch());
         assert!(Mnemonic::Ret.is_branch());
         assert!(!Mnemonic::Add.is_branch());
+    }
+
+    #[test]
+    fn unused_operand_slots_are_invisible_to_eq_and_hash() {
+        use std::hash::{BuildHasher, RandomState};
+        let live = [Operand::gpr(Gpr::Rax), Operand::mem(Gpr::R14)];
+        // Same live operands, different leftovers in the unused slots.
+        let a = Operands {
+            len: 2,
+            slots: [live[0], live[1], Operand::Imm(0), Operand::Imm(0)],
+        };
+        let b = Operands {
+            len: 2,
+            slots: [live[0], live[1], Operand::Label(7), Operand::gpr(Gpr::R15)],
+        };
+        let state = RandomState::new();
+        assert_eq!(a, b);
+        assert_eq!(state.hash_one(a), state.hash_one(b));
+        assert_eq!(state.hash_one(a), state.hash_one(&live[..]));
+        let (x, y) = (
+            Instruction {
+                mnemonic: Mnemonic::Mov,
+                operands: a,
+            },
+            Instruction {
+                mnemonic: Mnemonic::Mov,
+                operands: b,
+            },
+        );
+        assert_eq!(x, y);
+        assert_eq!(state.hash_one(x), state.hash_one(y));
+        assert_eq!(x, Instruction::with_operands(Mnemonic::Mov, &live));
+        // A different live prefix still differs.
+        let c = Operands {
+            len: 1,
+            slots: b.slots,
+        };
+        assert_ne!(a, c);
+        assert_ne!(state.hash_one(a), state.hash_one(c));
+    }
+
+    #[test]
+    fn instruction_is_a_small_copy_value() {
+        // Four 16-byte operands, their count and the mnemonic.
+        assert_eq!(std::mem::size_of::<Operand>(), 16);
+        assert_eq!(std::mem::size_of::<Instruction>(), 80);
+        let inst = Instruction::binary(Mnemonic::Add, Gpr::Rax, Operand::imm(1));
+        let copy = inst;
+        assert_eq!(copy, inst);
+        assert_eq!(inst.operands.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 4 operands")]
+    fn a_fifth_operand_panics() {
+        Instruction::with_operands(Mnemonic::Add, &[Operand::imm(0); 5]);
     }
 
     #[test]

@@ -70,44 +70,35 @@ impl Gpr {
 
     /// The canonical lower-case 64-bit name (`"rax"`, `"r14"`, ...).
     pub fn name(self) -> &'static str {
-        const NAMES: [&str; 16] = [
-            "rax", "rcx", "rdx", "rbx", "rsp", "rbp", "rsi", "rdi", "r8", "r9", "r10", "r11",
-            "r12", "r13", "r14", "r15",
-        ];
-        NAMES[self as usize]
+        self.name_at(Width::Q)
     }
 
     /// The name of this register at a given access width (`eax`, `ax`, ...).
-    pub fn name_at(self, width: Width) -> String {
-        let n = self.number();
-        match width {
-            Width::Q => self.name().to_string(),
-            Width::D => {
-                if n < 8 {
-                    format!("e{}", &self.name()[1..])
-                } else {
-                    format!("{}d", self.name())
-                }
-            }
-            Width::W => {
-                if n < 8 {
-                    self.name()[1..].to_string()
-                } else {
-                    format!("{}w", self.name())
-                }
-            }
-            Width::B => {
-                if n < 4 {
-                    format!("{}l", &self.name()[1..2])
-                } else if n < 8 {
-                    format!("{}l", &self.name()[1..])
-                } else {
-                    format!("{}b", self.name())
-                }
-            }
-        }
+    pub fn name_at(self, width: Width) -> &'static str {
+        GPR_NAMES[self as usize][width as usize]
     }
 }
+
+/// Every GPR name, indexed by register number, then by [`Width`] in
+/// declaration order (byte, word, dword, qword).
+const GPR_NAMES: [[&str; 4]; 16] = [
+    ["al", "ax", "eax", "rax"],
+    ["cl", "cx", "ecx", "rcx"],
+    ["dl", "dx", "edx", "rdx"],
+    ["bl", "bx", "ebx", "rbx"],
+    ["spl", "sp", "esp", "rsp"],
+    ["bpl", "bp", "ebp", "rbp"],
+    ["sil", "si", "esi", "rsi"],
+    ["dil", "di", "edi", "rdi"],
+    ["r8b", "r8w", "r8d", "r8"],
+    ["r9b", "r9w", "r9d", "r9"],
+    ["r10b", "r10w", "r10d", "r10"],
+    ["r11b", "r11w", "r11d", "r11"],
+    ["r12b", "r12w", "r12d", "r12"],
+    ["r13b", "r13w", "r13d", "r13"],
+    ["r14b", "r14w", "r14d", "r14"],
+    ["r15b", "r15w", "r15d", "r15"],
+];
 
 impl fmt::Display for Gpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -197,7 +188,7 @@ impl GprPart {
 
 impl fmt::Display for GprPart {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.reg.name_at(self.width))
+        f.write_str(self.reg.name_at(self.width))
     }
 }
 
@@ -321,50 +312,36 @@ impl fmt::Display for Flag {
 ///
 /// Returns `None` for names that are not general-purpose registers.
 pub fn parse_gpr(name: &str) -> Option<GprPart> {
-    let lower = name.to_ascii_lowercase();
     for reg in Gpr::ALL {
         for width in [Width::Q, Width::D, Width::W, Width::B] {
-            if reg.name_at(width) == lower {
+            if reg.name_at(width).eq_ignore_ascii_case(name) {
                 return Some(GprPart { reg, width });
             }
         }
     }
     // Legacy high-byte registers map onto their parents; we model them as the
     // low byte since nanoBench microbenchmarks in the paper never use AH..BH.
-    match lower.as_str() {
-        "ah" => Some(GprPart {
-            reg: Gpr::Rax,
-            width: Width::B,
-        }),
-        "ch" => Some(GprPart {
-            reg: Gpr::Rcx,
-            width: Width::B,
-        }),
-        "dh" => Some(GprPart {
-            reg: Gpr::Rdx,
-            width: Width::B,
-        }),
-        "bh" => Some(GprPart {
-            reg: Gpr::Rbx,
-            width: Width::B,
-        }),
-        _ => None,
-    }
+    [
+        ("ah", Gpr::Rax),
+        ("ch", Gpr::Rcx),
+        ("dh", Gpr::Rdx),
+        ("bh", Gpr::Rbx),
+    ]
+    .into_iter()
+    .find(|(high, _)| high.eq_ignore_ascii_case(name))
+    .map(|(_, reg)| GprPart {
+        reg,
+        width: Width::B,
+    })
 }
 
 /// Parses a vector register name (`xmm0`..`zmm31`).
 pub fn parse_vec_reg(name: &str) -> Option<VecReg> {
-    let lower = name.to_ascii_lowercase();
-    let class = if lower.starts_with("xmm") {
-        VecClass::Xmm
-    } else if lower.starts_with("ymm") {
-        VecClass::Ymm
-    } else if lower.starts_with("zmm") {
-        VecClass::Zmm
-    } else {
-        return None;
-    };
-    let index: u8 = lower[3..].parse().ok()?;
+    let prefix = name.get(..3)?;
+    let class = [VecClass::Xmm, VecClass::Ymm, VecClass::Zmm]
+        .into_iter()
+        .find(|c| c.prefix().eq_ignore_ascii_case(prefix))?;
+    let index: u8 = name[3..].parse().ok()?;
     if index < 32 {
         Some(VecReg { index, class })
     } else {

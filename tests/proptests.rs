@@ -153,7 +153,7 @@ proptest! {
             2 => Instruction::binary(Mnemonic::Movaps, Operand::Vec(VecReg::xmm(9)), Operand::Mem(mem)),
             3 => Instruction::with_operands(
                 Mnemonic::Vaddps,
-                vec![
+                &[
                     Operand::Vec(VecReg::ymm(1)),
                     Operand::Vec(VecReg::ymm(12)),
                     Operand::Mem(mem),
