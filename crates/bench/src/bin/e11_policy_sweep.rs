@@ -1,28 +1,21 @@
-//! E11 — persistent-store policy sweep: Table I inference across every
-//! preset × L3 slice count × policy family, cold vs. warm.
+//! E11 — policy sweep: Table I inference across every preset × L3 slice
+//! count × policy family.
 //!
 //! The sweep runs the §VI-C1 policy-fitting tool over a configuration
 //! space much larger than Table I itself: for every preset CPU, the L1
-//! and L2 inferences of E6 plus an L3 inference for each slice count in
-//! {1, 2, 4} × each uniform policy family in {LRU, FIFO, PLRU, MRU,
-//! QLRU_H11_M1_R0_U0} (PLRU only at power-of-two associativity). Every
-//! inference must uniquely recover the configured ground truth.
-//!
-//! The point of the experiment is the persistent result store: the sweep
-//! runs twice against the same store file — cold (computing and
-//! publishing every result) and warm, through a freshly re-opened store
-//! (answering every job from disk). The warm run must be bit-identical
-//! to the cold one, answer 100% of jobs from the store, and be at least
-//! 10× faster. Wall times, counters and the speedup land in
+//! and L2 inferences of its Table I row (E6) plus an L3 inference for
+//! each slice count in {1, 2, 4} × each uniform policy family in {LRU,
+//! FIFO, PLRU, MRU, QLRU_H11_M1_R0_U0} (PLRU only at power-of-two
+//! associativity). Every inference must uniquely recover the configured
+//! ground truth. The job count, worker count and sweep wall time land in
 //! `BENCH_e11_sweep.json`.
 
 use nanobench_bench::write_metrics_json;
 use nanobench_cache::hierarchy::L3PolicyConfig;
 use nanobench_cache::policy::PolicyKind;
 use nanobench_cache::presets::table1_cpus;
-use nanobench_cache_tools::{run_infer_stored, InferRequest, Level};
-use nanobench_core::{auto_workers, parallel_map, NbError};
-use nanobench_store::ResultStore;
+use nanobench_cache_tools::{run_infer, InferRequest, Level};
+use nanobench_core::{auto_workers, parallel_map};
 use std::time::Instant;
 
 /// One sweep job: an inference request plus the ground-truth policy it
@@ -50,16 +43,14 @@ fn families() -> Vec<PolicyKind> {
 fn build_jobs() -> Vec<SweepJob> {
     let mut jobs = Vec::new();
     for cpu in table1_cpus() {
-        jobs.push(SweepJob {
-            label: format!("{} L1", cpu.microarch),
-            request: InferRequest::table1(&cpu, Level::L1, 5, cpu.l1_assoc),
-            expected: cpu.l1_policy.clone(),
-        });
-        jobs.push(SweepJob {
-            label: format!("{} L2", cpu.microarch),
-            request: InferRequest::table1(&cpu, Level::L2, 21, cpu.l2_assoc),
-            expected: cpu.l2_policy.clone(),
-        });
+        let [l1, l2, _] = InferRequest::table1_row(&cpu);
+        for (name, (request, expected)) in [("L1", l1), ("L2", l2)] {
+            jobs.push(SweepJob {
+                label: format!("{} {name}", cpu.microarch),
+                request,
+                expected,
+            });
+        }
         for slices in [1usize, 2, 4] {
             for family in families() {
                 if family == PolicyKind::Plru && !cpu.l3_assoc.is_power_of_two() {
@@ -79,11 +70,15 @@ fn build_jobs() -> Vec<SweepJob> {
     jobs
 }
 
-/// Runs the whole sweep against `store`, returning per-job
-/// `(display, matched)` pairs in job order.
-fn run_sweep(jobs: &[SweepJob], store: &ResultStore) -> Result<Vec<(String, bool)>, NbError> {
-    parallel_map(0, jobs, |job, _| {
-        let fit = run_infer_stored(&job.request, store)?;
+fn main() {
+    println!("== E11: policy sweep ==");
+    let jobs = build_jobs();
+    let workers = auto_workers();
+    println!("{} inference jobs ({workers} workers)", jobs.len());
+
+    let start = Instant::now();
+    let results = parallel_map(0, &jobs, |job, _| {
+        let fit = run_infer(&job.request)?;
         let matched = fit.is_unique() && fit.contains(&job.expected);
         let display = if matched {
             job.expected.name()
@@ -92,75 +87,17 @@ fn run_sweep(jobs: &[SweepJob], store: &ResultStore) -> Result<Vec<(String, bool
         };
         Ok((display, matched))
     })
-}
-
-fn main() {
-    println!("== E11: policy sweep, cold vs. warm through the result store ==");
-    let args: Vec<String> = std::env::args().collect();
-    let path = match args.iter().position(|a| a == "--store") {
-        Some(i) => args.get(i + 1).expect("--store takes a path").clone(),
-        None => "e11_policy_store.nbstore".to_string(),
-    };
-    let jobs = build_jobs();
-    let workers = auto_workers();
-    println!(
-        "{} inference jobs ({workers} workers), store at {path}",
-        jobs.len()
-    );
-
-    // Cold: start from an empty store so every job computes and publishes.
-    let _ = std::fs::remove_file(&path);
-    let store = ResultStore::open(&path).expect("result store opens");
-    let start = Instant::now();
-    let cold = run_sweep(&jobs, &store).expect("cold sweep runs");
-    let cold_ms = start.elapsed().as_secs_f64() * 1000.0;
-    let cold_stats = store.stats();
-    assert_eq!(cold_stats.hits, 0, "cold run must not hit");
-    assert_eq!(
-        cold_stats.inserts as usize,
-        jobs.len(),
-        "cold run must publish every job"
-    );
-    println!(
-        "cold: {cold_ms:.0} ms, {} inserts, {} records on disk",
-        cold_stats.inserts,
-        store.len()
-    );
-
-    // Warm: re-open the store from disk (exercising the log loader) and
-    // re-run the identical sweep.
-    drop(store);
-    let store = ResultStore::open(&path).expect("result store re-opens");
-    let start = Instant::now();
-    let warm = run_sweep(&jobs, &store).expect("warm sweep runs");
-    let warm_ms = start.elapsed().as_secs_f64() * 1000.0;
-    let warm_stats = store.stats();
-    println!(
-        "warm: {warm_ms:.2} ms, {} hits / {} misses",
-        warm_stats.hits, warm_stats.misses
-    );
-
-    assert_eq!(warm, cold, "warm results must be bit-identical to cold");
-    assert_eq!(
-        warm_stats.hits as usize,
-        jobs.len(),
-        "warm run must answer every job from the store"
-    );
-    assert_eq!(warm_stats.inserts, 0, "warm run must not recompute");
-    let speedup = cold_ms / warm_ms.max(f64::MIN_POSITIVE);
-    println!("speedup: {speedup:.0}x");
-    assert!(
-        speedup >= 10.0,
-        "warm sweep must be >=10x faster than cold, got {speedup:.1}x"
-    );
+    .expect("sweep runs");
+    let sweep_ms = start.elapsed().as_secs_f64() * 1000.0;
+    println!("sweep: {sweep_ms:.0} ms");
 
     let mismatches: Vec<&str> = jobs
         .iter()
-        .zip(&cold)
+        .zip(&results)
         .filter(|(_, (_, ok))| !ok)
         .map(|(job, _)| job.label.as_str())
         .collect();
-    for (job, (display, ok)) in jobs.iter().zip(&cold) {
+    for (job, (display, ok)) in jobs.iter().zip(&results) {
         if !ok {
             println!("MISMATCH {}: {}", job.label, display);
         }
@@ -173,14 +110,9 @@ fn main() {
         &[
             ("jobs", jobs.len() as f64),
             ("workers", workers as f64),
-            ("cold_wall_ms", cold_ms),
-            ("warm_wall_ms", warm_ms),
-            ("speedup", speedup),
-            ("store_hits_warm", warm_stats.hits as f64),
-            ("store_inserts_cold", cold_stats.inserts as f64),
+            ("sweep_wall_ms", sweep_ms),
         ],
     );
-    let _ = std::fs::remove_file(&path);
     assert!(
         mismatches.is_empty(),
         "every sweep inference must uniquely recover its policy; failed: {mismatches:?}"

@@ -11,44 +11,30 @@
 //! The 30 inferences (10 CPUs × 3 levels) are independent jobs with fixed
 //! seeds, so the whole table is a campaign: they fan out across worker
 //! threads via `nanobench_core::parallel_map` and the results are
-//! identical for any worker count.
-//!
-//! With `--store <path>` the inferences run against a persistent result
-//! store: a second invocation with the same path answers every job from
-//! the store (the hit counters are printed and recorded in the artifact).
+//! identical for any worker count. Each row's requests and expected
+//! policies come from `InferRequest::table1_row`, which tier-1 also runs.
 
 use nanobench_bench::write_metrics_json;
 use nanobench_cache::policy::PolicyKind;
 use nanobench_cache::presets::table1_cpus;
-use nanobench_cache::L3PolicyConfig;
-use nanobench_cache_tools::{run_infer, run_infer_stored, InferRequest, Level};
+use nanobench_cache_tools::{run_infer, InferRequest};
 use nanobench_core::{auto_workers, parallel_map, NbError};
-use nanobench_store::ResultStore;
 use std::time::Instant;
 
 /// One inference job: re-infer the policy of a level and report it
-/// relative to the expected Table I name as `(display, matched?)`. The
+/// relative to the expected Table I policy as `(display, matched?)`. The
 /// exact-matching tool can only identify policies up to observational
 /// equivalence, so a match means the expected policy is in the unique
 /// surviving equivalence class.
-struct InferJob {
-    request: InferRequest,
-    expected: String,
-}
-
-fn infer(job: &InferJob, store: Option<&ResultStore>) -> Result<(String, bool), NbError> {
-    let fit = match store {
-        Some(store) => run_infer_stored(&job.request, store)?,
-        None => run_infer(&job.request)?,
-    };
-    let expected_kind = PolicyKind::parse(&job.expected).expect("expected name parses");
-    let matched = fit.is_unique() && fit.contains(&expected_kind);
+fn infer((request, expected): &(InferRequest, PolicyKind)) -> Result<(String, bool), NbError> {
+    let fit = run_infer(request)?;
+    let matched = fit.is_unique() && fit.contains(expected);
     let display = if matched {
         let class_size = fit.matching[0].len();
         if class_size > 1 {
-            format!("{} (class of {class_size})", job.expected)
+            format!("{} (class of {class_size})", expected.name())
         } else {
-            job.expected.clone()
+            expected.name()
         }
     } else {
         fit.summary()
@@ -58,41 +44,13 @@ fn infer(job: &InferJob, store: Option<&ResultStore>) -> Result<(String, bool), 
 
 fn main() {
     println!("== E6: Table I — inferred replacement policies ==");
-    let args: Vec<String> = std::env::args().collect();
-    let store = match args.iter().position(|a| a == "--store") {
-        Some(i) => {
-            let path = args.get(i + 1).expect("--store takes a path");
-            Some(ResultStore::open(path).expect("result store opens"))
-        }
-        None => None,
-    };
     let cpus = table1_cpus();
-    let mut jobs = Vec::new();
-    for cpu in &cpus {
-        let (exp_l1, exp_l2, _exp_l3) = cpu.expected_policies();
-        // L3: uniform policies on an arbitrary set; adaptive ones on the
-        // deterministic leader range 512-575 (§VI-D) of a slice that has
-        // leaders (slice 0 on all three adaptive parts).
-        let (l3_set, expected_l3) = match &cpu.l3_policy {
-            L3PolicyConfig::Uniform(k) => (100usize, k.name()),
-            L3PolicyConfig::Adaptive { policy_a, .. } => (520usize, policy_a.name()),
-        };
-        for (level, set, assoc, expected) in [
-            (Level::L1, 5usize, cpu.l1_assoc, exp_l1),
-            (Level::L2, 21, cpu.l2_assoc, exp_l2),
-            (Level::L3, l3_set, cpu.l3_assoc, expected_l3),
-        ] {
-            jobs.push(InferJob {
-                request: InferRequest::table1(cpu, level, set, assoc),
-                expected,
-            });
-        }
-    }
+    let jobs: Vec<(InferRequest, PolicyKind)> =
+        cpus.iter().flat_map(InferRequest::table1_row).collect();
 
     let workers = auto_workers();
     let start = Instant::now();
-    let results = parallel_map(0, &jobs, |job, _| infer(job, store.as_ref()))
-        .expect("inference campaign runs");
+    let results = parallel_map(0, &jobs, |job, _| infer(job)).expect("inference campaign runs");
     let campaign_ms = start.elapsed().as_secs_f64() * 1000.0;
 
     println!(
@@ -122,20 +80,6 @@ fn main() {
         "{} inferences in {campaign_ms:.0} ms ({workers} workers)",
         jobs.len()
     );
-    let (hits, misses, inserts) = match &store {
-        Some(store) => {
-            let stats = store.stats();
-            println!(
-                "store: {} hits, {} misses, {} inserts ({})",
-                stats.hits,
-                stats.misses,
-                stats.inserts,
-                store.path().display()
-            );
-            (stats.hits as f64, stats.misses as f64, stats.inserts as f64)
-        }
-        None => (0.0, 0.0, 0.0),
-    };
     write_metrics_json(
         "BENCH_table1.json",
         "e6_table1_campaign",
@@ -144,9 +88,6 @@ fn main() {
             ("inference_wall_ms", campaign_ms),
             ("inferences", jobs.len() as f64),
             ("workers", workers as f64),
-            ("store_hits", hits),
-            ("store_misses", misses),
-            ("store_inserts", inserts),
         ],
     );
     assert!(all_ok, "every inferred policy must match Table I");

@@ -1,38 +1,23 @@
-//! Store-aware policy-inference entry points.
+//! Policy-inference jobs.
 //!
 //! A full [`fit_policy`] run measures dozens of random sequences through
-//! cacheSeq — seconds of simulation per cache level. [`InferRequest`]
-//! packages one such inference as a self-describing job, and
-//! [`run_infer_stored`] answers it from a persistent
-//! [`ResultStore`](nanobench_store::ResultStore) when the identical
-//! request (same CPU configuration, level, set, seeds, budget) has run
-//! before — so policy sweeps and Table I re-runs are warm-started across
-//! processes.
-//!
-//! Keys follow the campaign scheme in `nanobench-core`: the `spec`
-//! component fingerprints the request parameters, the `uarch` component
-//! fingerprints the simulated CPU ([`CpuSpec::hash_config`]), the `seed`
-//! component is the fit seed, and the version is
-//! [`INFER_FORMAT_VERSION`] — bump it whenever the stored [`FitResult`]
-//! encoding *or the semantics of the inference itself* change, so stale
-//! records recompute instead of being trusted.
+//! cacheSeq on a freshly built machine. [`InferRequest`] packages one such
+//! inference — CPU configuration, level, set, seeds and sequence budget —
+//! as a self-contained job, so sweeps such as Table I fan out across
+//! worker threads with `nanobench_core::parallel_map` and give the same
+//! result for any worker count. [`InferRequest::table1_row`] is the §VI-C1
+//! Table I row of one CPU: three requests, each paired with the policy it
+//! must recover.
 
 use crate::addresses::Level;
 use crate::cacheseq::CacheSeq;
 use crate::policy_fit::{fit_policy, FitResult};
 use nanobench_cache::policy::PolicyKind;
-use nanobench_cache::CpuSpec;
+use nanobench_cache::{CpuSpec, L3PolicyConfig};
 use nanobench_core::NbError;
-use nanobench_store::{Fnv1a, ResultStore, StoreKey};
-use std::hash::{Hash, Hasher};
-
-/// Version of [`FitResult`]'s persistent-store encoding. Bump on any
-/// change to the encoding or to the inference algorithm's behaviour.
-pub const INFER_FORMAT_VERSION: u32 = 1;
 
 /// One policy-inference job: everything [`run_infer`] needs to build a
-/// cacheSeq and fit a policy, in a form that can be fingerprinted for the
-/// persistent store.
+/// cacheSeq and fit a policy.
 #[derive(Debug, Clone)]
 pub struct InferRequest {
     /// The CPU model to infer against.
@@ -73,34 +58,34 @@ impl InferRequest {
         }
     }
 
-    /// The request's [`StoreKey`]: parameters in `spec`, CPU
-    /// configuration in `uarch`, fit seed in `seed`.
-    pub fn store_key(&self) -> StoreKey {
-        let mut spec = Fnv1a::new();
-        match self.level {
-            Level::L1 => 0u8,
-            Level::L2 => 1u8,
-            Level::L3 => 2u8,
-        }
-        .hash(&mut spec);
-        self.set.hash(&mut spec);
-        self.slice.hash(&mut spec);
-        self.n_blocks.hash(&mut spec);
-        self.assoc.hash(&mut spec);
-        self.max_sequences.hash(&mut spec);
-        self.seq_seed.hash(&mut spec);
-        let mut uarch = Fnv1a::new();
-        self.cpu.hash_config(&mut uarch);
-        StoreKey {
-            spec: spec.finish(),
-            uarch: uarch.finish(),
-            seed: self.fit_seed,
-            version: INFER_FORMAT_VERSION,
-        }
+    /// The Table I row of `cpu`: its L1, L2 and L3 inferences, each with
+    /// the ground-truth policy it must recover. L1 uses set 5 and L2 set
+    /// 21. A uniform L3 uses set 100; an adaptive one (Ivy Bridge, Haswell,
+    /// Broadwell) uses set 520 of slice 0, inside the deterministic leader
+    /// range 512–575 of §VI-D, and must recover policy A.
+    pub fn table1_row(cpu: &CpuSpec) -> [(InferRequest, PolicyKind); 3] {
+        let (l3_set, l3_policy) = match &cpu.l3_policy {
+            L3PolicyConfig::Uniform(kind) => (100, kind),
+            L3PolicyConfig::Adaptive { policy_a, .. } => (520, policy_a),
+        };
+        [
+            (
+                InferRequest::table1(cpu, Level::L1, 5, cpu.l1_assoc),
+                cpu.l1_policy.clone(),
+            ),
+            (
+                InferRequest::table1(cpu, Level::L2, 21, cpu.l2_assoc),
+                cpu.l2_policy.clone(),
+            ),
+            (
+                InferRequest::table1(cpu, Level::L3, l3_set, cpu.l3_assoc),
+                l3_policy.clone(),
+            ),
+        ]
     }
 }
 
-/// Runs the inference cold: builds the cacheSeq and fits the policy.
+/// Runs the inference: builds the cacheSeq and fits the policy.
 ///
 /// # Errors
 ///
@@ -117,137 +102,35 @@ pub fn run_infer(req: &InferRequest) -> Result<FitResult, NbError> {
     fit_policy(&mut cs, req.assoc, req.max_sequences, req.fit_seed)
 }
 
-/// Runs the inference against a persistent store: answers from the store
-/// when the identical request ran before, otherwise computes via
-/// [`run_infer`] and publishes the result. Undecodable stored payloads
-/// (corruption, a policy name a newer library no longer parses) recompute
-/// and overwrite — never an error.
-///
-/// # Errors
-///
-/// Propagates [`run_infer`] errors and store I/O failures.
-pub fn run_infer_stored(req: &InferRequest, store: &ResultStore) -> Result<FitResult, NbError> {
-    let key = req.store_key();
-    if let Some(fit) = store.get(&key).and_then(|b| fit_result_from_bytes(&b)) {
-        return Ok(fit);
-    }
-    let fit = run_infer(req)?;
-    store.insert(key, &fit_result_to_bytes(&fit))?;
-    Ok(fit)
-}
-
-/// Serializes a [`FitResult`] for the persistent store (version
-/// [`INFER_FORMAT_VERSION`]): sequence count, then the equivalence
-/// classes as length-prefixed lists of policy names — names rather than
-/// in-memory representations, so the payload survives representation
-/// changes and round-trips through [`PolicyKind::parse`].
-pub fn fit_result_to_bytes(fit: &FitResult) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&(fit.sequences_tested as u32).to_le_bytes());
-    out.extend_from_slice(&(fit.matching.len() as u32).to_le_bytes());
-    for class in &fit.matching {
-        out.extend_from_slice(&(class.len() as u32).to_le_bytes());
-        for kind in class {
-            let name = kind.name();
-            out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
-        }
-    }
-    out
-}
-
-/// Decodes a [`FitResult`] from its store encoding. Returns `None` for
-/// any malformed input, including policy names the current candidate
-/// library no longer parses — the caller then recomputes.
-pub fn fit_result_from_bytes(bytes: &[u8]) -> Option<FitResult> {
-    fn take<'a>(rest: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-        let (head, tail) = rest.split_at_checked(n)?;
-        *rest = tail;
-        Some(head)
-    }
-    fn take_u32(rest: &mut &[u8]) -> Option<usize> {
-        Some(u32::from_le_bytes(take(rest, 4)?.try_into().ok()?) as usize)
-    }
-    let mut rest = bytes;
-    let sequences_tested = take_u32(&mut rest)?;
-    let n_classes = take_u32(&mut rest)?;
-    let mut matching = Vec::with_capacity(n_classes.min(1024));
-    for _ in 0..n_classes {
-        let n_members = take_u32(&mut rest)?;
-        let mut class = Vec::with_capacity(n_members.min(1024));
-        for _ in 0..n_members {
-            let name_len = take_u32(&mut rest)?;
-            let name = std::str::from_utf8(take(&mut rest, name_len)?).ok()?;
-            class.push(PolicyKind::parse(name).ok()?);
-        }
-        matching.push(class);
-    }
-    rest.is_empty().then_some(FitResult {
-        matching,
-        sequences_tested,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy_fit::candidate_library;
-    use nanobench_cache::presets::cpu_by_microarch;
-    use nanobench_cache::L3PolicyConfig;
+    use nanobench_cache::presets::table1_cpus;
+    use nanobench_core::parallel_map;
 
     #[test]
-    fn fit_result_codec_round_trips_the_whole_library() {
-        let fit = FitResult {
-            matching: vec![candidate_library(8), vec![PolicyKind::Lru]],
-            sequences_tested: 42,
-        };
-        let bytes = fit_result_to_bytes(&fit);
-        let back = fit_result_from_bytes(&bytes).unwrap();
-        assert_eq!(back.sequences_tested, 42);
-        assert_eq!(back.matching, fit.matching);
-        assert!(fit_result_from_bytes(&bytes[..bytes.len() - 1]).is_none());
-        let mut extended = bytes;
-        extended.push(0);
-        assert!(fit_result_from_bytes(&extended).is_none());
-        assert!(fit_result_from_bytes(&[]).is_none());
-    }
-
-    #[test]
-    fn store_keys_separate_requests_and_cpus() {
-        let skylake = cpu_by_microarch("Skylake").unwrap();
-        let base = InferRequest::table1(&skylake, Level::L1, 5, skylake.l1_assoc);
-        assert_eq!(base.store_key(), base.clone().store_key());
-        let l2 = InferRequest::table1(&skylake, Level::L2, 21, skylake.l2_assoc);
-        assert_ne!(base.store_key(), l2.store_key());
-        let haswell = cpu_by_microarch("Haswell").unwrap();
-        let other_cpu = InferRequest::table1(&haswell, Level::L1, 5, haswell.l1_assoc);
-        assert_ne!(base.store_key().uarch, other_cpu.store_key().uarch);
-        // Changing only the ground-truth policy changes the uarch hash:
-        // warm results must never leak across policy configurations.
-        let mut lru_l3 = skylake.clone();
-        lru_l3.l3_policy = L3PolicyConfig::Uniform(PolicyKind::Lru);
-        let changed = InferRequest::table1(&lru_l3, Level::L1, 5, lru_l3.l1_assoc);
-        assert_ne!(base.store_key().uarch, changed.store_key().uarch);
-        let mut reseeded = base.clone();
-        reseeded.fit_seed = 22;
-        assert_ne!(base.store_key(), reseeded.store_key());
-    }
-
-    #[test]
-    fn stored_inference_matches_cold_and_hits_on_rerun() {
-        let path = std::env::temp_dir().join(format!("nbstore-infer-{}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let store = ResultStore::open(&path).unwrap();
-        let cpu = cpu_by_microarch("Skylake").unwrap();
-        let req = InferRequest::table1(&cpu, Level::L1, 5, cpu.l1_assoc);
-        let cold = run_infer(&req).unwrap();
-        let first = run_infer_stored(&req, &store).unwrap();
-        assert_eq!(first.matching, cold.matching);
-        assert_eq!(first.sequences_tested, cold.sequences_tested);
-        let warm = run_infer_stored(&req, &store).unwrap();
-        assert_eq!(warm.matching, cold.matching);
-        let stats = store.stats();
-        assert_eq!((stats.hits, stats.inserts), (1, 1));
-        let _ = std::fs::remove_file(&path);
+    fn table1_inference_recovers_every_policy() {
+        // §VI-C1 / Table I: all ten CPUs × three levels, each inference
+        // uniquely recovering the configured ground truth.
+        let jobs: Vec<(InferRequest, PolicyKind)> = table1_cpus()
+            .iter()
+            .flat_map(InferRequest::table1_row)
+            .collect();
+        assert_eq!(jobs.len(), 30);
+        let fits = parallel_map(0, &jobs, |(req, _), _| run_infer(req)).unwrap();
+        let failures: Vec<String> = jobs
+            .iter()
+            .zip(&fits)
+            .filter(|((_, expected), fit)| !(fit.is_unique() && fit.contains(expected)))
+            .map(|((req, expected), fit)| {
+                format!(
+                    "{} {:?}: expected {expected}, got {}",
+                    req.cpu.microarch,
+                    req.level,
+                    fit.summary()
+                )
+            })
+            .collect();
+        assert!(failures.is_empty(), "{failures:#?}");
     }
 }

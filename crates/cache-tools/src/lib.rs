@@ -15,9 +15,8 @@
 //!   (§VI-C2, Figure 1);
 //! * [`dueling`] — detection of the dedicated leader sets of adaptive
 //!   caches, including per-C-Box differences (§VI-C3);
-//! * [`infer`] — store-aware inference entry points: the same
-//!   policy-fitting runs, answered from a persistent result store when an
-//!   identical request has run before.
+//! * [`infer`] — self-contained policy-inference jobs for sweeps such as
+//!   Table I, including each CPU's Table I row and its expected policies.
 
 #![warn(missing_docs)]
 
@@ -33,6 +32,6 @@ pub use addresses::{build_pool, AddrPool, Level};
 pub use age_graph::{age_graph, AgeGraph};
 pub use cacheseq::{AccessSeq, CacheSeq, SeqItem};
 pub use dueling::{find_dedicated_sets, find_dedicated_sets_on, DuelingReport, SliceReport};
-pub use infer::{run_infer, run_infer_stored, InferRequest, INFER_FORMAT_VERSION};
+pub use infer::{run_infer, InferRequest};
 pub use perm_infer::{infer_permutation_policy, PermInferResult};
 pub use policy_fit::{candidate_library, equivalence_classes, fit_policy, FitResult};

@@ -146,53 +146,6 @@ impl CpuSpec {
         }
     }
 
-    /// Feeds a stable description of this CPU's cache geometry and
-    /// ground-truth policies into `h`, for deriving persistent-store keys:
-    /// two `CpuSpec`s hash alike exactly when they configure the same
-    /// simulated hierarchy. Policies are hashed by their Table I names
-    /// (which round-trip through [`PolicyKind::parse`]), so the hash does
-    /// not depend on in-memory representation details.
-    pub fn hash_config<H: std::hash::Hasher>(&self, h: &mut H) {
-        use std::hash::Hash;
-        self.model.hash(h);
-        self.microarch.hash(h);
-        self.generation.hash(h);
-        self.l1_size.hash(h);
-        self.l1_assoc.hash(h);
-        self.l1_policy.name().hash(h);
-        self.l2_size.hash(h);
-        self.l2_assoc.hash(h);
-        self.l2_policy.name().hash(h);
-        self.l3_size.hash(h);
-        self.l3_assoc.hash(h);
-        self.l3_slices.hash(h);
-        match &self.l3_policy {
-            L3PolicyConfig::Uniform(kind) => {
-                0u8.hash(h);
-                kind.name().hash(h);
-            }
-            L3PolicyConfig::Adaptive {
-                policy_a,
-                policy_b,
-                leaders,
-            } => {
-                1u8.hash(h);
-                policy_a.name().hash(h);
-                policy_b.name().hash(h);
-                leaders.len().hash(h);
-                for slice in leaders {
-                    for ranges in [&slice.a, &slice.b] {
-                        ranges.len().hash(h);
-                        for r in ranges {
-                            r.start.hash(h);
-                            r.end.hash(h);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// The (L1, L2, L3) policy names as Table I reports them; adaptive L3s
     /// are reported as `"adaptive(<A>, <B>)"`.
     pub fn expected_policies(&self) -> (String, String, String) {

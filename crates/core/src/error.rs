@@ -35,8 +35,6 @@ pub enum NbError {
     /// The spec-level lint gate rejected the benchmark ([`crate::Session`]
     /// with a `Deny` gate): the error-severity diagnostics, in order.
     Lint(Vec<Diagnostic>),
-    /// The persistent result store failed (I/O error, foreign file).
-    Store(String),
 }
 
 impl fmt::Display for NbError {
@@ -58,7 +56,6 @@ impl fmt::Display for NbError {
                 }
                 Ok(())
             }
-            NbError::Store(s) => write!(f, "result store: {s}"),
         }
     }
 }
@@ -74,17 +71,7 @@ impl Error for NbError {
             NbError::InvalidOption(_) => None,
             NbError::OptionAt { .. } => None,
             NbError::Lint(_) => None,
-            NbError::Store(_) => None,
         }
-    }
-}
-
-impl From<nanobench_store::StoreError> for NbError {
-    // `StoreError` wraps `std::io::Error`, which is neither `Clone` nor
-    // `PartialEq`; `NbError` is both, so the store error flattens to its
-    // message here.
-    fn from(e: nanobench_store::StoreError) -> NbError {
-        NbError::Store(e.to_string())
     }
 }
 

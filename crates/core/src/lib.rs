@@ -54,6 +54,6 @@ pub mod shell;
 
 pub use error::NbError;
 pub use nanobench::NanoBench;
-pub use result::{BenchmarkResult, RESULT_FORMAT_VERSION};
+pub use result::BenchmarkResult;
 pub use runner::Aggregate;
 pub use session::{auto_workers, parallel_map, BenchSpec, Campaign, LintGate, Session, NB_SEED};

@@ -6,13 +6,6 @@ use std::fmt;
 pub const FIXED_COUNTER_NAMES: [&str; 3] =
     ["Instructions retired", "Core cycles", "Reference cycles"];
 
-/// Version of [`BenchmarkResult`]'s persistent-store encoding
-/// ([`BenchmarkResult::to_store_bytes`]). Bump it whenever the encoding
-/// *or the meaning of the encoded values* changes; stored records written
-/// under older versions are then never consulted again and their jobs
-/// recompute.
-pub const RESULT_FORMAT_VERSION: u32 = 1;
-
 /// The result of one benchmark: per-event values, normalized per code
 /// repetition.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,44 +42,6 @@ impl BenchmarkResult {
     pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> {
         self.entries.iter().map(|(n, v)| (n.as_str(), *v))
     }
-
-    /// Serializes the result for the persistent store (version
-    /// [`RESULT_FORMAT_VERSION`]): entry count, then per entry the
-    /// length-prefixed name and the value's IEEE-754 bits, all
-    /// little-endian. Bit-exact: `from_store_bytes(to_store_bytes(r))`
-    /// compares equal to `r` even for NaN-free float edge cases like
-    /// negative zero.
-    pub fn to_store_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        for (name, value) in &self.entries {
-            out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
-            out.extend_from_slice(&value.to_bits().to_le_bytes());
-        }
-        out
-    }
-
-    /// Decodes a result from its store encoding. Returns `None` for any
-    /// malformed input (a stale or corrupt payload means the job
-    /// recomputes — it is never an error).
-    pub fn from_store_bytes(bytes: &[u8]) -> Option<BenchmarkResult> {
-        let mut rest = bytes;
-        let mut take = |n: usize| -> Option<&[u8]> {
-            let (head, tail) = rest.split_at_checked(n)?;
-            rest = tail;
-            Some(head)
-        };
-        let count = u32::from_le_bytes(take(4)?.try_into().ok()?) as usize;
-        let mut entries = Vec::with_capacity(count.min(1024));
-        for _ in 0..count {
-            let name_len = u32::from_le_bytes(take(4)?.try_into().ok()?) as usize;
-            let name = std::str::from_utf8(take(name_len)?).ok()?.to_string();
-            let value = f64::from_bits(u64::from_le_bytes(take(8)?.try_into().ok()?));
-            entries.push((name, value));
-        }
-        rest.is_empty().then(|| BenchmarkResult::new(entries))
-    }
 }
 
 impl fmt::Display for BenchmarkResult {
@@ -121,45 +76,5 @@ mod tests {
         assert!(text.contains("MEM_LOAD_RETIRED.L1_HIT: 1.00"));
         assert_eq!(r.core_cycles(), Some(4.0));
         assert_eq!(r.get("nope"), None);
-    }
-
-    #[test]
-    fn store_codec_round_trips_bit_exactly() {
-        let r = BenchmarkResult::new(vec![
-            ("Instructions retired".to_string(), 1.0),
-            ("Core cycles".to_string(), -0.0),
-            ("MEM_LOAD_RETIRED.L1_HIT".to_string(), 0.1 + 0.2),
-            (String::new(), f64::MAX),
-        ]);
-        let bytes = r.to_store_bytes();
-        let back = BenchmarkResult::from_store_bytes(&bytes).unwrap();
-        assert_eq!(back, r);
-        // Bit-exactness beyond PartialEq: -0.0 stays -0.0.
-        assert_eq!(back.entries()[1].1.to_bits(), (-0.0f64).to_bits());
-        let empty = BenchmarkResult::new(Vec::new());
-        assert_eq!(
-            BenchmarkResult::from_store_bytes(&empty.to_store_bytes()),
-            Some(empty)
-        );
-    }
-
-    #[test]
-    fn store_codec_rejects_malformed_payloads() {
-        let r = BenchmarkResult::new(vec![("Core cycles".to_string(), 4.0)]);
-        let bytes = r.to_store_bytes();
-        assert!(BenchmarkResult::from_store_bytes(&[]).is_none());
-        assert!(
-            BenchmarkResult::from_store_bytes(&bytes[..bytes.len() - 1]).is_none(),
-            "truncated"
-        );
-        let mut extended = bytes.clone();
-        extended.push(0);
-        assert!(
-            BenchmarkResult::from_store_bytes(&extended).is_none(),
-            "trailing garbage"
-        );
-        let mut bad_utf8 = bytes;
-        bad_utf8[8] = 0xFF;
-        assert!(BenchmarkResult::from_store_bytes(&bad_utf8).is_none());
     }
 }

@@ -22,7 +22,7 @@
 
 use crate::codegen::{self, Arenas, CodegenRequest, ARENA_REGS, ARENA_SIZE, NO_MEM_ACC_REGS};
 use crate::error::NbError;
-use crate::result::{BenchmarkResult, FIXED_COUNTER_NAMES, RESULT_FORMAT_VERSION};
+use crate::result::{BenchmarkResult, FIXED_COUNTER_NAMES};
 use crate::runner::{measure, user_syscall_stub, Aggregate};
 use nanobench_analysis::{
     analyze_corunner, analyze_spec, has_errors, AnalysisEnv, Diagnostic, Severity,
@@ -30,7 +30,6 @@ use nanobench_analysis::{
 use nanobench_cache::hierarchy::CoherenceViolation;
 use nanobench_machine::{Machine, Mode};
 use nanobench_pmu::{parse_config, PerfEvent};
-use nanobench_store::{Fnv1a, ResultStore, StoreKey, StoreStats};
 use nanobench_uarch::plan::DecodedProgram;
 use nanobench_uarch::port::MicroArch;
 use nanobench_x86::asm::parse_asm;
@@ -38,8 +37,6 @@ use nanobench_x86::encode::decode_program;
 use nanobench_x86::inst::Instruction;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::path::Path;
-use std::sync::Arc;
 
 /// Deterministic default machine seed ("NB").
 pub const NB_SEED: u64 = 0x4E42;
@@ -406,32 +403,6 @@ impl BenchSpec {
     pub fn corunner(&mut self, program: Vec<Instruction>) -> &mut BenchSpec {
         self.corunners.push(program);
         self
-    }
-
-    /// Stable content hash of the spec — every field the measurement
-    /// computes *from* (code, init, events, loop/unroll/measurement
-    /// settings, co-runners). This is the `spec` component of a
-    /// [`StoreKey`]; two specs hash equal exactly when they describe the
-    /// same benchmark, independent of process, thread, or Rust version
-    /// (the hash is [`Fnv1a`], not `DefaultHasher`).
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        self.init.hash(&mut h);
-        self.code.hash(&mut h);
-        self.events.len().hash(&mut h);
-        for event in &self.events {
-            event.code.hash(&mut h);
-            event.name.hash(&mut h);
-        }
-        self.loop_count.hash(&mut h);
-        self.unroll_count.hash(&mut h);
-        self.n_measurements.hash(&mut h);
-        self.warm_up_count.hash(&mut h);
-        (self.aggregate as u8).hash(&mut h);
-        self.no_mem.hash(&mut h);
-        self.basic_mode.hash(&mut h);
-        self.corunners.hash(&mut h);
-        h.finish()
     }
 }
 
@@ -824,14 +795,6 @@ impl Session {
 /// `base_seed ^ j`, whatever worker picks it up — so the output is
 /// byte-identical for 1, 2 or N workers, and identical to running every
 /// job sequentially on fresh sessions with those seeds.
-///
-/// With a persistent store attached ([`Campaign::with_store`]),
-/// [`Campaign::run_all`] consults the store before simulating each job
-/// and publishes every computed result on completion — so a re-run only
-/// executes new or changed specs, and an interrupted campaign resumes
-/// from whatever finished. Stored results are the byte-exact results of
-/// the original computation, so store-backed output stays bit-identical
-/// to a cold run for any worker count.
 #[derive(Debug, Clone)]
 pub struct Campaign {
     uarch: MicroArch,
@@ -839,7 +802,6 @@ pub struct Campaign {
     workers: usize,
     base_seed: u64,
     cores: usize,
-    store: Option<Arc<ResultStore>>,
     lint: LintGate,
 }
 
@@ -853,7 +815,6 @@ impl Campaign {
             workers: 0,
             base_seed: NB_SEED,
             cores: 1,
-            store: None,
             lint: LintGate::default(),
         }
     }
@@ -898,61 +859,9 @@ impl Campaign {
         self
     }
 
-    /// Attaches a persistent result store at `path` (created on first
-    /// use): [`Campaign::run_all`] then answers repeat jobs from the store
-    /// instead of re-simulating them. See [`Campaign::store`] to share one
-    /// open store across several campaigns.
-    ///
-    /// # Errors
-    ///
-    /// [`NbError::Store`] if the store cannot be opened.
-    pub fn with_store(self, path: impl AsRef<Path>) -> Result<Campaign, NbError> {
-        Ok(self.store(Arc::new(ResultStore::open(path)?)))
-    }
-
-    /// Attaches an already-open persistent result store.
-    pub fn store(mut self, store: Arc<ResultStore>) -> Campaign {
-        self.store = Some(store);
-        self
-    }
-
-    /// The attached result store, if any.
-    pub fn store_handle(&self) -> Option<&Arc<ResultStore>> {
-        self.store.as_ref()
-    }
-
-    /// Hit/miss/insert counters of the attached store (mirroring
-    /// [`Session::plan_cache_stats`] one layer up); `None` without a
-    /// store. A hit means a whole job was answered without simulating.
-    pub fn store_stats(&self) -> Option<StoreStats> {
-        self.store.as_ref().map(|s| s.stats())
-    }
-
     /// The microarchitecture the campaign's sessions simulate.
     pub fn uarch(&self) -> MicroArch {
         self.uarch
-    }
-
-    /// The base seed; job *j* runs with seed `base_seed ^ j`.
-    pub fn seed(&self) -> u64 {
-        self.base_seed
-    }
-
-    /// Stable fingerprint of the machine configuration every job runs on:
-    /// microarchitecture, privilege mode, and simulated core count. This
-    /// is the `uarch` component of the [`StoreKey`]s `run_all` derives;
-    /// tools running their own jobs against campaign-style machines can
-    /// reuse it for their keys.
-    pub fn machine_fingerprint(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        self.uarch.name().hash(&mut h);
-        match self.mode {
-            Mode::Kernel => 0u8,
-            Mode::User => 1u8,
-        }
-        .hash(&mut h);
-        self.cores.hash(&mut h);
-        h.finish()
     }
 
     /// The effective worker count for `n_jobs` jobs. Unspecified (or 0)
@@ -967,39 +876,14 @@ impl Campaign {
         w.clamp(1, n_jobs.max(1))
     }
 
-    /// Runs every spec and returns the results in spec order. With a
-    /// store attached, each job first consults the store under the key
-    /// `(spec fingerprint, machine fingerprint, job seed, result-format
-    /// version)` and only simulates on a miss, publishing the result for
-    /// future runs; undecodable stored payloads (corruption, stale
-    /// encodings) are recomputed and overwritten, never an error.
+    /// Runs every spec and returns the results in spec order.
     ///
     /// # Errors
     ///
     /// Returns the error of the lowest-indexed failing job (deterministic
     /// regardless of worker count).
     pub fn run_all(&self, specs: &[BenchSpec]) -> Result<Vec<BenchmarkResult>, NbError> {
-        let Some(store) = &self.store else {
-            return self.run_map(specs, |session, spec, _| session.run(spec));
-        };
-        let machine_fp = self.machine_fingerprint();
-        self.run_map(specs, |session, spec, j| {
-            let key = StoreKey {
-                spec: spec.fingerprint(),
-                uarch: machine_fp,
-                seed: self.base_seed ^ j as u64,
-                version: RESULT_FORMAT_VERSION,
-            };
-            if let Some(result) = store
-                .get(&key)
-                .and_then(|b| BenchmarkResult::from_store_bytes(&b))
-            {
-                return Ok(result);
-            }
-            let result = session.run(spec)?;
-            store.insert(key, &result.to_store_bytes())?;
-            Ok(result)
-        })
+        self.run_map(specs, |session, spec, _| session.run(spec))
     }
 
     /// Runs an arbitrary session-based job for every element of `jobs`,
@@ -1194,67 +1078,6 @@ mod tests {
         assert_eq!(campaign.effective_workers(1024), auto.min(1024));
         assert_eq!(campaign.effective_workers(1), 1);
         assert_eq!(campaign.clone().workers(3).effective_workers(1024), 3);
-    }
-
-    #[test]
-    fn store_backed_campaign_matches_cold_run_and_counts_hits() {
-        let path = std::env::temp_dir().join(format!("nbstore-session-{}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let mut specs = Vec::new();
-        for chain in ["add rax, rax", "imul rax, rax", "mov rax, rax"] {
-            let mut spec = nop_spec();
-            spec.asm(chain).unwrap();
-            specs.push(spec);
-        }
-        let cold = Campaign::kernel(MicroArch::Skylake)
-            .workers(2)
-            .run_all(&specs)
-            .unwrap();
-
-        let campaign = Campaign::kernel(MicroArch::Skylake)
-            .workers(2)
-            .with_store(&path)
-            .unwrap();
-        let first = campaign.run_all(&specs).unwrap();
-        assert_eq!(first, cold);
-        let stats = campaign.store_stats().unwrap();
-        assert_eq!((stats.hits, stats.inserts), (0, 3));
-
-        // Re-open the store from disk: every job is answered without
-        // simulating, bit-identical, for a different worker count too.
-        let warm_campaign = Campaign::kernel(MicroArch::Skylake)
-            .workers(1)
-            .with_store(&path)
-            .unwrap();
-        let warm = warm_campaign.run_all(&specs).unwrap();
-        assert_eq!(warm, cold);
-        let stats = warm_campaign.store_stats().unwrap();
-        assert_eq!((stats.hits, stats.misses, stats.inserts), (3, 0, 0));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn store_keys_separate_machine_configurations() {
-        let kernel = Campaign::kernel(MicroArch::Skylake);
-        assert_ne!(
-            kernel.machine_fingerprint(),
-            Campaign::user(MicroArch::Skylake).machine_fingerprint()
-        );
-        assert_ne!(
-            kernel.machine_fingerprint(),
-            Campaign::kernel(MicroArch::IvyBridge).machine_fingerprint()
-        );
-        assert_ne!(
-            kernel.machine_fingerprint(),
-            Campaign::kernel(MicroArch::Skylake)
-                .cores(2)
-                .machine_fingerprint()
-        );
-        let a = nop_spec();
-        let mut b = nop_spec();
-        b.asm("imul rax, rax").unwrap();
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        assert_eq!(a.fingerprint(), nop_spec().fingerprint());
     }
 
     #[test]

@@ -85,83 +85,6 @@ fn campaign_worker_count_does_not_change_results() {
 }
 
 #[test]
-fn store_backed_campaign_is_bit_identical_for_any_worker_count() {
-    // The store pin of the campaign contract: cold store-backed runs,
-    // warm store-backed re-runs (fresh handle over the same log), and
-    // store-less runs must all be bit-identical, for every worker count,
-    // in both modes.
-    let specs = campaign_specs();
-    let path = std::env::temp_dir().join(format!("nbstore-det-{}", std::process::id()));
-    for mode in ["kernel", "user"] {
-        let _ = std::fs::remove_file(&path);
-        let base = |workers: usize| {
-            let c = if mode == "kernel" {
-                Campaign::kernel(MicroArch::Skylake)
-            } else {
-                Campaign::user(MicroArch::Skylake)
-            };
-            c.workers(workers)
-        };
-        let cold_plain = base(1).run_all(&specs).unwrap();
-        for workers in [1usize, 2, 8] {
-            let campaign = base(workers).with_store(&path).unwrap();
-            assert_eq!(
-                campaign.run_all(&specs).unwrap(),
-                cold_plain,
-                "{mode}: store-backed, {workers} workers"
-            );
-        }
-        // After the first pass every job is stored: a fresh handle must
-        // answer all jobs from disk and still match bit-exactly.
-        let warm = base(2).with_store(&path).unwrap();
-        assert_eq!(warm.run_all(&specs).unwrap(), cold_plain, "{mode}: warm");
-        let stats = warm.store_stats().unwrap();
-        assert_eq!(stats.hits as usize, specs.len(), "{mode}: all jobs hit");
-        assert_eq!(stats.inserts, 0, "{mode}: nothing recomputed");
-    }
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn interrupted_campaign_resumes_from_partial_store() {
-    // Simulate an interrupted campaign: only a subset of jobs made it
-    // into the store. A re-run must compute exactly the missing jobs and
-    // still produce bit-identical output.
-    let specs = campaign_specs();
-    let path = std::env::temp_dir().join(format!("nbstore-resume-{}", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let cold = Campaign::kernel(MicroArch::Skylake)
-        .workers(2)
-        .run_all(&specs)
-        .unwrap();
-
-    // First pass over a prefix of the batch, as if the campaign died
-    // after three jobs (job seeds are position-based, so a prefix of the
-    // spec list stores the same records the full batch would).
-    let partial = Campaign::kernel(MicroArch::Skylake)
-        .workers(1)
-        .with_store(&path)
-        .unwrap();
-    let prefix = partial.run_all(&specs[..3]).unwrap();
-    assert_eq!(prefix, cold[..3], "prefix results match the full cold run");
-    drop(partial);
-
-    let resumed = Campaign::kernel(MicroArch::Skylake)
-        .workers(2)
-        .with_store(&path)
-        .unwrap();
-    assert_eq!(resumed.run_all(&specs).unwrap(), cold, "resumed output");
-    let stats = resumed.store_stats().unwrap();
-    assert_eq!(stats.hits, 3, "the three stored jobs are not recomputed");
-    assert_eq!(
-        stats.inserts as usize,
-        specs.len() - 3,
-        "only the missing jobs are computed and published"
-    );
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
 fn campaign_base_seed_flows_into_jobs() {
     let specs = campaign_specs();
     let seeded = Campaign::kernel(MicroArch::Skylake)

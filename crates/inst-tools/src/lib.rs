@@ -17,7 +17,4 @@ pub use measure::{
     measure_instruction, measure_instruction_on, measure_instruction_via_bytes_on, InstMeasurement,
     InstSpec,
 };
-pub use table::{
-    benchmark_suite, render_table, run_suite, run_suite_stored, run_suite_with, to_json, TableRow,
-    TABLE_FORMAT_VERSION,
-};
+pub use table::{benchmark_suite, render_table, run_suite, run_suite_with, to_json, TableRow};

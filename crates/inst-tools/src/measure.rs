@@ -73,21 +73,6 @@ impl InstSpec {
         self.throughput_init = init.to_string();
         self
     }
-
-    /// Stable fingerprint of everything the measurement computes from,
-    /// for persistent-store keys: two specs hash alike exactly when they
-    /// generate the same microbenchmarks.
-    pub fn fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = nanobench_store::Fnv1a::new();
-        self.name.hash(&mut h);
-        self.latency_asm.hash(&mut h);
-        self.latency_init.hash(&mut h);
-        self.throughput_asm.hash(&mut h);
-        self.throughput_init.hash(&mut h);
-        self.throughput_copies.hash(&mut h);
-        h.finish()
-    }
 }
 
 /// The measured characteristics of one instruction variant.

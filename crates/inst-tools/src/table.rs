@@ -4,14 +4,8 @@
 
 use crate::measure::{measure_instruction_on, InstMeasurement, InstSpec};
 use nanobench_core::{Campaign, NbError};
-use nanobench_store::{ResultStore, StoreKey};
 use nanobench_uarch::port::MicroArch;
 use serde::Serialize;
-
-/// Version of [`TableRow`]'s persistent-store encoding
-/// ([`TableRow::to_store_bytes`]). Bump whenever the encoding or the
-/// measurement semantics behind the stored values change.
-pub const TABLE_FORMAT_VERSION: u32 = 1;
 
 /// One row of the instruction table.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,67 +33,6 @@ impl Serialize for TableRow {
             ("uops".to_owned(), self.uops.to_value()),
             ("ports".to_owned(), self.ports.to_value()),
         ])
-    }
-}
-
-impl TableRow {
-    /// Serializes the row for the persistent store (version
-    /// [`TABLE_FORMAT_VERSION`]): length-prefixed strings and IEEE-754
-    /// bits, all little-endian, bit-exact on round trip.
-    pub fn to_store_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        let put_str = |out: &mut Vec<u8>, s: &str| {
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        };
-        put_str(&mut out, &self.name);
-        match self.latency {
-            Some(l) => {
-                out.push(1);
-                out.extend_from_slice(&l.to_bits().to_le_bytes());
-            }
-            None => out.push(0),
-        }
-        out.extend_from_slice(&self.throughput.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.uops.to_bits().to_le_bytes());
-        put_str(&mut out, &self.ports);
-        out
-    }
-
-    /// Decodes a row from its store encoding; `None` for any malformed
-    /// input (the caller then re-measures).
-    pub fn from_store_bytes(bytes: &[u8]) -> Option<TableRow> {
-        fn take<'a>(rest: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-            let (head, tail) = rest.split_at_checked(n)?;
-            *rest = tail;
-            Some(head)
-        }
-        fn take_f64(rest: &mut &[u8]) -> Option<f64> {
-            Some(f64::from_bits(u64::from_le_bytes(
-                take(rest, 8)?.try_into().ok()?,
-            )))
-        }
-        fn take_str(rest: &mut &[u8]) -> Option<String> {
-            let len = u32::from_le_bytes(take(rest, 4)?.try_into().ok()?) as usize;
-            Some(std::str::from_utf8(take(rest, len)?).ok()?.to_string())
-        }
-        let mut rest = bytes;
-        let name = take_str(&mut rest)?;
-        let latency = match take(&mut rest, 1)?[0] {
-            0 => None,
-            1 => Some(take_f64(&mut rest)?),
-            _ => return None,
-        };
-        let throughput = take_f64(&mut rest)?;
-        let uops = take_f64(&mut rest)?;
-        let ports = take_str(&mut rest)?;
-        rest.is_empty().then_some(TableRow {
-            name,
-            latency,
-            throughput,
-            uops,
-            ports,
-        })
     }
 }
 
@@ -372,39 +305,6 @@ pub fn run_suite_with(campaign: &Campaign) -> Result<Vec<TableRow>, NbError> {
     })
 }
 
-/// Runs the suite through a campaign backed by a persistent store: each
-/// variant is keyed by its [`InstSpec::fingerprint`], the campaign's
-/// machine fingerprint, the variant's job seed and
-/// [`TABLE_FORMAT_VERSION`]; variants whose identical measurement ran
-/// before are answered from the store without simulating, and fresh
-/// measurements are published for future runs. Output is bit-identical to
-/// [`run_suite_with`] on the same campaign.
-///
-/// # Errors
-///
-/// Propagates measurement errors and store I/O failures.
-pub fn run_suite_stored(
-    campaign: &Campaign,
-    store: &ResultStore,
-) -> Result<Vec<TableRow>, NbError> {
-    let suite = benchmark_suite();
-    let machine_fp = campaign.machine_fingerprint();
-    campaign.run_map(&suite, |session, spec, j| {
-        let key = StoreKey {
-            spec: spec.fingerprint(),
-            uarch: machine_fp,
-            seed: campaign.seed() ^ j as u64,
-            version: TABLE_FORMAT_VERSION,
-        };
-        if let Some(row) = store.get(&key).and_then(|b| TableRow::from_store_bytes(&b)) {
-            return Ok(row);
-        }
-        let row = measure_instruction_on(session, spec).map(TableRow::from)?;
-        store.insert(key, &row.to_store_bytes())?;
-        Ok(row)
-    })
-}
-
 /// Renders rows as an aligned text table.
 pub fn render_table(uarch: MicroArch, rows: &[TableRow]) -> String {
     let mut out = format!(
@@ -471,52 +371,25 @@ mod tests {
     }
 
     #[test]
-    fn store_codec_round_trips_rows() {
-        for latency in [Some(4.5), None, Some(-0.0)] {
-            let row = TableRow {
-                name: "MULPS (xmm, xmm)".to_string(),
-                latency,
-                throughput: 0.5,
-                uops: 1.0,
-                ports: "1.00*p01".to_string(),
-            };
-            let bytes = row.to_store_bytes();
-            assert_eq!(TableRow::from_store_bytes(&bytes), Some(row));
-            assert!(TableRow::from_store_bytes(&bytes[..bytes.len() - 1]).is_none());
-            let mut extended = bytes;
-            extended.push(0);
-            assert!(TableRow::from_store_bytes(&extended).is_none());
-        }
-        assert!(TableRow::from_store_bytes(&[]).is_none());
-        // Suite fingerprints must be unique, or store keys would collide.
+    fn full_suite_runs_in_suite_order() {
+        // One cold pass over every variant on one campaign: a row per
+        // suite entry, in suite order, with the latencies e5 asserts.
         let suite = benchmark_suite();
-        let mut fps: Vec<u64> = suite.iter().map(InstSpec::fingerprint).collect();
-        fps.sort_unstable();
-        fps.dedup();
-        assert_eq!(fps.len(), suite.len());
-    }
-
-    #[test]
-    fn stored_suite_matches_unstored_and_hits_on_rerun() {
-        let path = std::env::temp_dir().join(format!("nbstore-table-{}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let store = ResultStore::open(&path).unwrap();
-        let campaign = Campaign::kernel(MicroArch::Skylake);
-        let cold = run_suite_with(&campaign).unwrap();
-        let first = run_suite_stored(&campaign, &store).unwrap();
-        assert_eq!(first, cold);
-        let warm = run_suite_stored(&campaign, &store).unwrap();
-        assert_eq!(warm, cold);
-        let stats = store.stats();
-        assert_eq!(stats.hits as usize, cold.len());
-        assert_eq!(stats.inserts as usize, cold.len());
-        let _ = std::fs::remove_file(&path);
+        let rows = run_suite_with(&Campaign::kernel(MicroArch::Skylake)).unwrap();
+        let names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
+        let expected: Vec<&str> = suite.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, expected);
+        let latency = |name: &str| rows.iter().find(|r| r.name == name).unwrap().latency;
+        assert_eq!(latency("ADD (r64, r64)"), Some(1.0));
+        assert_eq!(latency("IMUL (r64, r64)"), Some(3.0));
+        assert_eq!(latency("MOV load (r64, m64)"), Some(4.0));
+        assert_eq!(latency("MULPS (xmm, xmm)"), Some(4.0));
     }
 
     #[test]
     fn a_few_suite_entries_measure_correctly() {
-        // Full-suite runs live in the e5 bench binary; spot-check the
-        // pipeline with three entries here.
+        // Spot-check throughput and port usage of three entries, each
+        // measured on a fresh machine outside any campaign.
         let suite = benchmark_suite();
         let spot: Vec<&InstSpec> = suite
             .iter()

@@ -16,6 +16,5 @@ pub use nanobench_core as nb;
 pub use nanobench_inst_tools as inst_tools;
 pub use nanobench_machine as machine;
 pub use nanobench_pmu as pmu;
-pub use nanobench_store as store;
 pub use nanobench_uarch as uarch;
 pub use nanobench_x86 as x86;
