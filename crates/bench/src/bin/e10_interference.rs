@@ -8,7 +8,8 @@
 //! 1. **L3 occupancy:** a pointer chase over a 512 KB working set (fits
 //!    the 4 MB Skylake L3, exceeds the 256 KB L2) is measured on core 0
 //!    while 0–3 co-runner cores loop a throttled streaming kernel over
-//!    private 4 MB buffers. Every streamed fill can evict a chase line —
+//!    private 16 MB buffers (the stride-4 walk touches 4 MB of lines in
+//!    each). Every streamed fill can evict a chase line —
 //!    and, the L3 being inclusive, back-invalidate core 0's private
 //!    copies — so the measured cycles-per-load must *grow with the
 //!    co-runner count*.

@@ -113,7 +113,6 @@ fn drive(machine: &mut Machine, base: u64) -> Vec<u64> {
     for _ in 0..3 {
         let stats = machine.run_plan(&plan).unwrap();
         observed.push(stats.instructions);
-        observed.push(stats.uops);
         observed.push(stats.cycles);
         observed.push(stats.end_cycle);
     }
@@ -256,12 +255,7 @@ fn multicore_machine_reset_equals_fresh_machine() {
             let stats = machine
                 .run_plan_with_corunners(&chase, &[&store, &stream])
                 .unwrap();
-            observed.extend([
-                stats.instructions,
-                stats.uops,
-                stats.cycles,
-                stats.end_cycle,
-            ]);
+            observed.extend([stats.instructions, stats.cycles, stats.end_cycle]);
         }
         observed.push(machine.cycle_of(1));
         observed.push(machine.cycle_of(2));

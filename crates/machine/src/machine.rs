@@ -146,6 +146,27 @@ impl Env {
         self.translate_mut(vaddr)
             .ok_or(CpuFault::PageFault { vaddr })
     }
+
+    /// Delivers the interrupt due at `cycle`: the rare half of
+    /// [`Bus::poll_interrupt`], kept out of line so that the poll every
+    /// instruction pays stays three compares wherever the engine inlines
+    /// it.
+    #[cold]
+    #[inline(never)]
+    fn take_interrupt(&mut self, cycle: u64) -> InterruptEvent {
+        self.next_interrupt = cycle + INTERRUPT_MEAN / 2 + self.rng.gen_range(0..INTERRUPT_MEAN);
+        // The handler touches memory, perturbing the cache state the
+        // benchmark's init phase may have established (§I, §IV-A2).
+        for _ in 0..16 {
+            let addr = (self.rng.gen_range(0u64..1 << 20)) * 64;
+            self.hierarchy.access(addr);
+        }
+        InterruptEvent {
+            cycles: 2_000 + self.rng.gen_range(0..4_000),
+            instructions: 500 + self.rng.gen_range(0..1_500),
+            uops: 700 + self.rng.gen_range(0..2_000),
+        }
+    }
 }
 
 impl Bus for Env {
@@ -255,6 +276,7 @@ impl Bus for Env {
         }
     }
 
+    #[inline(always)]
     fn poll_interrupt(&mut self, cycle: u64) -> Option<InterruptEvent> {
         // Only the measured core takes interrupts: delivering the shared
         // random stream to co-runner cores would make the measured core's
@@ -263,18 +285,7 @@ impl Bus for Env {
         if self.current_core != 0 || !self.interrupts_enabled || cycle < self.next_interrupt {
             return None;
         }
-        self.next_interrupt = cycle + INTERRUPT_MEAN / 2 + self.rng.gen_range(0..INTERRUPT_MEAN);
-        // The handler touches memory, perturbing the cache state the
-        // benchmark's init phase may have established (§I, §IV-A2).
-        for _ in 0..16 {
-            let addr = (self.rng.gen_range(0u64..1 << 20)) * 64;
-            self.hierarchy.access(addr);
-        }
-        Some(InterruptEvent {
-            cycles: 2_000 + self.rng.gen_range(0..4_000),
-            instructions: 500 + self.rng.gen_range(0..1_500),
-            uops: 700 + self.rng.gen_range(0..2_000),
-        })
+        Some(self.take_interrupt(cycle))
     }
 
     fn set_interrupt_flag(&mut self, enabled: bool) {
@@ -308,6 +319,27 @@ struct Core {
 /// core 0's salt is 0, so a 1-core machine replays the historical stream.
 fn engine_seed(seed: u64, core: usize) -> u64 {
     seed ^ 0xE ^ ((core as u64) << 32)
+}
+
+/// One scan of the co-runner schedule: the runnable core with the
+/// smallest `(now, index)` key, and the cycle its turn ends at — the first
+/// of its own cycles at which its key is no longer below the runner-up's
+/// (the runner-up's clock, plus one if the chosen core has the lower
+/// index and so wins a tie).
+fn next_turn(ctxs: &[RunContext], runnable: impl Fn(usize) -> bool) -> (usize, u64) {
+    let mut best = (u64::MAX, usize::MAX);
+    let mut runner_up = (u64::MAX, usize::MAX);
+    for (i, ctx) in ctxs.iter().enumerate().filter(|&(i, _)| runnable(i)) {
+        let key = (ctx.now(), i);
+        if key < best {
+            runner_up = best;
+            best = key;
+        } else if key < runner_up {
+            runner_up = key;
+        }
+    }
+    let limit = runner_up.0.saturating_add(u64::from(best.1 < runner_up.1));
+    (best.1, limit)
 }
 
 /// A complete simulated machine: one or more cores + per-core PMUs +
@@ -519,12 +551,15 @@ impl Machine {
     /// restarting from the top whenever it completes), contending for the
     /// shared L3 through the coherence layer.
     ///
-    /// Scheduling is deterministic round-robin cycle interleaving: at each
-    /// step the core with the smallest local cycle executes one
-    /// instruction (ties broken by core index), so results are
-    /// bit-identical for a given machine state regardless of host
-    /// threading. Idle cores are fast-forwarded to the measured core's
-    /// clock before the run begins.
+    /// Every core, core 0 included, starts at the latest clock any core
+    /// has reached. Scheduling is deterministic cycle interleaving: the
+    /// instructions of all cores run in the order of their
+    /// `(local cycle before the instruction, core index)` keys, so results
+    /// are bit-identical for a given machine state regardless of host
+    /// threading. The scheduler produces that order in turns: the core
+    /// with the smallest key keeps running — co-runners in fused
+    /// superblocks cut at the turn limit, core 0 one instruction at a time
+    /// — until its key reaches the runner-up's.
     ///
     /// With no co-runners (or a 1-core machine) this is exactly
     /// [`Machine::run_plan`]. Empty co-runner programs are skipped.
@@ -532,7 +567,8 @@ impl Machine {
     /// # Errors
     ///
     /// Propagates the first [`CpuFault`] raised by *any* core, in
-    /// scheduling order (deterministic).
+    /// scheduling order (deterministic). Every core's PMU then holds the
+    /// events counted up to the fault; no core's clock advances.
     pub fn run_plan_with_corunners(
         &mut self,
         plan: &DecodedProgram,
@@ -552,33 +588,20 @@ impl Machine {
             return self.run_plan(plan);
         }
 
-        // Idle cores resume at the measured core's clock (they were
-        // parked, but their cycle counters kept ticking).
+        // Parked cores' clocks kept ticking: everyone resumes at the
+        // latest clock any core reached.
         let start = self.cores.iter().map(|c| c.cycle).max().expect("core 0");
         let mut ctxs: Vec<RunContext> = self
             .cores
             .iter()
-            .map(|c| {
-                let mut ctx = c.engine.begin_plan(c.cycle.max(start));
-                // The round-robin scheduler contends cores instruction by
-                // instruction; a fused burst would bypass that interleaving
-                // and weaken coherence interference.
-                ctx.disable_fusion();
-                ctx
-            })
+            .map(|c| c.engine.begin_plan(c.cycle.max(start)))
             .collect();
+        // Core 0 polls for interrupts before every instruction, so it
+        // steps unfused; co-runners never take interrupts and fuse.
+        ctxs[0].disable_fusion();
 
-        let result = loop {
-            // Pick the runnable core with the smallest local cycle;
-            // ties go to the lowest core index.
-            let mut best = 0usize;
-            let mut best_now = ctxs[0].now();
-            for (i, ctx) in ctxs.iter().enumerate().skip(1) {
-                if assignments[i - 1].is_some() && ctx.now() < best_now {
-                    best = i;
-                    best_now = ctx.now();
-                }
-            }
+        let result = 'run: loop {
+            let (best, limit) = next_turn(&ctxs, |i| i == 0 || assignments[i - 1].is_some());
             let chosen_plan = if best == 0 {
                 plan
             } else {
@@ -586,21 +609,35 @@ impl Machine {
             };
             self.env.current_core = best;
             let core = &mut self.cores[best];
-            match core.engine.step_plan(
-                &mut ctxs[best],
-                chosen_plan,
-                &mut core.state,
-                &mut core.pmu,
-                &mut self.env,
-            ) {
-                Err(fault) => break Err(fault),
-                Ok(true) => {}
-                Ok(false) if best == 0 => break Ok(()),
-                Ok(false) => ctxs[best].restart(),
+            let ctx = &mut ctxs[best];
+            ctx.set_turn_limit(limit);
+            loop {
+                match core.engine.step_plan(
+                    ctx,
+                    chosen_plan,
+                    &mut core.state,
+                    &mut core.pmu,
+                    &mut self.env,
+                ) {
+                    Err(fault) => break 'run Err(fault),
+                    Ok(true) => {}
+                    Ok(false) if best == 0 => break 'run Ok(()),
+                    Ok(false) => ctx.restart(),
+                }
+                if ctx.now() >= limit {
+                    break;
+                }
             }
         };
         self.env.current_core = 0;
-        result?;
+        if let Err(fault) = result {
+            // The faulting core's step already delivered its counts, so
+            // abandoning it again delivers nothing.
+            for (core, ctx) in self.cores.iter_mut().zip(ctxs.iter_mut()) {
+                core.engine.abandon_plan(ctx, &mut core.pmu);
+            }
+            return Err(fault);
+        }
 
         let mut stats0 = None;
         for (i, (core, ctx)) in self.cores.iter_mut().zip(ctxs.iter_mut()).enumerate() {
@@ -792,6 +829,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nanobench_uarch::plan::DecodedProgram;
     use nanobench_x86::asm::parse_asm;
     use nanobench_x86::reg::Gpr;
 
@@ -1000,6 +1038,334 @@ mod tests {
                 (20, 10),
                 "{mode:?}: RMW re-translates for the store, walks once"
             );
+        }
+    }
+
+    /// The reference co-runner scheduler: before every instruction, scan
+    /// every core and step the runnable one with the smallest
+    /// `(now, index)` key, one unfused `step_plan` per pick. This is the
+    /// order `run_plan_with_corunners` must reproduce in turns.
+    fn run_one_at_a_time(
+        m: &mut Machine,
+        plan: &DecodedProgram,
+        corunners: &[&DecodedProgram],
+    ) -> Result<RunStats, CpuFault> {
+        let assignments: Vec<Option<&DecodedProgram>> = (1..m.cores.len())
+            .map(|i| {
+                let p = corunners.get((i - 1) % corunners.len().max(1))?;
+                Some(*p).filter(|p| !p.instructions().is_empty())
+            })
+            .collect();
+        if assignments.iter().all(Option::is_none) {
+            return m.run_plan(plan);
+        }
+        let start = m.cores.iter().map(|c| c.cycle).max().unwrap();
+        let mut ctxs: Vec<RunContext> = m
+            .cores
+            .iter()
+            .map(|c| {
+                let mut ctx = c.engine.begin_plan(c.cycle.max(start));
+                ctx.disable_fusion();
+                ctx
+            })
+            .collect();
+        let result = loop {
+            let mut best = 0;
+            for i in 1..ctxs.len() {
+                if assignments[i - 1].is_some() && ctxs[i].now() < ctxs[best].now() {
+                    best = i;
+                }
+            }
+            let chosen = if best == 0 {
+                plan
+            } else {
+                assignments[best - 1].unwrap()
+            };
+            m.env.current_core = best;
+            let core = &mut m.cores[best];
+            match core.engine.step_plan(
+                &mut ctxs[best],
+                chosen,
+                &mut core.state,
+                &mut core.pmu,
+                &mut m.env,
+            ) {
+                Err(fault) => break Err(fault),
+                Ok(true) => {}
+                Ok(false) if best == 0 => break Ok(()),
+                Ok(false) => ctxs[best].restart(),
+            }
+        };
+        m.env.current_core = 0;
+        let mut stats0 = None;
+        for (core, ctx) in m.cores.iter_mut().zip(ctxs.iter_mut()) {
+            if result.is_err() {
+                core.engine.abandon_plan(ctx, &mut core.pmu);
+            } else {
+                let stats = core.engine.finish_plan(ctx, &mut core.pmu);
+                core.cycle = stats.end_cycle;
+                stats0.get_or_insert(stats);
+            }
+        }
+        result.map(|()| stats0.unwrap())
+    }
+
+    /// Everything a schedule can change: every core's registers, clock and
+    /// PMU readings (fixed, programmed, APERF/MPERF and the C-Box
+    /// counters), the hierarchy's coherence counters and the memory-path
+    /// counters.
+    fn observe(m: &Machine) -> Vec<String> {
+        use nanobench_pmu::msr;
+        let mut seen: Vec<String> = (0..m.core_count())
+            .map(|i| {
+                let pmu = m.pmu_of(i);
+                let fixed = (0..3).map(|c| pmu.rdpmc((1 << 30) | c));
+                let prog = (0..pmu.n_programmable() as u32).map(|c| pmu.rdpmc(c));
+                let msrs = [msr::IA32_APERF, msr::IA32_MPERF]
+                    .into_iter()
+                    .chain((0..8).map(|s| msr::MSR_UNC_CBO_PERFCTR0 + s))
+                    .map(|a| pmu.rdmsr(a));
+                let pmu: Vec<Option<u64>> = fixed.chain(prog).chain(msrs).collect();
+                format!(
+                    "core {i}: cycle {} pmu {pmu:?} state {:?}",
+                    m.cycle_of(i),
+                    m.state_of(i)
+                )
+            })
+            .collect();
+        let h = m.hierarchy();
+        seen.push(format!(
+            "invalidations {} snoop hits {:?} mem path {:?}",
+            h.invalidations(),
+            h.snoop_hits(),
+            m.mem_path_counters()
+        ));
+        seen
+    }
+
+    fn assert_same(a: &Machine, b: &Machine, at: &str) {
+        for (x, y) in observe(a).iter().zip(observe(b)) {
+            assert_eq!(x, &y, "{at}");
+        }
+    }
+
+    /// The events every core counts in the schedule differential.
+    const SCHEDULE_EVENTS: [nanobench_pmu::EventCode; 4] = [
+        nanobench_pmu::event::events::UOPS_ISSUED_ANY,
+        nanobench_pmu::event::events::MEM_LOAD_XSNP_HITM,
+        nanobench_pmu::event::events::MEM_LOAD_L1_HIT,
+        nanobench_pmu::event::events::OFFCORE_DEMAND_RFO,
+    ];
+
+    /// A co-runner schedule under test: core count, measured program and
+    /// co-runner programs, given the chase chain's base address and a
+    /// second region for streaming.
+    struct Shape {
+        name: &'static str,
+        cores: usize,
+        measured: fn(u64) -> String,
+        corunners: fn(u64, u64) -> Vec<String>,
+    }
+
+    /// Core 0's chase: `loads` dependent loads along the chain from its
+    /// head, so every run after the first revisits cached lines.
+    fn chase(base: u64, loads: usize) -> String {
+        format!(
+            "mov r14, {base:#x}; mov r15, {}; l: {}dec r15; jnz l",
+            loads / 8,
+            "mov r14, [r14]; ".repeat(8)
+        )
+    }
+
+    /// e10's throttled streamer over `span` bytes at `buf`, one line in four.
+    fn streamer(buf: u64, span: u64) -> String {
+        format!(
+            "mov rbx, {buf:#x}; mov rcx, {}; l: mov rax, [rbx]; add rbx, 256; {}dec rcx; jnz l",
+            span / 256,
+            "imul rdx, rdx; ".repeat(8)
+        )
+    }
+
+    /// Stores to a second word of every 16th line of the chase (false
+    /// sharing with core 0's loads), one `op` per line for `lines` lines.
+    fn false_sharing(base: u64, op: &str, lines: u64) -> String {
+        (0..lines)
+            .map(|j| format!("{op} [{:#x}], rbx; ", base + j * 16 * CHAIN_STEP + 8))
+            .collect()
+    }
+
+    /// Core 0's first interrupt in user mode, early enough to land inside
+    /// the first run.
+    const FIRST_INTERRUPT: u64 = 10_000;
+
+    /// Chain stride: 65 lines, coprime with the 1 MB chain's 16,384 lines.
+    const CHAIN_STEP: u64 = 65 * 64;
+
+    /// One of a pair of twin machines for `shape`: the same seed, chain,
+    /// programs and events on every core each time it is called.
+    fn twin(shape: &Shape, mode: Mode) -> (Machine, DecodedProgram, Vec<DecodedProgram>) {
+        let mut m = Machine::with_cores(MicroArch::Skylake, mode, 11, shape.cores);
+        let base = m.alloc_region(1 << 20);
+        let stream = m.alloc_region(2 << 20);
+        let mut addr = 0;
+        loop {
+            let next = (addr + CHAIN_STEP) % (1 << 20);
+            m.write_mem(base + addr, 8, base + next).unwrap();
+            if next == 0 {
+                break;
+            }
+            addr = next;
+        }
+        // Bring core 0's first interrupt into the first run.
+        m.env.next_interrupt = FIRST_INTERRUPT;
+        for core in &mut m.cores {
+            for (i, ev) in SCHEDULE_EVENTS.into_iter().enumerate() {
+                core.pmu.configure(i, Some(ev));
+            }
+        }
+        let plan = m.decode(&parse_asm(&(shape.measured)(base)).unwrap());
+        let corunners = (shape.corunners)(base, stream)
+            .iter()
+            .map(|asm| m.decode(&parse_asm(asm).unwrap()))
+            .collect();
+        (m, plan, corunners)
+    }
+
+    /// Runs each shape three times in a row on twin machines, one under
+    /// the turn scheduler and one under the reference, and requires every
+    /// run to complete with the same `RunStats` and the same observations.
+    /// Returns how many shapes saw core 0 take an interrupt.
+    fn schedule_differential(shapes: &[Shape], mode: Mode) -> u64 {
+        let mut interrupts = 0;
+        for shape in shapes {
+            let (mut turns, plan, corunners) = twin(shape, mode);
+            let (mut reference, ..) = twin(shape, mode);
+            let corunners: Vec<&DecodedProgram> = corunners.iter().collect();
+            for run in 0..3 {
+                let got = turns.run_plan_with_corunners(&plan, &corunners);
+                let want = run_one_at_a_time(&mut reference, &plan, &corunners);
+                let at = format!("{} ({mode:?}, run {run})", shape.name);
+                assert!(got.is_ok(), "{at}: {got:?}");
+                assert_eq!(got, want, "{at}: RunStats");
+                assert_same(&turns, &reference, &at);
+            }
+            if turns.env.next_interrupt != FIRST_INTERRUPT {
+                interrupts += 1;
+            }
+        }
+        interrupts
+    }
+
+    fn schedule_shapes() -> Vec<Shape> {
+        vec![
+            Shape {
+                name: "interference",
+                cores: 4,
+                measured: |base| chase(base, 128),
+                corunners: |base, stream| {
+                    vec![
+                        streamer(stream, 1 << 20),
+                        streamer(stream + (1 << 20) + 64, 1 << 20),
+                        false_sharing(base, "mov", 8),
+                    ]
+                },
+            },
+            Shape {
+                name: "rmw co-runner",
+                cores: 2,
+                measured: |base| chase(base, 128),
+                corunners: |base, _| vec![false_sharing(base, "add", 4)],
+            },
+            Shape {
+                name: "alu loop co-runner",
+                cores: 2,
+                measured: |base| chase(base, 128),
+                corunners: |_, _| vec!["mov rcx, 1000; l: dec rcx; jnz l".into()],
+            },
+            Shape {
+                name: "empty co-runner beside a real one",
+                cores: 3,
+                measured: |base| chase(base, 128),
+                corunners: |base, _| vec![String::new(), false_sharing(base, "mov", 4)],
+            },
+            Shape {
+                name: "more co-runners than spare cores",
+                cores: 2,
+                measured: |base| chase(base, 128),
+                corunners: |base, stream| {
+                    vec![
+                        streamer(stream, 1 << 20),
+                        false_sharing(base, "mov", 8),
+                        false_sharing(base, "add", 8),
+                    ]
+                },
+            },
+        ]
+    }
+
+    /// The turn scheduler — co-runners in fused superblocks cut at the
+    /// runner-up's key, no PMU flush between steps — equals
+    /// one-instruction-at-a-time scheduling bit for bit.
+    #[test]
+    fn turn_schedule_equals_one_instruction_at_a_time_kernel() {
+        schedule_differential(&schedule_shapes(), Mode::Kernel);
+    }
+
+    /// The same in user mode, where core 0 takes interrupts mid-run.
+    #[test]
+    fn turn_schedule_equals_one_instruction_at_a_time_user() {
+        let taken = schedule_differential(&schedule_shapes(), Mode::User);
+        assert!(taken > 0, "core 0 must take interrupts in user mode");
+    }
+
+    /// Faults end a multi-core run the same way under both schedulers:
+    /// core 0 dividing by zero mid-run, and a user-mode co-runner reaching
+    /// a privileged instruction. The error and every core's PMU match.
+    #[test]
+    fn turn_schedule_faults_equal_one_instruction_at_a_time() {
+        let div = Shape {
+            name: "core 0 divides by zero",
+            cores: 4,
+            measured: |base| format!("{}; xor rcx, rcx; div rcx; mov r14, [r14]", chase(base, 64)),
+            corunners: |base, stream| {
+                vec![
+                    streamer(stream, 1 << 20),
+                    "mov rcx, 1000; l: add rax, rcx; dec rcx; jnz l".into(),
+                    false_sharing(base, "mov", 8),
+                ]
+            },
+        };
+        let privileged = Shape {
+            name: "co-runner runs wbinvd",
+            cores: 3,
+            measured: |base| chase(base, 128),
+            corunners: |base, _| {
+                vec![
+                    false_sharing(base, "mov", 4),
+                    "mov rcx, 300; l: add rax, rcx; dec rcx; jnz l; wbinvd".into(),
+                ]
+            },
+        };
+        for (shape, mode, fault) in [
+            (&div, Mode::Kernel, CpuFault::DivideError),
+            (&div, Mode::User, CpuFault::DivideError),
+            (
+                &privileged,
+                Mode::User,
+                CpuFault::PrivilegedInstruction(nanobench_x86::inst::Mnemonic::Wbinvd),
+            ),
+        ] {
+            let (mut turns, plan, corunners) = twin(shape, mode);
+            let (mut reference, ..) = twin(shape, mode);
+            let corunners: Vec<&DecodedProgram> = corunners.iter().collect();
+            for run in 0..3 {
+                let got = turns.run_plan_with_corunners(&plan, &corunners);
+                let want = run_one_at_a_time(&mut reference, &plan, &corunners);
+                let at = format!("{} ({mode:?}, run {run})", shape.name);
+                assert_eq!(got, Err(fault.clone()), "{at}");
+                assert_eq!(want, Err(fault.clone()), "{at}");
+                assert_same(&turns, &reference, &at);
+            }
         }
     }
 

@@ -31,7 +31,9 @@ impl BranchPredictor {
     }
 
     /// Updates the predictor with the actual outcome; returns `true` if
-    /// the branch was mispredicted.
+    /// the branch was mispredicted. Always inlined: the engine calls it on
+    /// every conditional branch from several handlers.
+    #[inline(always)]
     pub fn update(&mut self, index: usize, taken: bool) -> bool {
         if index >= self.counters.len() {
             self.counters.resize(index + 1, WEAK_NOT_TAKEN);

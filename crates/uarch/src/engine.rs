@@ -17,8 +17,9 @@
 //! concrete [`Bus`] implementation) no virtual calls — the whole
 //! interpreter monomorphizes over the bus type. PMU increments accumulate
 //! in a per-context [`PmuBatch`] and flush only at architectural
-//! observation points, and runs of register-only ALU instructions step as
-//! fused superblocks (see [`crate::plan`] for the fusion rules).
+//! observation points, and runs of straight-line ALU, load, store and
+//! read-modify-write instructions step as fused superblocks (see
+//! [`crate::plan`] for the fusion rules).
 //! [`Engine::decode`] plus [`Engine::run_plan`] (or the stepping API the
 //! multi-core scheduler drives) is the only way to execute a program.
 
@@ -63,8 +64,6 @@ impl Default for EngineConfig {
 pub struct RunStats {
     /// Instructions retired.
     pub instructions: u64,
-    /// µops issued.
-    pub uops: u64,
     /// Cycles elapsed in this run.
     pub cycles: u64,
     /// Absolute end cycle (feed as `start_cycle` of the next run so the
@@ -85,6 +84,13 @@ struct Timing {
     barrier: u64,
     max_complete: u64,
     rr: usize,
+    /// Bounded stepping only ([`Engine::step_plan`]): the turn lasts while
+    /// `now() < turn_end` ([`RunContext::set_turn_limit`]), and
+    /// `turn_budget` is how many instructions the engine's
+    /// `max_instructions` still allows this run. `run_plan` never reads
+    /// either.
+    turn_end: u64,
+    turn_budget: u64,
 }
 
 impl Timing {
@@ -100,11 +106,19 @@ impl Timing {
             barrier: start,
             max_complete: start,
             rr: 0,
+            turn_end: u64::MAX,
+            turn_budget: 0,
         }
     }
 
     fn now(&self) -> u64 {
         self.max_complete.max(self.alloc_cycle)
+    }
+
+    /// Whether the context's turn still runs: its clock has not reached
+    /// the turn limit.
+    fn in_turn(&self) -> bool {
+        self.now() < self.turn_end
     }
 
     fn alloc_uop(&mut self) -> u64 {
@@ -194,7 +208,7 @@ impl Timing {
 /// The hot loop accumulates event counts here and flushes them in bulk at
 /// architectural observation points: counter reads/writes (`RDPMC`,
 /// `RDMSR`, `WRMSR`), counting toggles (the magic pause/resume markers),
-/// the public [`Engine::step_plan`] boundary, and run completion. Counter
+/// faults ([`Engine::abandon_plan`]), and run completion. Counter
 /// addition commutes and [`Pmu`] masks to the 48-bit width only at
 /// reads/writes, so batched delivery is bit-identical to per-µop delivery
 /// — including wraparound past 2^48 mid-batch — *provided* the PMU's
@@ -317,17 +331,18 @@ impl PmuBatch {
 ///
 /// A context is created by [`Engine::begin_plan`], advanced one
 /// instruction (or fused superblock) at a time by [`Engine::step_plan`],
-/// and turned into [`RunStats`] by [`Engine::finish_plan`]. Keeping it
-/// outside the engine lets a multi-core machine interleave several cores
-/// deterministically: the scheduler steps whichever core's context has the
-/// smallest local cycle. [`Engine::run_plan`] is exactly a loop over these
-/// three calls, so stepped execution is bit-identical to a monolithic run.
+/// and turned into [`RunStats`] by [`Engine::finish_plan`] (or, after a
+/// fault, [`Engine::abandon_plan`]). Keeping it outside the engine lets a
+/// multi-core machine interleave several cores deterministically: the
+/// scheduler gives a turn to whichever core's context has the smallest
+/// local cycle and bounds the turn with [`RunContext::set_turn_limit`].
+/// [`Engine::run_plan`] is the same loop without a turn limit, so stepped
+/// execution is bit-identical to a monolithic run.
 #[derive(Debug)]
 pub struct RunContext {
     t: Timing,
     pc: usize,
     instructions: u64,
-    uops: u64,
     start_cycle: u64,
     batch: PmuBatch,
     fuse: bool,
@@ -338,6 +353,15 @@ impl RunContext {
     /// round-robin interleaving).
     pub fn now(&self) -> u64 {
         self.t.now()
+    }
+
+    /// Bounds the context's turn: a fused [`Engine::step_plan`] runs a
+    /// superblock entry after the first (or its loop-close branch) only
+    /// while [`RunContext::now`] is below `cycle`, so no instruction starts
+    /// at or past the limit except the step's first. `u64::MAX`, the
+    /// default, means no limit.
+    pub fn set_turn_limit(&mut self, cycle: u64) {
+        self.t.turn_end = cycle;
     }
 
     /// Instructions retired so far in this run.
@@ -353,11 +377,10 @@ impl RunContext {
     }
 
     /// Turns off superblock fusion for this context: every dispatched step
-    /// executes exactly one instruction. Multi-core interleaving relies on
-    /// this — the scheduler alternates cores between steps, so a fused
-    /// burst of loads/stores would let one core's memory traffic skip past
-    /// the other cores' coherence responses instead of contending with
-    /// them instruction by instruction.
+    /// executes exactly one instruction, so `Bus::poll_interrupt` runs
+    /// once per instruction. The measured core of a multi-core run uses
+    /// this (its user-mode interrupts land where one-instruction stepping
+    /// puts them), and so does the unfused side of the fusion pair.
     pub fn disable_fusion(&mut self) {
         self.fuse = false;
     }
@@ -402,6 +425,17 @@ impl StepOutcome {
             fault: None,
         }
     }
+
+    /// A superblock step that falls through after `len` entries, all of
+    /// which retire, then raises `fault` if there is one.
+    fn block(len: usize, fault: Option<CpuFault>) -> StepOutcome {
+        StepOutcome {
+            next: Next::Seq,
+            consumed: len as u32,
+            retired: len as u32,
+            fault,
+        }
+    }
 }
 
 type StepFn<B> = fn(&mut Engine, &mut StepArgs<'_, B>) -> Result<StepOutcome, CpuFault>;
@@ -409,22 +443,24 @@ type StepFn<B> = fn(&mut Engine, &mut StepArgs<'_, B>) -> Result<StepOutcome, Cp
 /// The dispatch table, monomorphized per bus type.
 ///
 /// Generic statics are not a thing in Rust, but an associated `const` on a
-/// generic carrier struct is: `Handlers::<B>::TABLE` materializes one
-/// table of concrete function pointers per bus type the engine runs
+/// generic carrier struct is: `Handlers::<B, BOUNDED>::TABLE` materializes
+/// one table of concrete function pointers per bus type the engine runs
 /// against, so the steady-state loop is `TABLE[entry.handler](...)` with
-/// every handler fully monomorphized over `B`.
-struct Handlers<B: Bus + ?Sized>(PhantomData<fn(&mut B)>);
+/// every handler fully monomorphized over `B`. `BOUNDED` selects the
+/// superblock handler that honours the turn limit ([`Engine::step_plan`]);
+/// [`Engine::run_plan`]'s table never evaluates it.
+struct Handlers<B: Bus + ?Sized, const BOUNDED: bool>(PhantomData<fn(&mut B)>);
 
-impl<B: Bus + ?Sized> Handlers<B> {
+impl<B: Bus + ?Sized, const BOUNDED: bool> Handlers<B, BOUNDED> {
     /// Order must match the index constants in [`handler`].
     const TABLE: [StepFn<B>; handler::COUNT] = [
         step_generic::<B>,
-        step_block::<B>,         // ALU_BLOCK
-        step_block::<B>,         // LOAD
-        step_block::<B>,         // STORE
-        step_block::<B>,         // RMW
-        step_branch::<B, true>,  // COND_BRANCH
-        step_branch::<B, false>, // JUMP
+        step_block::<B, BOUNDED>, // ALU_BLOCK
+        step_block::<B, BOUNDED>, // LOAD
+        step_block::<B, BOUNDED>, // STORE
+        step_block::<B, BOUNDED>, // RMW
+        step_branch::<B, true>,   // COND_BRANCH
+        step_branch::<B, false>,  // JUMP
         step_nop::<B>,
         step_lfence::<B>,
         step_fence::<B>,
@@ -563,11 +599,11 @@ impl Engine {
         let (body, insts) = (plan.body(), plan.instructions());
         let mut ctx = self.begin_plan(start_cycle);
         loop {
-            match self.step_decoded(&mut ctx, body, insts, state, pmu, bus) {
+            match self.step_decoded::<B, false>(&mut ctx, body, insts, state, pmu, bus) {
                 Ok(true) => {}
                 Ok(false) => return Ok(self.finish_plan(&mut ctx, pmu)),
                 Err(f) => {
-                    ctx.batch.flush(pmu);
+                    self.abandon_plan(&mut ctx, pmu);
                     return Err(f);
                 }
             }
@@ -581,7 +617,6 @@ impl Engine {
             t: Timing::new(start_cycle, self.uarch.issue_width()),
             pc: 0,
             instructions: 0,
-            uops: 0,
             start_cycle,
             batch: PmuBatch::default(),
             fuse: true,
@@ -589,18 +624,22 @@ impl Engine {
     }
 
     /// Advances a context by one dispatched step — one instruction, or one
-    /// fused run of register-only ALU instructions. Returns `Ok(true)` if
-    /// anything was executed and `Ok(false)` if the program had already
-    /// completed (the context is unchanged in that case).
+    /// fused superblock cut at the context's turn limit
+    /// ([`RunContext::set_turn_limit`]) and at the engine's instruction
+    /// limit. Returns `Ok(true)` if anything was executed and `Ok(false)`
+    /// if the program had already completed (the context is unchanged in
+    /// that case).
     ///
-    /// The context's pending PMU batch is flushed before returning, so the
-    /// PMU is architecturally up to date between steps (the multi-core
-    /// interleave loop reads it).
+    /// PMU counts stay in the context's batch between steps; the handlers
+    /// that observe counters (`RDPMC`, `RDMSR`, `WRMSR`, the pause/resume
+    /// markers) flush it themselves, and [`Engine::finish_plan`] or, on a
+    /// fault, [`Engine::abandon_plan`] delivers the rest. A fault returned
+    /// here has already been abandoned: the context's batch is delivered.
     ///
     /// # Errors
     ///
-    /// Returns [`CpuFault`] exactly as [`Engine::run_plan`] would at the
-    /// same point in the program.
+    /// Returns [`CpuFault`] exactly as one-instruction stepping would at
+    /// the same point in the program.
     pub fn step_plan<B: Bus + ?Sized>(
         &mut self,
         ctx: &mut RunContext,
@@ -614,27 +653,43 @@ impl Engine {
             self.uarch,
             "plan decoded for a different microarchitecture"
         );
-        let r = self.step_decoded(ctx, plan.body(), plan.instructions(), state, pmu, bus);
-        ctx.batch.flush(pmu);
+        let r =
+            self.step_decoded::<B, true>(ctx, plan.body(), plan.instructions(), state, pmu, bus);
+        if r.is_err() {
+            self.abandon_plan(ctx, pmu);
+        }
         r
     }
 
-    /// Converts a completed (or abandoned) context into [`RunStats`],
-    /// flushing its pending PMU batch and syncing the PMU's cycle counters
-    /// to the context's end cycle.
+    /// Converts a completed context into [`RunStats`], flushing its
+    /// pending PMU batch and syncing the PMU's cycle counters to the
+    /// context's end cycle.
     pub fn finish_plan(&self, ctx: &mut RunContext, pmu: &mut Pmu) -> RunStats {
         ctx.batch.flush(pmu);
         let end = ctx.t.now();
         pmu.sync_cycles(end);
         RunStats {
             instructions: ctx.instructions,
-            uops: ctx.uops,
             cycles: end - ctx.start_cycle,
             end_cycle: end,
         }
     }
 
-    fn step_decoded<B: Bus + ?Sized>(
+    /// The fault path's counterpart of [`Engine::finish_plan`]: delivers a
+    /// context's pending PMU batch without syncing the cycle counters, so
+    /// the PMU holds every event counted up to the fault. A multi-core run
+    /// abandons every core's context when any core faults.
+    pub fn abandon_plan(&self, ctx: &mut RunContext, pmu: &mut Pmu) {
+        ctx.batch.flush(pmu);
+    }
+
+    /// One dispatched step. `BOUNDED` is [`Engine::step_plan`]'s form: its
+    /// superblocks stop at the turn limit and the instruction budget;
+    /// [`Engine::run_plan`] compiles the unbounded form. Kept out of line
+    /// so that each form keeps the single-form code's shape: a step loop
+    /// calling this, which polls for interrupts inline and dispatches.
+    #[inline(never)]
+    fn step_decoded<B: Bus + ?Sized, const BOUNDED: bool>(
         &mut self,
         ctx: &mut RunContext,
         body: &PlanBody,
@@ -648,6 +703,9 @@ impl Engine {
         }
         if ctx.instructions >= self.config.max_instructions {
             return Err(CpuFault::RunawayExecution);
+        }
+        if BOUNDED {
+            ctx.t.turn_budget = self.config.max_instructions - ctx.instructions;
         }
         if let Some(intr) = bus.poll_interrupt(ctx.t.now()) {
             // The handler runs in the middle of the benchmark: it
@@ -667,7 +725,7 @@ impl Engine {
         // Checked-interpreter mode: debug builds re-assert the verifier's
         // facts at the dispatch site (release trusts the verified plan).
         debug_assert!(
-            (hot.handler as usize) < Handlers::<B>::TABLE.len(),
+            (hot.handler as usize) < Handlers::<B, BOUNDED>::TABLE.len(),
             "plan handler index {} out of dispatch-table range",
             hot.handler
         );
@@ -677,7 +735,7 @@ impl Engine {
             "plan privilege bit disagrees with the instruction at {}",
             ctx.pc
         );
-        let step = Handlers::<B>::TABLE[hot.handler as usize];
+        let step = Handlers::<B, BOUNDED>::TABLE[hot.handler as usize];
         let mut args = StepArgs {
             body,
             insts,
@@ -690,12 +748,11 @@ impl Engine {
             bus,
         };
         let out = step(self, &mut args)?;
+        // Every consumed entry counts toward the run's instructions; the
+        // magic pause/resume markers are byte sequences consumed by the
+        // tool, not instructions the benchmark retires (§III-I), so
+        // `retired` may be smaller.
         ctx.instructions += u64::from(out.consumed);
-        // Approximate per-instruction accounting for stats; the magic
-        // pause/resume markers are byte sequences consumed by the tool,
-        // not instructions the benchmark retires (§III-I), so `retired`
-        // may be smaller.
-        ctx.uops += u64::from(out.consumed);
         ctx.batch.retired += u64::from(out.retired);
         if let Some(f) = out.fault {
             return Err(f);
@@ -958,15 +1015,26 @@ fn step_generic<B: Bus + ?Sized>(
 /// entry ends the block after the completed prefix
 /// (`StepOutcome::consumed`), matching the per-instruction path's
 /// accounting exactly.
-fn step_block<B: Bus + ?Sized>(
+///
+/// `BOUNDED` ([`Engine::step_plan`]) cuts the block the same way at the
+/// context's turn limit: an entry after the first runs only while
+/// `now() < turn_end`, exactly when a scheduler stepping one instruction at
+/// a time would still pick this context. The block is also capped at the
+/// instructions `max_instructions` still allows, so `RunawayExecution`
+/// fires at the same instruction as one-instruction stepping.
+fn step_block<B: Bus + ?Sized, const BOUNDED: bool>(
     eng: &mut Engine,
     a: &mut StepArgs<'_, B>,
 ) -> Result<StepOutcome, CpuFault> {
-    let n = if a.fuse {
+    let mut n = if a.fuse {
         a.body.hot[a.pc].fuse_len as usize
     } else {
         1
     };
+    if BOUNDED && a.t.turn_budget < n as u64 {
+        // `step_decoded` refused a run with no budget left, so n stays ≥ 1.
+        n = a.t.turn_budget as usize;
+    }
     // Checked-interpreter mode: the superblock about to run inline must
     // satisfy the fusion-legality invariants `plan::verify_plan` certifies
     // (fusable members only, no branch/privileged/AVX entry, cap obeyed).
@@ -990,6 +1058,11 @@ fn step_block<B: Bus + ?Sized>(
         }
     }
     for i in 0..n {
+        if BOUNDED && i > 0 && !a.t.in_turn() {
+            // The turn ended: the entries so far are the whole step.
+            eng.note_non_avx_n(i as u64);
+            return Ok(StepOutcome::block(i, None));
+        }
         let pc = a.pc + i;
         let r = match a.body.hot[pc].handler {
             handler::ALU_BLOCK => alu_entry(eng, a, pc),
@@ -1007,20 +1080,16 @@ fn step_block<B: Bus + ?Sized>(
             // The faulting entry counts toward the non-AVX streak, just
             // as on the per-instruction path.
             eng.note_non_avx_n(i as u64 + 1);
-            return Ok(StepOutcome {
-                next: Next::Seq,
-                consumed: i as u32,
-                retired: i as u32,
-                fault: Some(f),
-            });
+            return Ok(StepOutcome::block(i, Some(f)));
         }
     }
     // Loop-close fusion: a certified conditional branch directly behind
     // the block runs in the same dispatch, so a benchmark loop iteration
     // costs one step instead of two. The branch math below replicates
     // `step_branch` exactly; the pre-decoded condition and target make the
-    // generic executor redundant.
-    if a.fuse {
+    // generic executor redundant. Under a turn limit the branch is one
+    // more entry: it runs only inside the turn and the budget.
+    if a.fuse && (!BOUNDED || ((n as u64) < a.t.turn_budget && a.t.in_turn())) {
         let bpc = a.pc + n;
         if let Some(&FastOp::CondJump { target, cc }) = a.body.fast.get(bpc) {
             let body = a.body;
@@ -1071,22 +1140,20 @@ fn step_block<B: Bus + ?Sized>(
             };
             return Ok(StepOutcome {
                 next,
-                consumed: n as u32 + 1,
-                retired: n as u32 + 1,
-                fault: None,
+                ..StepOutcome::block(n + 1, None)
             });
         }
     }
     eng.note_non_avx_n(n as u64);
-    Ok(StepOutcome {
-        next: Next::Seq,
-        consumed: n as u32,
-        retired: n as u32,
-        fault: None,
-    })
+    Ok(StepOutcome::block(n, None))
 }
 
 /// One register-only ALU entry inside a superblock.
+///
+/// The superblock entries are inlined into both forms of [`step_block`]:
+/// each has two callers, and left to itself the compiler calls them out of
+/// line, which slows the unbounded form `run_plan` uses.
+#[inline(always)]
 fn alu_entry<B: Bus + ?Sized>(
     _eng: &mut Engine,
     a: &mut StepArgs<'_, B>,
@@ -1133,6 +1200,7 @@ fn alu_entry<B: Bus + ?Sized>(
 /// the covered read-modify-write shape). These shapes always fall through
 /// (`Next::Seq`) and always retire, so the block loop accounts for them
 /// uniformly.
+#[inline(always)]
 fn mem_entry<B: Bus + ?Sized, const READS: bool, const WRITES: bool>(
     eng: &mut Engine,
     a: &mut StepArgs<'_, B>,
@@ -1262,7 +1330,7 @@ fn mem_entry<B: Bus + ?Sized, const READS: bool, const WRITES: bool>(
 /// pays disappear. An entry whose decode carries compute µops or more than
 /// one memory read (no shipping descriptor does for this shape) takes the
 /// generic entry unchanged.
-#[inline]
+#[inline(always)]
 fn load_q_entry<B: Bus + ?Sized>(
     eng: &mut Engine,
     a: &mut StepArgs<'_, B>,
@@ -1309,7 +1377,7 @@ fn load_q_entry<B: Bus + ?Sized>(
 /// r64/imm64`) inside a superblock: [`mem_entry`] specialized the same way
 /// as [`load_q_entry`] — one uncovered fused store, no loads, no compute
 /// µops, no register or flag outputs.
-#[inline]
+#[inline(always)]
 fn store_q_entry<B: Bus + ?Sized>(
     eng: &mut Engine,
     a: &mut StepArgs<'_, B>,

@@ -133,6 +133,11 @@ fn set_sub_flags(state: &mut CpuState, a: u64, b: u64, borrow_in: u64, w: Width)
 /// tests, which compare the engine with an [`execute`] stepping loop from
 /// random register and flag states). Fast ops never touch the bus, so
 /// they cannot fault and always fall through sequentially.
+///
+/// Always inlined: its one call site, in the superblock's ALU entry, is
+/// compiled into both forms of the superblock handler, and the ALU hot
+/// path must not pay a call per instruction in either.
+#[inline(always)]
 pub(crate) fn execute_fast(op: &FastOp, state: &mut CpuState) {
     let src_val = |state: &CpuState, src: FastSrc| match src {
         FastSrc::Reg(r) => state.gpr(r),

@@ -23,11 +23,13 @@
 //!   [`HotEntry`] (handler index, µop/register/memory spans, packed meta
 //!   bits); rarely-needed metadata (vector-register dependencies) lives in
 //!   a parallel [`ColdEntry`] arena only the generic handler reads.
-//! * Adjacent ALU-only entries are fused into superblock steps:
-//!   `fuse_len` is the run length of consecutive ALU entries starting at
-//!   each position (a suffix computation, so branches into the middle of
-//!   a block land on a correct shorter block), and the ALU handler steps
-//!   the whole run in one dispatch.
+//! * Adjacent straight-line entries — register-only ALU, load, store and
+//!   read-modify-write shapes, mixed freely — are fused into superblock
+//!   steps: `fuse_len` is the (capped) run length of consecutive fusable
+//!   entries starting at each position (a suffix computation, so branches
+//!   into the middle of a block land on a correct shorter block), and the
+//!   superblock handler steps the whole run, plus a certified loop-close
+//!   branch behind it, in one dispatch.
 //!
 //! Invariants:
 //!
@@ -40,10 +42,11 @@
 //!   asserts the match.
 //! * Fusion is a pure performance change: a fused run is bit-identical to
 //!   stepping the same plan one instruction at a time
-//!   ([`crate::engine::RunContext::disable_fusion`]) — same PMU counts,
-//!   cycles, and architectural state — and the pre-decoded fast semantics
-//!   match [`crate::exec::execute`]. The `plan_equivalence` suite pins
-//!   both pairs over the full corpus.
+//!   ([`crate::engine::RunContext::disable_fusion`]) or in turns that cut
+//!   superblocks mid-block ([`crate::engine::RunContext::set_turn_limit`])
+//!   — same PMU counts, cycles, and architectural state — and the
+//!   pre-decoded fast semantics match [`crate::exec::execute`]. The
+//!   `plan_equivalence` suite pins both pairs over the full corpus.
 
 use crate::descriptor::{DescriptorTable, PortClass, UopSpec};
 use crate::port::{MicroArch, PortSet};
@@ -175,6 +178,7 @@ impl Span {
         }
     }
 
+    #[inline(always)]
     pub(crate) fn slice<T>(self, arena: &[T]) -> &[T] {
         &arena[self.start as usize..(self.start + self.len) as usize]
     }

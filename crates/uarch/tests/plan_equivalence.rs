@@ -3,14 +3,17 @@
 //! * **Fusion pair.** `run_plan` fuses straight-line entries into
 //!   superblocks and closes loops in the same dispatch; stepping the same
 //!   plan through `step_plan` with `RunContext::disable_fusion` executes one
-//!   instruction per step. Over corpus chunks of 4, 8 and 16 consecutive
-//!   lines, a looped body with RMW and push/pop, and a loop closed by each
-//!   other fused condition (`jnc`, `jc`, `jz`), the two agree bit for
-//!   bit — `RunStats` or fault, PMU readings, `CpuState` and memory — in
-//!   kernel mode and in user mode with interrupts masked. With interrupts
-//!   on, fused runs poll once per dispatch, so interrupts land at other
-//!   points and timing legitimately differs; architectural state and
-//!   retired instructions still agree.
+//!   instruction per step. A third side steps fused under a turn limit
+//!   that moves forward 0–8 cycles per turn, the way the multi-core
+//!   scheduler drives co-runners, so superblocks are cut mid-block. Over
+//!   corpus chunks of 4, 8 and 16 consecutive lines, a looped body with
+//!   RMW and push/pop, and a loop closed by each other fused condition
+//!   (`jnc`, `jc`, `jz`), all three agree bit for bit — `RunStats` or
+//!   fault, PMU readings, `CpuState` and memory — in kernel mode and in
+//!   user mode with interrupts masked. With interrupts on, fused runs poll
+//!   once per dispatch, so interrupts land at other points and timing
+//!   legitimately differs; architectural state and retired instructions
+//!   still agree.
 //! * **Oracle pair.** The engine's pre-decoded semantics (`execute_fast`,
 //!   the fused load/store/RMW completions, fused push/pop and the
 //!   loop-close branch) against a plain `exec::execute` stepping loop,
@@ -22,7 +25,7 @@
 use nanobench_pmu::event::events;
 use nanobench_pmu::Pmu;
 use nanobench_uarch::bus::{Bus, CpuFault, TestBus};
-use nanobench_uarch::engine::{Engine, RunStats};
+use nanobench_uarch::engine::{Engine, EngineConfig, RunStats};
 use nanobench_uarch::exec::{self, Next};
 use nanobench_uarch::plan::DecodedProgram;
 use nanobench_uarch::port::MicroArch;
@@ -34,13 +37,27 @@ use nanobench_x86::reg::{Flag, Gpr};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// One side of a pair: engine + state + PMU + bus + cycle cursor.
+/// How a side executes a plan.
+#[derive(Debug, Clone, Copy)]
+enum Stepping {
+    /// `run_plan`: fused superblocks and loop closes, no turn limit.
+    Fused,
+    /// `step_plan` with fusion off: one instruction per step.
+    Single,
+    /// `step_plan` with fusion on, in turns whose limit moves forward a
+    /// pseudo-random 0–8 cycles each turn.
+    Bounded,
+}
+
+/// One side of a pair: engine + state + PMU + bus + cycle cursor, and the
+/// stream that draws bounded turns.
 struct Side {
     engine: Engine,
     state: CpuState,
     pmu: Pmu,
     bus: TestBus,
     cycle: u64,
+    turns: SmallRng,
 }
 
 impl Side {
@@ -70,16 +87,18 @@ impl Side {
             pmu,
             bus,
             cycle: 0,
+            turns: SmallRng::seed_from_u64(0x7E2),
         }
     }
 
-    /// Runs `plan` fused (`run_plan`) or one instruction per step.
-    fn run(&mut self, plan: &DecodedProgram, fused: bool) -> Result<RunStats, CpuFault> {
-        let result = if fused {
-            let (state, pmu, bus) = (&mut self.state, &mut self.pmu, &mut self.bus);
-            self.engine.run_plan(plan, state, pmu, bus, self.cycle)
-        } else {
-            self.run_stepped(plan)
+    fn run(&mut self, plan: &DecodedProgram, how: Stepping) -> Result<RunStats, CpuFault> {
+        let result = match how {
+            Stepping::Fused => {
+                let (state, pmu, bus) = (&mut self.state, &mut self.pmu, &mut self.bus);
+                self.engine.run_plan(plan, state, pmu, bus, self.cycle)
+            }
+            Stepping::Single => self.run_stepped(plan),
+            Stepping::Bounded => self.run_bounded(plan),
         };
         if let Ok(stats) = &result {
             self.cycle = stats.end_cycle;
@@ -110,6 +129,25 @@ impl Side {
         let stats = self.engine.finish_plan(&mut ctx, &mut self.pmu);
         assert_eq!(ctx.now(), stats.end_cycle);
         Ok(stats)
+    }
+
+    /// The co-runner scheduler's shape: fused `step_plan` in turns. A turn
+    /// takes at least one step and ends once the clock reaches its limit.
+    fn run_bounded(&mut self, plan: &DecodedProgram) -> Result<RunStats, CpuFault> {
+        let mut ctx = self.engine.begin_plan(self.cycle);
+        loop {
+            let limit = ctx.now() + self.turns.gen_range(0..=8);
+            ctx.set_turn_limit(limit);
+            loop {
+                let (state, pmu, bus) = (&mut self.state, &mut self.pmu, &mut self.bus);
+                if !self.engine.step_plan(&mut ctx, plan, state, pmu, bus)? {
+                    return Ok(self.engine.finish_plan(&mut ctx, &mut self.pmu));
+                }
+                if ctx.now() >= limit {
+                    break;
+                }
+            }
+        }
     }
 
     fn pmu_readings(&self) -> Vec<Option<u64>> {
@@ -160,41 +198,43 @@ fn reads_time_or_counters(program: &[Instruction]) -> bool {
 }
 
 /// Runs every program three times (one plan replayed, the warm-up and
-/// counter-half shape) fused on one side and stepped on the other,
-/// asserting after every run that the sides agree. Returns the number of
-/// interrupts the fused side took.
+/// counter-half shape) fused on one side, and stepped and bounded on two
+/// others, asserting after every run that each agrees with the fused side.
+/// Returns the number of interrupts the fused side took.
 fn fusion_pair(programs: &[(String, Vec<Instruction>)], kernel: bool, interrupts: bool) -> u64 {
     let mut fused = Side::new(kernel);
-    let mut stepped = Side::new(kernel);
+    let mut others = [
+        (Stepping::Single, Side::new(kernel)),
+        (Stepping::Bounded, Side::new(kernel)),
+    ];
     fused.bus.set_interrupt_flag(interrupts);
-    stepped.bus.set_interrupt_flag(interrupts);
+    for (_, side) in &mut others {
+        side.bus.set_interrupt_flag(interrupts);
+    }
     for (name, program) in programs {
         let plan = fused.engine.decode(program);
         for round in 0..3 {
-            let a = fused.run(&plan, true);
-            let b = stepped.run(&plan, false);
-            if interrupts {
-                assert_eq!(
-                    a.map(|s| s.instructions),
-                    b.map(|s| s.instructions),
-                    "{name} (round {round}): retired instructions or fault diverged"
-                );
-            } else {
-                assert_eq!(a, b, "{name} (round {round}): RunStats/fault diverged");
-                assert_eq!(
-                    fused.pmu_readings(),
-                    stepped.pmu_readings(),
-                    "{name} (round {round}): PMU diverged"
-                );
+            let a = fused.run(&plan, Stepping::Fused);
+            for (how, side) in &mut others {
+                let b = side.run(&plan, *how);
+                let at = format!("{name} ({how:?}, round {round})");
+                if interrupts {
+                    assert_eq!(
+                        a.as_ref().map(|s| s.instructions),
+                        b.as_ref().map(|s| s.instructions),
+                        "{at}: retired instructions or fault diverged"
+                    );
+                } else {
+                    assert_eq!(a, b, "{at}: RunStats/fault diverged");
+                    assert_eq!(
+                        fused.pmu_readings(),
+                        side.pmu_readings(),
+                        "{at}: PMU diverged"
+                    );
+                }
+                assert_eq!(fused.state, side.state, "{at}: CpuState");
+                assert_eq!(fused.bus.mem, side.bus.mem, "{at}: memory");
             }
-            assert_eq!(
-                fused.state, stepped.state,
-                "{name} (round {round}): CpuState"
-            );
-            assert_eq!(
-                fused.bus.mem, stepped.bus.mem,
-                "{name} (round {round}): memory"
-            );
         }
     }
     fused.bus.interrupts_taken
@@ -240,6 +280,49 @@ fn stepped_execution_equals_monolithic_run() {
     assert!(fusion_pair(&programs, false, true) > 0);
 }
 
+/// Bounded stepping never retires past the engine's instruction limit: a
+/// fused block is cut at the remaining budget, so `RunawayExecution` fires
+/// at the same instruction, with the same counts, as one-instruction
+/// stepping — for every limit across a looped body's superblocks.
+#[test]
+fn bounded_stepping_stops_at_the_instruction_limit() {
+    let (_, program) = program(&looped(
+        "add rax, r15; mov [r14+8], rax; imul rbx, rbx",
+        40,
+        0,
+    ));
+    for max_instructions in 1..40 {
+        let config = EngineConfig {
+            max_instructions,
+            ..EngineConfig::default()
+        };
+        let mut sides = [Stepping::Single, Stepping::Bounded].map(|how| {
+            let mut side = Side::new(true);
+            side.engine = Engine::with_config(MicroArch::Skylake, 0x517A, config);
+            (how, side)
+        });
+        let plan = sides[0].1.engine.decode(&program);
+        let [a, b] = sides.each_mut().map(|(how, side)| side.run(&plan, *how));
+        assert_eq!(
+            a,
+            Err(CpuFault::RunawayExecution),
+            "limit {max_instructions}"
+        );
+        assert_eq!(
+            b,
+            Err(CpuFault::RunawayExecution),
+            "limit {max_instructions}"
+        );
+        let [(_, single), (_, bounded)] = &sides;
+        assert_eq!(
+            single.pmu_readings(),
+            bounded.pmu_readings(),
+            "limit {max_instructions}"
+        );
+        assert_eq!(single.state, bounded.state, "limit {max_instructions}");
+    }
+}
+
 /// A single decoded plan replayed across engine resets stays valid: plans
 /// are pure static decode and hold no machine state.
 #[test]
@@ -247,11 +330,11 @@ fn plan_survives_engine_reset() {
     let program = parse_asm("add rax, rax; mulps xmm0, xmm1; mov rbx, [r14]").unwrap();
     let mut side = Side::new(true);
     let plan = side.engine.decode(&program);
-    let first = side.run(&plan, true).unwrap();
+    let first = side.run(&plan, Stepping::Fused).unwrap();
 
     // Fresh everything except the plan object.
     let mut fresh = Side::new(true);
-    assert_eq!(fresh.run(&plan, true).unwrap(), first);
+    assert_eq!(fresh.run(&plan, Stepping::Fused).unwrap(), first);
     assert_eq!(fresh.state, side.state);
 }
 
@@ -344,7 +427,7 @@ fn oracle_pair(kernel: bool, seed: u64) {
             engine.bus.mem.clear();
             reference.mem.clear();
             let mut expected = start.clone();
-            let got = engine.run(plan, true).map(|_| ());
+            let got = engine.run(plan, Stepping::Fused).map(|_| ());
             let want = execute_loop(program, &mut expected, &mut reference);
             if got != want || engine.state != expected || engine.bus.mem != reference.mem {
                 diverged.push(name.as_str());

@@ -277,8 +277,8 @@ proptest! {
     /// The co-runner stepping shape — `step_plan` until the plan
     /// completes, then `ctx.restart()`, for several passes — retires the
     /// same instructions, cycles, PMU counts, and architectural state
-    /// whether superblock fusion is on (default) or off (as the
-    /// multi-core interleave loop runs it).
+    /// whether superblock fusion is on (default, as co-runner cores run)
+    /// or off (as the multi-core scheduler runs core 0).
     #[test]
     fn corunner_restart_looping_is_fusion_invariant(
         ops in proptest::collection::vec(0usize..LOOP_BODY_POOL.len(), 1..8),
@@ -290,7 +290,8 @@ proptest! {
         let program = build_program(&ops, iters);
         // Interrupt polling happens once per dispatched step, so its
         // granularity legitimately differs with fusion; the multi-core
-        // scheduler owns that by disabling fusion. Compare interrupt-free.
+        // scheduler owns that by keeping core 0, the only core that takes
+        // interrupts, unfused. Compare interrupt-free.
         let mut fused = EngSide::new(kernel, false);
         let mut single = EngSide::new(kernel, false);
         let plan = fused.engine.decode(&program);
