@@ -869,6 +869,72 @@ mod tests {
         run(&mut m, &format!("mov rax, [{base:#x}]")).unwrap();
     }
 
+    /// What the PMU holds after a user-mode page fault, per memory path.
+    /// A load's bus access comes before its µop dispatch, so a faulting
+    /// load leaves no µop behind; a store's address and data µops dispatch
+    /// before its bus access, so a faulting store leaves both. Each
+    /// program first retires `mov rsp` and an `add`, whose instructions
+    /// and µops the PMU must also hold.
+    #[test]
+    fn handler_timing_after_page_faults() {
+        use nanobench_pmu::event::events;
+        const HOLE: u64 = 0x1234000;
+        let passes = [
+            [
+                events::UOPS_ISSUED_ANY,
+                events::uops_dispatched_port(4),
+                events::uops_dispatched_port(7),
+                events::uops_dispatched_port(0),
+            ],
+            [
+                events::uops_dispatched_port(2),
+                events::uops_dispatched_port(3),
+                events::MEM_LOAD_L1_HIT,
+                events::MEM_LOAD_L3_MISS,
+            ],
+        ];
+        let read = |body: &str| -> String {
+            let mut seen = Vec::new();
+            for pass in &passes {
+                let mut m = Machine::new(MicroArch::Skylake, Mode::User, 7);
+                for (i, code) in pass.iter().enumerate() {
+                    m.pmu_mut().configure(i, Some(*code));
+                }
+                let asm = format!("mov rsp, {:#x}; add rax, 1; {body}", HOLE + 8);
+                let fault = run(&mut m, &asm).unwrap_err();
+                assert_eq!(fault, CpuFault::PageFault { vaddr: HOLE }, "{body}");
+                if seen.is_empty() {
+                    seen.push(m.pmu().rdpmc(1 << 30).unwrap());
+                }
+                seen.extend((0..4).map(|c| m.pmu().rdpmc(c).unwrap()));
+            }
+            format!("{seen:?}")
+        };
+        // [instructions, uops issued, p4, p7, p0, p2, p3, L1 hits, L3 misses]
+        for (body, expected) in [
+            // Stores: the address and data µops are counted.
+            ("mov [0x1234000], rax", "[2, 4, 1, 1, 1, 0, 0, 0, 0]"),
+            (
+                "mov dword ptr [0x1234000], eax",
+                "[2, 4, 1, 1, 1, 0, 0, 0, 0]",
+            ),
+            ("movaps [0x1234000], xmm0", "[2, 4, 1, 1, 1, 0, 0, 0, 0]"),
+            ("push rax", "[2, 5, 1, 0, 1, 1, 0, 0, 0]"),
+            // Loads: nothing past the ALU µops before them.
+            ("mov rax, [0x1234000]", "[2, 2, 0, 0, 1, 0, 0, 0, 0]"),
+            ("add rax, [0x1234000]", "[2, 2, 0, 0, 1, 0, 0, 0, 0]"),
+            (
+                "movzx eax, byte ptr [0x1234000]",
+                "[2, 2, 0, 0, 1, 0, 0, 0, 0]",
+            ),
+            ("add [0x1234000], rax", "[2, 2, 0, 0, 1, 0, 0, 0, 0]"),
+            ("addps xmm0, [0x1234000]", "[2, 2, 0, 0, 1, 0, 0, 0, 0]"),
+            ("mov rsp, 0x1234000; pop rax", "[3, 3, 0, 0, 1, 0, 0, 0, 0]"),
+        ] {
+            assert_eq!(read(body), expected, "{body}");
+        }
+    }
+
     #[test]
     fn kernel_regions_are_physically_contiguous_user_not() {
         let mut k = Machine::new(MicroArch::Skylake, Mode::Kernel, 7);

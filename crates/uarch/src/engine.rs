@@ -26,7 +26,9 @@
 use crate::bpred::BranchPredictor;
 use crate::bus::{Bus, CpuFault};
 use crate::exec::{self, Next};
-use crate::plan::{handler, meta, DecodedProgram, FastCc, FastOp, FastSrc, PlanBody};
+use crate::plan::{
+    handler, meta, DecodedProgram, FastCc, FastOp, FastSrc, HotEntry, PlanBody, ResolvedUop,
+};
 use crate::port::{MicroArch, PortConfig, PortSet};
 use crate::state::CpuState;
 use nanobench_cache::hierarchy::{HitLevel, MemAccessResult, SnoopResult};
@@ -200,6 +202,73 @@ impl Timing {
             self.alloc_cycle = cycle;
             self.alloc_slots = 0;
         }
+    }
+
+    // One timing rule per µop kind: every handler times its µops through
+    // these and `Engine::{timed_load, store_uops, store_access, branch_uop}`.
+
+    /// Operand readiness: the barrier, the input GPRs and the flags if read.
+    #[inline(always)]
+    fn inputs_ready(&self, body: &PlanBody, hot: &HotEntry) -> u64 {
+        let mut ready = self.barrier;
+        for &r in hot.in_regs.slice(&body.regs) {
+            ready = ready.max(self.reg[r as usize]);
+        }
+        if hot.has(meta::FLAGS_READ) {
+            ready = ready.max(self.flags);
+        }
+        ready
+    }
+
+    /// Compute µops, ready at `ready`, with latencies scaled by the AVX
+    /// warm-up `factor`; returns the first one's (the result's) completion.
+    #[inline(always)]
+    fn compute_uops(
+        &mut self,
+        uops: &[ResolvedUop],
+        ready: u64,
+        factor: u64,
+        batch: &mut PmuBatch,
+    ) -> Option<u64> {
+        let mut first = None;
+        for u in uops {
+            let done = self.dispatch(u.ports, ready, u.recip, batch) + u.latency * factor;
+            self.complete(done);
+            first.get_or_insert(done);
+        }
+        first
+    }
+
+    /// Output publication: the output GPRs and written flags are `ready`.
+    #[inline(always)]
+    fn write_outputs(&mut self, body: &PlanBody, hot: &HotEntry, ready: u64) {
+        for &r in hot.out_regs.slice(&body.regs) {
+            self.reg[r as usize] = ready;
+        }
+        if hot.has(meta::FLAGS_WRITTEN) {
+            self.flags = ready;
+        }
+    }
+
+    /// A serializing µop: waits for all earlier µops and `ready`, completes
+    /// `cost` cycles later, and holds every later µop until then (§IV-A1).
+    #[inline(always)]
+    fn serialize(&mut self, ready: u64, cost: u64, batch: &mut PmuBatch) -> u64 {
+        let done = self.max_complete.max(ready).max(self.alloc_uop()) + cost;
+        batch.uops_issued += 1;
+        self.set_barrier(done);
+        done
+    }
+}
+
+/// When an entry's result is ready: its first compute µop's completion but
+/// not before its loads; without µops, its loads' or else its inputs'.
+#[inline(always)]
+fn result_ready(first_uop: Option<u64>, load_done: u64, input_ready: u64) -> u64 {
+    match first_uop {
+        Some(done) => done.max(load_done),
+        None if load_done > 0 => load_done,
+        None => input_ready,
     }
 }
 
@@ -404,8 +473,9 @@ struct StepArgs<'a, B: Bus + ?Sized> {
 }
 
 /// What one dispatched step did: where control flows next, how many
-/// consecutive plan entries it consumed (> 1 only for fused ALU
-/// superblocks), how many of those retire architecturally, and — for a
+/// consecutive plan entries it consumed (> 1 only for fused superblocks,
+/// whose entries mix ALU, load, store and RMW shapes), how many of those
+/// retire architecturally, and — for a
 /// fault in the middle of a superblock — the fault to raise *after* the
 /// completed prefix is accounted.
 struct StepOutcome {
@@ -472,12 +542,12 @@ impl<B: Bus + ?Sized, const BOUNDED: bool> Handlers<B, BOUNDED> {
         step_wbinvd::<B>,
         step_clflush::<B>,
         step_prefetch::<B>,
-        step_cli::<B>,
-        step_sti::<B>,
+        step_set_if::<B, false>, // CLI
+        step_set_if::<B, true>,  // STI
         step_serialize::<B>,
         step_rdrand::<B>,
-        step_nb_pause::<B>,
-        step_nb_resume::<B>,
+        step_nb_marker::<B, false>, // NB_PAUSE
+        step_nb_marker::<B, true>,  // NB_RESUME
         step_push::<B>,
         step_pop::<B>,
     ];
@@ -786,17 +856,10 @@ impl Engine {
         1
     }
 
-    /// The non-AVX half of [`Engine::avx_factor`], for fast handlers whose
-    /// shapes are never AVX (the latency factor is statically 1).
-    #[inline]
-    fn note_non_avx(&mut self) {
-        self.note_non_avx_n(1);
-    }
-
-    /// Batched [`Engine::note_non_avx`] for a fused superblock: `n`
-    /// consecutive non-AVX instructions. Equivalent to `n` single calls —
-    /// the streak only grows within a block and nothing reads `avx_cold`
-    /// until the next AVX instruction, which can never be inside a block.
+    /// The non-AVX half of [`Engine::avx_factor`] for `n` consecutive
+    /// instructions of fast handlers, whose shapes are never AVX. Equivalent
+    /// to `n` single calls: nothing reads `avx_cold` before the next AVX
+    /// instruction, which can never be inside a fused block.
     #[inline]
     fn note_non_avx_n(&mut self, n: u64) {
         self.non_avx_streak += n;
@@ -805,11 +868,14 @@ impl Engine {
         }
     }
 
-    /// `is_write` marks the load half of an RMW access: the cache walk
-    /// runs write coherence (RFO) and the RFO is counted here, since the
-    /// covered store never touches the bus.
+    /// The load rule: the bus access, then the load µop, so a faulting
+    /// load leaves no µop in the PMU. Returns the completion cycle and, if
+    /// `FUSED`, the quadword read in the same bus operation
+    /// ([`Bus::load_fused`]). `is_write` marks the load half of an RMW
+    /// access: the walk runs write coherence and the RFO is counted here,
+    /// since the covered store never touches the bus.
     #[allow(clippy::too_many_arguments)] // timing + batch + bus is the full hot-path context
-    fn timed_load<B: Bus + ?Sized>(
+    fn timed_load<B: Bus + ?Sized, const FUSED: bool>(
         &mut self,
         t: &mut Timing,
         vaddr: u64,
@@ -818,8 +884,12 @@ impl Engine {
         batch: &mut PmuBatch,
         pmu: &mut Pmu,
         bus: &mut B,
-    ) -> Result<u64, CpuFault> {
-        let res = bus.access(vaddr, is_write)?;
+    ) -> Result<(u64, u64), CpuFault> {
+        let (res, value) = if FUSED {
+            bus.load_fused(vaddr, 8, is_write)?
+        } else {
+            (bus.access(vaddr, is_write)?, 0)
+        };
         if is_write {
             batch.count_store_coherence(&res);
         }
@@ -833,37 +903,55 @@ impl Engine {
         let dispatch = t.dispatch(self.ports.load, addr_ready, 1, batch);
         let done = dispatch + res.latency;
         t.complete(done);
-        Ok(done)
+        Ok((done, value))
     }
 
-    /// [`Engine::timed_load`] fused with the semantic quadword read of the
-    /// same address: one translation and one hierarchy walk per load on
-    /// buses that override [`Bus::load_fused`]. Returns the completion
-    /// cycle and the loaded value.
-    #[allow(clippy::too_many_arguments)] // timing + batch + bus is the full hot-path context
-    #[inline]
-    fn timed_load_fused<B: Bus + ?Sized>(
+    /// The store rule, µop half: store address and store data. Both
+    /// dispatch before the bus access, so a faulting store leaves both in
+    /// the PMU.
+    #[inline(always)]
+    fn store_uops(&self, t: &mut Timing, addr_ready: u64, data_ready: u64, batch: &mut PmuBatch) {
+        t.dispatch(self.ports.store_addr, addr_ready, 1, batch);
+        t.dispatch(self.ports.store_data, data_ready, 1, batch);
+    }
+
+    /// The store rule, access half: after the bus access, the demand RFO
+    /// and, if the access reached the L3, the C-Box lookups it caused.
+    #[inline(always)]
+    fn store_access<B: Bus + ?Sized>(
         &mut self,
-        t: &mut Timing,
-        vaddr: u64,
-        addr_ready: u64,
-        is_write: bool,
+        res: &MemAccessResult,
         batch: &mut PmuBatch,
         pmu: &mut Pmu,
         bus: &mut B,
-    ) -> Result<(u64, u64), CpuFault> {
-        let (res, value) = bus.load_fused(vaddr, 8, is_write)?;
-        if is_write {
-            batch.count_store_coherence(&res);
-        }
+    ) {
+        batch.count_store_coherence(res);
         if res.slice.is_some() {
             self.drain_uncore(pmu, bus);
         }
-        batch.record_load(&res);
-        let dispatch = t.dispatch(self.ports.load, addr_ready, 1, batch);
-        let done = dispatch + res.latency;
+    }
+
+    /// The branch rule: a branch-port µop and a retired branch. A
+    /// conditional one (`cond`: pc, taken) trains the predictor; a
+    /// mispredict stalls the front end for the penalty after it resolves.
+    #[inline(always)]
+    fn branch_uop(
+        &mut self,
+        t: &mut Timing,
+        ready: u64,
+        cond: Option<(usize, bool)>,
+        batch: &mut PmuBatch,
+    ) {
+        let done = t.dispatch(self.ports.branch, ready, 1, batch) + 1;
         t.complete(done);
-        Ok((done, value))
+        batch.br_retired += 1;
+        if let Some((pc, taken)) = cond {
+            if self.bpred.update(pc, taken) {
+                batch.br_misp += 1;
+                t.alloc_cycle = t.alloc_cycle.max(done + self.config.mispredict_penalty);
+                t.alloc_slots = 0;
+            }
+        }
     }
 
     fn drain_uncore<B: Bus + ?Sized>(&mut self, pmu: &mut Pmu, bus: &mut B) {
@@ -880,10 +968,6 @@ impl Engine {
             }
         }
     }
-}
-
-fn start_of(t: &Timing) -> u64 {
-    t.barrier
 }
 
 fn addr_ready(t: &Timing, mem: &MemRef) -> u64 {
@@ -916,16 +1000,9 @@ fn step_generic<B: Bus + ?Sized>(
     let inst = &a.insts[a.pc];
     let factor = eng.avx_factor(hot.has(meta::IS_AVX));
 
-    // Input readiness (registers, vector registers, flags).
-    let mut input_ready = start_of(a.t);
-    for &r in hot.in_regs.slice(&body.regs) {
-        input_ready = input_ready.max(a.t.reg[r as usize]);
-    }
+    let mut input_ready = a.t.inputs_ready(body, hot);
     for &v in cold.in_vregs.slice(&body.regs) {
         input_ready = input_ready.max(a.t.vreg[v as usize]);
-    }
-    if hot.has(meta::FLAGS_READ) {
-        input_ready = input_ready.max(a.t.flags);
     }
 
     // Loads. A load that covers an RMW store is the instruction's only
@@ -938,70 +1015,36 @@ fn step_generic<B: Bus + ?Sized>(
         let a_ready = addr_ready(a.t, mem);
         let vaddr = exec::mem_vaddr(a.state, mem);
         let rmw = writes.iter().any(|w| w.covered_by_read && w.mem == *mem);
-        let done = eng.timed_load(a.t, vaddr, a_ready, rmw, a.batch, a.pmu, a.bus)?;
+        let (done, _) =
+            eng.timed_load::<B, false>(a.t, vaddr, a_ready, rmw, a.batch, a.pmu, a.bus)?;
         load_done = load_done.max(done);
     }
     let compute_ready = input_ready.max(load_done);
-
-    // Compute µops.
     let uops = hot.uops.slice(&body.uops);
-    let mut result_ready = if uops.is_empty() {
-        if load_done > 0 {
-            load_done
-        } else {
-            compute_ready
-        }
-    } else {
-        compute_ready
-    };
-    for (i, u) in uops.iter().enumerate() {
-        let dispatch = a.t.dispatch(u.ports, compute_ready, u.recip, a.batch);
-        let done = dispatch + u.latency * factor;
-        a.t.complete(done);
-        if i == 0 {
-            result_ready = done.max(load_done);
-        }
-    }
+    let first = a.t.compute_uops(uops, compute_ready, factor, a.batch);
+    let result_ready = result_ready(first, load_done, compute_ready);
 
-    // Stores.
     for store in writes {
         let a_ready = addr_ready(a.t, &store.mem);
-        a.t.dispatch(eng.ports.store_addr, a_ready, 1, a.batch);
-        a.t.dispatch(eng.ports.store_data, result_ready, 1, a.batch);
+        eng.store_uops(a.t, a_ready, result_ready, a.batch);
         // RMW accesses already touched the line via the load.
         if !store.covered_by_read {
             let vaddr = exec::mem_vaddr(a.state, &store.mem);
             let res = a.bus.access(vaddr, true)?;
-            a.batch.count_store_coherence(&res);
-            if res.slice.is_some() {
-                eng.drain_uncore(a.pmu, a.bus);
-            }
+            eng.store_access(&res, a.batch, a.pmu, a.bus);
         }
     }
 
     // Branches: prediction bookkeeping before the semantic jump.
     if hot.has(meta::IS_BRANCH) {
         let taken = exec::branch_taken(inst, a.state);
-        let dispatch = a.t.dispatch(eng.ports.branch, compute_ready, 1, a.batch);
-        let done = dispatch + 1;
-        a.t.complete(done);
-        a.batch.br_retired += 1;
-        if hot.has(meta::CONDITIONAL) && eng.bpred.update(a.pc, taken) {
-            a.batch.br_misp += 1;
-            a.t.alloc_cycle = a.t.alloc_cycle.max(done + eng.config.mispredict_penalty);
-            a.t.alloc_slots = 0;
-        }
+        let cond = hot.has(meta::CONDITIONAL).then_some((a.pc, taken));
+        eng.branch_uop(a.t, compute_ready, cond, a.batch);
     }
 
-    // Output readiness.
-    for &r in hot.out_regs.slice(&body.regs) {
-        a.t.reg[r as usize] = result_ready;
-    }
+    a.t.write_outputs(body, hot, result_ready);
     if let Some(v) = cold.out_vreg {
         a.t.vreg[v as usize] = result_ready;
-    }
-    if hot.has(meta::FLAGS_WRITTEN) {
-        a.t.flags = result_ready;
     }
 
     let next = exec::execute(inst, a.state, a.bus)?;
@@ -1065,7 +1108,7 @@ fn step_block<B: Bus + ?Sized, const BOUNDED: bool>(
         }
         let pc = a.pc + i;
         let r = match a.body.hot[pc].handler {
-            handler::ALU_BLOCK => alu_entry(eng, a, pc),
+            handler::ALU_BLOCK => alu_entry(a, pc),
             handler::LOAD => match &a.body.fast[pc] {
                 FastOp::LoadQ { dst } => load_q_entry(eng, a, pc, *dst),
                 _ => mem_entry::<B, true, false>(eng, a, pc),
@@ -1085,10 +1128,10 @@ fn step_block<B: Bus + ?Sized, const BOUNDED: bool>(
     }
     // Loop-close fusion: a certified conditional branch directly behind
     // the block runs in the same dispatch, so a benchmark loop iteration
-    // costs one step instead of two. The branch math below replicates
-    // `step_branch` exactly; the pre-decoded condition and target make the
-    // generic executor redundant. Under a turn limit the branch is one
-    // more entry: it runs only inside the turn and the budget.
+    // costs one step instead of two. The timing below is `step_branch`'s;
+    // the pre-decoded condition and target make the generic executor
+    // redundant. Under a turn limit the branch is one more entry: it runs
+    // only inside the turn and the budget.
     if a.fuse && (!BOUNDED || ((n as u64) < a.t.turn_budget && a.t.in_turn())) {
         let bpc = a.pc + n;
         if let Some(&FastOp::CondJump { target, cc }) = a.body.fast.get(bpc) {
@@ -1106,32 +1149,15 @@ fn step_block<B: Bus + ?Sized, const BOUNDED: bool>(
                     && hot.writes.is_empty(),
                 "CondJump entry violates the certified loop-close shape"
             );
-            let mut input_ready = a.t.barrier;
-            for &r in hot.in_regs.slice(&body.regs) {
-                input_ready = input_ready.max(a.t.reg[r as usize]);
-            }
-            if hot.has(meta::FLAGS_READ) {
-                input_ready = input_ready.max(a.t.flags);
-            }
-            for u in hot.uops.slice(&body.uops) {
-                let dispatch = a.t.dispatch(u.ports, input_ready, u.recip, a.batch);
-                a.t.complete(dispatch + u.latency);
-            }
+            let input_ready = a.t.inputs_ready(body, hot);
+            a.t.compute_uops(hot.uops.slice(&body.uops), input_ready, 1, a.batch);
             let taken = match cc {
                 FastCc::Z => a.state.flag(Flag::Zf),
                 FastCc::Nz => !a.state.flag(Flag::Zf),
                 FastCc::C => a.state.flag(Flag::Cf),
                 FastCc::Nc => !a.state.flag(Flag::Cf),
             };
-            let dispatch = a.t.dispatch(eng.ports.branch, input_ready, 1, a.batch);
-            let done = dispatch + 1;
-            a.t.complete(done);
-            a.batch.br_retired += 1;
-            if eng.bpred.update(bpc, taken) {
-                a.batch.br_misp += 1;
-                a.t.alloc_cycle = a.t.alloc_cycle.max(done + eng.config.mispredict_penalty);
-                a.t.alloc_slots = 0;
-            }
+            eng.branch_uop(a.t, input_ready, Some((bpc, taken)), a.batch);
             eng.note_non_avx_n(n as u64 + 1);
             let next = if taken {
                 Next::Jump(target as usize)
@@ -1154,36 +1180,15 @@ fn step_block<B: Bus + ?Sized, const BOUNDED: bool>(
 /// each has two callers, and left to itself the compiler calls them out of
 /// line, which slows the unbounded form `run_plan` uses.
 #[inline(always)]
-fn alu_entry<B: Bus + ?Sized>(
-    _eng: &mut Engine,
-    a: &mut StepArgs<'_, B>,
-    pc: usize,
-) -> Result<(), CpuFault> {
+fn alu_entry<B: Bus + ?Sized>(a: &mut StepArgs<'_, B>, pc: usize) -> Result<(), CpuFault> {
     let body = a.body;
     let hot = &body.hot[pc];
-    let mut input_ready = a.t.barrier;
-    for &r in hot.in_regs.slice(&body.regs) {
-        input_ready = input_ready.max(a.t.reg[r as usize]);
-    }
-    if hot.has(meta::FLAGS_READ) {
-        input_ready = input_ready.max(a.t.flags);
-    }
+    let input_ready = a.t.inputs_ready(body, hot);
     let uops = hot.uops.slice(&body.uops);
-    let mut result_ready = input_ready;
-    for (j, u) in uops.iter().enumerate() {
-        let dispatch = a.t.dispatch(u.ports, input_ready, u.recip, a.batch);
-        let done = dispatch + u.latency;
-        a.t.complete(done);
-        if j == 0 {
-            result_ready = done;
-        }
-    }
-    for &r in hot.out_regs.slice(&body.regs) {
-        a.t.reg[r as usize] = result_ready;
-    }
-    if hot.has(meta::FLAGS_WRITTEN) {
-        a.t.flags = result_ready;
-    }
+    let result_ready =
+        a.t.compute_uops(uops, input_ready, 1, a.batch)
+            .unwrap_or(input_ready);
+    a.t.write_outputs(body, hot, result_ready);
     let fast = &body.fast[pc];
     if matches!(fast, FastOp::None) {
         exec::execute(&a.insts[pc], a.state, a.bus)?;
@@ -1208,14 +1213,7 @@ fn mem_entry<B: Bus + ?Sized, const READS: bool, const WRITES: bool>(
 ) -> Result<(), CpuFault> {
     let body = a.body;
     let hot = &body.hot[pc];
-
-    let mut input_ready = a.t.barrier;
-    for &r in hot.in_regs.slice(&body.regs) {
-        input_ready = input_ready.max(a.t.reg[r as usize]);
-    }
-    if hot.has(meta::FLAGS_READ) {
-        input_ready = input_ready.max(a.t.flags);
-    }
+    let input_ready = a.t.inputs_ready(body, hot);
 
     // Pre-decoded shapes fuse timing and data into one bus operation, so
     // a translating environment resolves each memory µop's address once.
@@ -1232,43 +1230,24 @@ fn mem_entry<B: Bus + ?Sized, const READS: bool, const WRITES: bool>(
             let a_ready = addr_ready(a.t, mem);
             let vaddr = exec::mem_vaddr(a.state, mem);
             // In the RMW shape the (single) write is covered by this read.
-            let done = if fast_load {
-                let (done, value) =
-                    eng.timed_load_fused(a.t, vaddr, a_ready, WRITES, a.batch, a.pmu, a.bus)?;
-                loaded = value;
-                done
+            let (done, value) = if fast_load {
+                eng.timed_load::<B, true>(a.t, vaddr, a_ready, WRITES, a.batch, a.pmu, a.bus)?
             } else {
-                eng.timed_load(a.t, vaddr, a_ready, WRITES, a.batch, a.pmu, a.bus)?
+                eng.timed_load::<B, false>(a.t, vaddr, a_ready, WRITES, a.batch, a.pmu, a.bus)?
             };
+            loaded = value;
             load_done = load_done.max(done);
         }
     }
     let compute_ready = input_ready.max(load_done);
-
     let uops = hot.uops.slice(&body.uops);
-    let mut result_ready = if uops.is_empty() {
-        if load_done > 0 {
-            load_done
-        } else {
-            compute_ready
-        }
-    } else {
-        compute_ready
-    };
-    for (i, u) in uops.iter().enumerate() {
-        let dispatch = a.t.dispatch(u.ports, compute_ready, u.recip, a.batch);
-        let done = dispatch + u.latency;
-        a.t.complete(done);
-        if i == 0 {
-            result_ready = done.max(load_done);
-        }
-    }
+    let first = a.t.compute_uops(uops, compute_ready, 1, a.batch);
+    let result_ready = result_ready(first, load_done, compute_ready);
 
     if WRITES {
         for store in hot.writes.slice(&body.writes) {
             let a_ready = addr_ready(a.t, &store.mem);
-            a.t.dispatch(eng.ports.store_addr, a_ready, 1, a.batch);
-            a.t.dispatch(eng.ports.store_data, result_ready, 1, a.batch);
+            eng.store_uops(a.t, a_ready, result_ready, a.batch);
             if !store.covered_by_read {
                 let vaddr = exec::mem_vaddr(a.state, &store.mem);
                 let res = if let FastOp::StoreQ { src, .. } = fast {
@@ -1277,20 +1256,12 @@ fn mem_entry<B: Bus + ?Sized, const READS: bool, const WRITES: bool>(
                 } else {
                     a.bus.access(vaddr, true)?
                 };
-                a.batch.count_store_coherence(&res);
-                if res.slice.is_some() {
-                    eng.drain_uncore(a.pmu, a.bus);
-                }
+                eng.store_access(&res, a.batch, a.pmu, a.bus);
             }
         }
     }
 
-    for &r in hot.out_regs.slice(&body.regs) {
-        a.t.reg[r as usize] = result_ready;
-    }
-    if hot.has(meta::FLAGS_WRITTEN) {
-        a.t.flags = result_ready;
-    }
+    a.t.write_outputs(body, hot, result_ready);
 
     // Semantic completion. The data side of every pre-decoded shape went
     // through the fused bus operations above; only the register/flag
@@ -1352,20 +1323,14 @@ fn load_q_entry<B: Bus + ?Sized>(
     let mem = &reads[0];
     let a_ready = addr_ready(a.t, mem);
     let vaddr = exec::mem_vaddr(a.state, mem);
-    let (done, value) = eng.timed_load_fused(a.t, vaddr, a_ready, false, a.batch, a.pmu, a.bus)?;
+    let (done, value) =
+        eng.timed_load::<B, true>(a.t, vaddr, a_ready, false, a.batch, a.pmu, a.bus)?;
+    // `result_ready` without compute µops; only the zero-latency corner
+    // (configurable latencies can be 0 at cycle 0) reads the inputs.
     let result_ready = if done > 0 {
         done
     } else {
-        // Zero-latency corner (configurable latencies can be 0 at cycle
-        // 0): the generic entry falls back to input readiness.
-        let mut input_ready = a.t.barrier;
-        for &r in hot.in_regs.slice(&body.regs) {
-            input_ready = input_ready.max(a.t.reg[r as usize]);
-        }
-        if hot.has(meta::FLAGS_READ) {
-            input_ready = input_ready.max(a.t.flags);
-        }
-        input_ready
+        a.t.inputs_ready(body, hot)
     };
     a.t.reg[dst.number() as usize] = result_ready;
     a.state.set_gpr(dst, value);
@@ -1397,25 +1362,15 @@ fn store_q_entry<B: Bus + ?Sized>(
             && !hot.has(meta::FLAGS_WRITTEN),
         "StoreQ entry violates the certified fast-store shape"
     );
-    let mut input_ready = a.t.barrier;
-    for &r in hot.in_regs.slice(&body.regs) {
-        input_ready = input_ready.max(a.t.reg[r as usize]);
-    }
-    if hot.has(meta::FLAGS_READ) {
-        input_ready = input_ready.max(a.t.flags);
-    }
+    let input_ready = a.t.inputs_ready(body, hot);
     let store = &writes[0];
     let a_ready = addr_ready(a.t, &store.mem);
-    a.t.dispatch(eng.ports.store_addr, a_ready, 1, a.batch);
-    a.t.dispatch(eng.ports.store_data, input_ready, 1, a.batch);
+    eng.store_uops(a.t, a_ready, input_ready, a.batch);
     let vaddr = exec::mem_vaddr(a.state, &store.mem);
     let res = a
         .bus
         .store_fused(vaddr, 8, exec::fast_src_val(a.state, src))?;
-    a.batch.count_store_coherence(&res);
-    if res.slice.is_some() {
-        eng.drain_uncore(a.pmu, a.bus);
-    }
+    eng.store_access(&res, a.batch, a.pmu, a.bus);
     debug_assert!(hot.has(meta::RETIRES), "mem shapes always retire");
     Ok(())
 }
@@ -1429,45 +1384,15 @@ fn step_branch<B: Bus + ?Sized, const COND: bool>(
     let body = a.body;
     let hot = &body.hot[a.pc];
     let inst = &a.insts[a.pc];
-    eng.note_non_avx();
-
-    let mut input_ready = a.t.barrier;
-    for &r in hot.in_regs.slice(&body.regs) {
-        input_ready = input_ready.max(a.t.reg[r as usize]);
-    }
-    if hot.has(meta::FLAGS_READ) {
-        input_ready = input_ready.max(a.t.flags);
-    }
-
+    eng.note_non_avx_n(1);
+    let input_ready = a.t.inputs_ready(body, hot);
     let uops = hot.uops.slice(&body.uops);
-    let mut result_ready = input_ready;
-    for (i, u) in uops.iter().enumerate() {
-        let dispatch = a.t.dispatch(u.ports, input_ready, u.recip, a.batch);
-        let done = dispatch + u.latency;
-        a.t.complete(done);
-        if i == 0 {
-            result_ready = done;
-        }
-    }
-
+    let result_ready =
+        a.t.compute_uops(uops, input_ready, 1, a.batch)
+            .unwrap_or(input_ready);
     let taken = exec::branch_taken(inst, a.state);
-    let dispatch = a.t.dispatch(eng.ports.branch, input_ready, 1, a.batch);
-    let done = dispatch + 1;
-    a.t.complete(done);
-    a.batch.br_retired += 1;
-    if COND && eng.bpred.update(a.pc, taken) {
-        a.batch.br_misp += 1;
-        a.t.alloc_cycle = a.t.alloc_cycle.max(done + eng.config.mispredict_penalty);
-        a.t.alloc_slots = 0;
-    }
-
-    for &r in hot.out_regs.slice(&body.regs) {
-        a.t.reg[r as usize] = result_ready;
-    }
-    if hot.has(meta::FLAGS_WRITTEN) {
-        a.t.flags = result_ready;
-    }
-
+    eng.branch_uop(a.t, input_ready, COND.then_some((a.pc, taken)), a.batch);
+    a.t.write_outputs(body, hot, result_ready);
     let next = exec::execute(inst, a.state, a.bus)?;
     Ok(StepOutcome::one(next, hot.has(meta::RETIRES)))
 }
@@ -1478,8 +1403,7 @@ fn step_nop<B: Bus + ?Sized>(
     _eng: &mut Engine,
     a: &mut StepArgs<'_, B>,
 ) -> Result<StepOutcome, CpuFault> {
-    let ready = start_of(a.t);
-    a.t.dispatch(PortSet::NONE, ready, 1, a.batch);
+    a.t.dispatch(PortSet::NONE, a.t.barrier, 1, a.batch);
     Ok(StepOutcome::one(Next::Seq, true))
 }
 
@@ -1490,9 +1414,7 @@ fn step_lfence<B: Bus + ?Sized>(
     // "LFENCE does not execute until all prior instructions have completed
     // locally, and no later instruction begins execution until LFENCE
     // completes" (§IV-A1).
-    let done = a.t.max_complete.max(a.t.alloc_uop());
-    a.batch.uops_issued += 1;
-    a.t.set_barrier(done);
+    a.t.serialize(0, 0, a.batch);
     Ok(StepOutcome::one(Next::Seq, true))
 }
 
@@ -1500,14 +1422,12 @@ fn step_fence<B: Bus + ?Sized>(
     _eng: &mut Engine,
     a: &mut StepArgs<'_, B>,
 ) -> Result<StepOutcome, CpuFault> {
-    let extra = if a.insts[a.pc].mnemonic == Mnemonic::Mfence {
+    let cost = if a.insts[a.pc].mnemonic == Mnemonic::Mfence {
         33
     } else {
         2
     };
-    let done = a.t.max_complete.max(a.t.alloc_uop()) + extra;
-    a.batch.uops_issued += 1;
-    a.t.set_barrier(done);
+    a.t.serialize(0, cost, a.batch);
     Ok(StepOutcome::one(Next::Seq, true))
 }
 
@@ -1542,11 +1462,9 @@ fn step_rdtsc<B: Bus + ?Sized>(
     eng: &mut Engine,
     a: &mut StepArgs<'_, B>,
 ) -> Result<StepOutcome, CpuFault> {
-    let ready = start_of(a.t);
-    let dispatch = a.t.dispatch(eng.ports.int_mul, ready, 25, a.batch);
-    let done = dispatch + 25;
+    let tsc = a.t.dispatch(eng.ports.int_mul, a.t.barrier, 25, a.batch);
+    let done = tsc + 25;
     a.t.complete(done);
-    let tsc = dispatch;
     a.state.set_gpr(Gpr::Rax, tsc & 0xFFFF_FFFF);
     a.state.set_gpr(Gpr::Rdx, tsc >> 32);
     a.t.reg[Gpr::Rax.number() as usize] = done;
@@ -1617,9 +1535,7 @@ fn step_wrmsr<B: Bus + ?Sized>(
         .max(a.t.reg[Gpr::Rax.number() as usize])
         .max(a.t.reg[Gpr::Rdx.number() as usize]);
     // WRMSR is serializing.
-    let done = a.t.max_complete.max(ready).max(a.t.alloc_uop()) + 150;
-    a.batch.uops_issued += 1;
-    a.t.set_barrier(done);
+    let done = a.t.serialize(ready, 150, a.batch);
     let addr = a.state.gpr(Gpr::Rcx) as u32;
     let value = (a.state.gpr(Gpr::Rdx) << 32) | (a.state.gpr(Gpr::Rax) & 0xFFFF_FFFF);
     // Architectural counter write: pending counts must land before the
@@ -1636,9 +1552,7 @@ fn step_wbinvd<B: Bus + ?Sized>(
     _eng: &mut Engine,
     a: &mut StepArgs<'_, B>,
 ) -> Result<StepOutcome, CpuFault> {
-    let done = a.t.max_complete.max(a.t.alloc_uop()) + 5000;
-    a.batch.uops_issued += 1;
-    a.t.set_barrier(done);
+    a.t.serialize(0, 5000, a.batch);
     a.bus.wbinvd();
     Ok(StepOutcome::one(Next::Seq, true))
 }
@@ -1651,6 +1565,8 @@ fn step_clflush<B: Bus + ?Sized>(
         .dst()
         .and_then(|o| o.as_mem())
         .expect("clflush takes a memory operand");
+    // Not `store_uops`: the address µop occupies its port for 6 cycles,
+    // and the flush completes 2 cycles after it dispatches.
     let ready = addr_ready(a.t, &mem);
     let dispatch = a.t.dispatch(eng.ports.store_addr, ready, 6, a.batch);
     a.t.dispatch(eng.ports.store_data, ready, 1, a.batch);
@@ -1676,23 +1592,13 @@ fn step_prefetch<B: Bus + ?Sized>(
     Ok(StepOutcome::one(Next::Seq, true))
 }
 
-fn step_cli<B: Bus + ?Sized>(
+/// CLI (`SET` clear) and STI (`SET` set): one ALU µop.
+fn step_set_if<B: Bus + ?Sized, const SET: bool>(
     eng: &mut Engine,
     a: &mut StepArgs<'_, B>,
 ) -> Result<StepOutcome, CpuFault> {
-    a.bus.set_interrupt_flag(false);
-    let ready = start_of(a.t);
-    a.t.dispatch(eng.ports.alu, ready, 1, a.batch);
-    Ok(StepOutcome::one(Next::Seq, true))
-}
-
-fn step_sti<B: Bus + ?Sized>(
-    eng: &mut Engine,
-    a: &mut StepArgs<'_, B>,
-) -> Result<StepOutcome, CpuFault> {
-    a.bus.set_interrupt_flag(true);
-    let ready = start_of(a.t);
-    a.t.dispatch(eng.ports.alu, ready, 1, a.batch);
+    a.bus.set_interrupt_flag(SET);
+    a.t.dispatch(eng.ports.alu, a.t.barrier, 1, a.batch);
     Ok(StepOutcome::one(Next::Seq, true))
 }
 
@@ -1703,9 +1609,7 @@ fn step_serialize<B: Bus + ?Sized>(
     // HLT / SWAPGS / MOV CR3 / INVLPG: modeled as serializing, fixed-cost
     // kernel operations. (TLBs are not modeled; an INVLPG flush is a
     // timing event only.)
-    let done = a.t.max_complete.max(a.t.alloc_uop()) + 100;
-    a.batch.uops_issued += 1;
-    a.t.set_barrier(done);
+    a.t.serialize(0, 100, a.batch);
     Ok(StepOutcome::one(Next::Seq, true))
 }
 
@@ -1713,42 +1617,29 @@ fn step_rdrand<B: Bus + ?Sized>(
     eng: &mut Engine,
     a: &mut StepArgs<'_, B>,
 ) -> Result<StepOutcome, CpuFault> {
-    let u = a.body.hot[a.pc].uops.slice(&a.body.uops)[0];
-    let ready = start_of(a.t);
-    let dispatch = a.t.dispatch(u.ports, ready, u.recip, a.batch);
-    let done = dispatch + u.latency;
-    a.t.complete(done);
+    let uops = a.body.hot[a.pc].uops.slice(&a.body.uops);
+    let done = a.t.compute_uops(uops, a.t.barrier, 1, a.batch);
+    let done = done.expect("the plan resolves RDRAND's descriptor µop");
     let value: u64 = eng.rng.gen();
     if let Some(Operand::Gpr(g)) = a.insts[a.pc].dst() {
         a.state.set_gpr_part(*g, value);
         a.t.reg[g.reg.number() as usize] = done;
     }
-    a.state.set_flag(nanobench_x86::reg::Flag::Cf, true);
+    a.state.set_flag(Flag::Cf, true);
     Ok(StepOutcome::one(Next::Seq, true))
 }
 
-fn step_nb_pause<B: Bus + ?Sized>(
+/// The magic markers (§III-I): pause (`ON` clear) or resume counting, at
+/// no cost beyond the sync point. The batch lands before the gate moves;
+/// counts made while paused are dropped by the closed gate at flush time,
+/// exactly as per-µop delivery would have dropped them.
+fn step_nb_marker<B: Bus + ?Sized, const ON: bool>(
     _eng: &mut Engine,
     a: &mut StepArgs<'_, B>,
 ) -> Result<StepOutcome, CpuFault> {
-    // Magic marker: pause counting (§III-I). Zero architectural cost
-    // beyond the sync point. The batch accumulated while counting was on
-    // must land before the gate closes.
     a.batch.flush(a.pmu);
     a.pmu.sync_cycles(a.t.now());
-    a.pmu.set_counting(false);
-    Ok(StepOutcome::one(Next::Seq, false))
-}
-
-fn step_nb_resume<B: Bus + ?Sized>(
-    _eng: &mut Engine,
-    a: &mut StepArgs<'_, B>,
-) -> Result<StepOutcome, CpuFault> {
-    // Counts accumulated while paused are dropped by the closed gate at
-    // flush time — exactly as per-µop delivery would have dropped them.
-    a.batch.flush(a.pmu);
-    a.pmu.sync_cycles(a.t.now());
-    a.pmu.set_counting(true);
+    a.pmu.set_counting(ON);
     Ok(StepOutcome::one(Next::Seq, false))
 }
 
@@ -1759,13 +1650,12 @@ fn step_push<B: Bus + ?Sized>(
     let inst = &a.insts[a.pc];
     let data_ready = match inst.dst() {
         Some(Operand::Gpr(g)) => a.t.reg[g.reg.number() as usize],
-        _ => start_of(a.t),
+        _ => a.t.barrier,
     };
     let rsp_ready = a.t.reg[Gpr::Rsp.number() as usize];
     let rsp_done = a.t.dispatch(eng.ports.alu, rsp_ready, 1, a.batch) + 1;
     a.t.reg[Gpr::Rsp.number() as usize] = rsp_done;
-    a.t.dispatch(eng.ports.store_addr, rsp_done, 1, a.batch);
-    a.t.dispatch(eng.ports.store_data, data_ready, 1, a.batch);
+    eng.store_uops(a.t, rsp_done, data_ready, a.batch);
     a.t.complete(rsp_done);
     let vaddr = a.state.gpr(Gpr::Rsp).wrapping_sub(8);
     // Register and immediate sources never touch the bus, so their pushes
@@ -1776,17 +1666,18 @@ fn step_push<B: Bus + ?Sized>(
         Some(Operand::Imm(v)) => Some(*v as u64),
         _ => None,
     };
-    if let Some(value) = fused_value {
-        let res = a.bus.store_fused(vaddr, 8, value)?;
-        a.batch.count_store_coherence(&res);
+    let res = match fused_value {
+        Some(value) => a.bus.store_fused(vaddr, 8, value)?,
+        None => a.bus.access(vaddr, true)?,
+    };
+    eng.store_access(&res, a.batch, a.pmu, a.bus);
+    let next = if fused_value.is_some() {
         a.state.set_gpr(Gpr::Rsp, vaddr);
-        Ok(StepOutcome::one(Next::Seq, true))
+        Next::Seq
     } else {
-        let res = a.bus.access(vaddr, true)?;
-        a.batch.count_store_coherence(&res);
-        let next = exec::execute(inst, a.state, a.bus)?;
-        Ok(StepOutcome::one(next, true))
-    }
+        exec::execute(inst, a.state, a.bus)?
+    };
+    Ok(StepOutcome::one(next, true))
 }
 
 fn step_pop<B: Bus + ?Sized>(
@@ -1798,23 +1689,25 @@ fn step_pop<B: Bus + ?Sized>(
     let vaddr = a.state.gpr(Gpr::Rsp);
     // Register destinations fuse the timing walk with the data read (one
     // translation); memory destinations keep the generic path.
-    if let Some(Operand::Gpr(g)) = inst.dst() {
-        let (load_done, value) =
-            eng.timed_load_fused(a.t, vaddr, rsp_ready, false, a.batch, a.pmu, a.bus)?;
-        let rsp_done = a.t.dispatch(eng.ports.alu, rsp_ready, 1, a.batch) + 1;
-        a.t.reg[Gpr::Rsp.number() as usize] = rsp_done;
-        a.t.reg[g.reg.number() as usize] = load_done;
-        a.t.complete(load_done);
-        // RSP before the destination, so `pop rsp` keeps the loaded value.
-        a.state.set_gpr(Gpr::Rsp, vaddr.wrapping_add(8));
-        a.state.set_gpr_part(*g, value);
-        Ok(StepOutcome::one(Next::Seq, true))
+    let dst = inst.dst().and_then(|o| o.as_gpr());
+    let (load_done, value) = if dst.is_some() {
+        eng.timed_load::<B, true>(a.t, vaddr, rsp_ready, false, a.batch, a.pmu, a.bus)?
     } else {
-        let load_done = eng.timed_load(a.t, vaddr, rsp_ready, false, a.batch, a.pmu, a.bus)?;
-        let rsp_done = a.t.dispatch(eng.ports.alu, rsp_ready, 1, a.batch) + 1;
-        a.t.reg[Gpr::Rsp.number() as usize] = rsp_done;
-        a.t.complete(load_done);
-        let next = exec::execute(inst, a.state, a.bus)?;
-        Ok(StepOutcome::one(next, true))
-    }
+        eng.timed_load::<B, false>(a.t, vaddr, rsp_ready, false, a.batch, a.pmu, a.bus)?
+    };
+    let rsp_done = a.t.dispatch(eng.ports.alu, rsp_ready, 1, a.batch) + 1;
+    a.t.reg[Gpr::Rsp.number() as usize] = rsp_done;
+    a.t.complete(load_done);
+    let next = match dst {
+        Some(g) => {
+            a.t.reg[g.reg.number() as usize] = load_done;
+            // RSP before the destination, so `pop rsp` keeps the loaded
+            // value.
+            a.state.set_gpr(Gpr::Rsp, vaddr.wrapping_add(8));
+            a.state.set_gpr_part(g, value);
+            Next::Seq
+        }
+        None => exec::execute(inst, a.state, a.bus)?,
+    };
+    Ok(StepOutcome::one(next, true))
 }

@@ -74,7 +74,9 @@ pub(crate) mod handler {
     /// Full dataflow path: AVX, vector registers, privilege, any operand
     /// shape. Correct for every non-special instruction.
     pub const GENERIC: u8 = 0;
-    /// Fused superblock of register-only ALU entries (`fuse_len` ≥ 1).
+    /// Register-only ALU entry. Like LOAD, STORE and RMW it dispatches to
+    /// the superblock handler, which steps the `fuse_len` ≥ 1 fusable
+    /// entries starting here, whatever mix of the four shapes they are.
     pub const ALU_BLOCK: u8 = 1;
     /// Memory reads, no writes, GPR outputs only.
     pub const LOAD: u8 = 2;
@@ -148,9 +150,10 @@ pub(crate) mod meta {
     pub const PRIVILEGED: u8 = 1 << 6;
 }
 
-/// Maximum number of ALU entries fused into one superblock. Bounds how far
-/// a fused step can run ahead of interrupt polling and the instruction
-/// limit check (both happen once per dispatched block).
+/// Maximum number of entries (ALU, load, store and RMW, mixed) fused into
+/// one superblock. Bounds how far a fused step can run ahead of interrupt
+/// polling and the instruction limit check (both happen once per
+/// dispatched block).
 pub(crate) const FUSE_CAP: u8 = 16;
 
 /// A store operand plus whether this instruction's load µop already
@@ -194,8 +197,9 @@ impl Span {
 pub(crate) struct HotEntry {
     /// Index into the engine's dispatch table ([`handler`]).
     pub handler: u8,
-    /// Number of consecutive entries (≥ 1) this dispatch consumes; > 1
-    /// only for [`handler::ALU_BLOCK`] superblocks.
+    /// Number of consecutive entries (≥ 1) this dispatch consumes; > 1 only
+    /// for superblocks, which start at a fusable entry
+    /// ([`handler::is_fusable`]: ALU, load, store or RMW) and mix all four.
     pub fuse_len: u8,
     /// Packed [`meta`] bits.
     pub meta: u8,

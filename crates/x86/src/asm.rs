@@ -340,6 +340,12 @@ pub fn parse_asm(text: &str) -> Result<Vec<Instruction>, ParseAsmError> {
                 }
             }
         }
+        if let Some(message) = missing_memory_operand(mnemonic, &operands) {
+            return Err(ParseAsmError {
+                statement: statement_no,
+                message,
+            });
+        }
         // Vector memory accesses are modeled at qword granularity (see
         // `strip_size_prefix`): normalize explicit size prefixes so the asm
         // path and the §III-E byte path (whose encodings carry no memory
@@ -366,6 +372,23 @@ pub fn parse_asm(text: &str) -> Result<Vec<Instruction>, ParseAsmError> {
     }
 
     Ok(instructions)
+}
+
+/// The forms whose operand must be memory, where x86 has no register form
+/// (its encoding, mod=11, is #UD or a hint NOP): LEA's source and the
+/// operand of CLFLUSH/CLFLUSHOPT and PREFETCHh. Returns the error message
+/// for a statement that breaks the rule.
+fn missing_memory_operand(m: Mnemonic, operands: &[Operand]) -> Option<String> {
+    use Mnemonic::*;
+    let (index, role) = match m {
+        Lea => (1, "source"),
+        Clflush | Clflushopt | Prefetcht0 | Prefetcht1 | Prefetcht2 | Prefetchnta => (0, "operand"),
+        _ => return None,
+    };
+    match operands.get(index) {
+        Some(Operand::Mem(_)) => None,
+        _ => Some(format!("`{}` takes a memory {role}", mnemonic_name(m))),
+    }
 }
 
 /// Formats a program back to parseable assembler text (one statement per
@@ -750,6 +773,26 @@ mod tests {
                 .len(),
             4
         );
+    }
+
+    #[test]
+    fn register_forms_without_an_encoding_are_errors() {
+        for (text, message) in [
+            ("nop; lea rax, rbx", "`lea` takes a memory source"),
+            ("nop; lea rax", "`lea` takes a memory source"),
+            ("nop; clflush rax", "`clflush` takes a memory operand"),
+            ("nop; clflushopt rax", "`clflushopt` takes a memory operand"),
+            (
+                "nop; prefetchnta rcx",
+                "`prefetchnta` takes a memory operand",
+            ),
+            ("nop; prefetcht0", "`prefetcht0` takes a memory operand"),
+        ] {
+            let err = parse_asm(text).unwrap_err();
+            assert_eq!(err.statement, 2, "{text}");
+            assert_eq!(err.message, message, "{text}");
+        }
+        assert!(parse_asm("lea rax, [rbx+8]; clflush [rax]; prefetcht2 [rcx]").is_ok());
     }
 
     #[test]

@@ -1611,6 +1611,9 @@ fn decode_one(
         }
         0x8D => {
             let (reg, rm) = decode_modrm(d, &p, w)?;
+            if !matches!(rm, Operand::Mem(_)) {
+                return d.err("lea with a register source (mod=11) is #UD");
+            }
             Instruction::binary(Mnemonic::Lea, gpr_op(reg, w), rm)
         }
         0x00..=0x3B if op & 7 <= 3 => {
@@ -1965,28 +1968,25 @@ fn decode_0f(
             }
         }
         0xAE => {
-            let next = d.u8()?;
-            match next {
-                0xE8 => Instruction::new(Mnemonic::Lfence),
-                0xF0 => Instruction::new(Mnemonic::Mfence),
-                0xF8 => Instruction::new(Mnemonic::Sfence),
-                _ => {
-                    d.pos -= 1;
-                    let (ext, rm) = decode_modrm(d, p, Width::Q)?;
-                    if ext & 7 == 7 {
-                        if p.p66 {
-                            Instruction::unary(Mnemonic::Clflushopt, rm)
-                        } else {
-                            Instruction::unary(Mnemonic::Clflush, rm)
-                        }
-                    } else {
-                        return d.err("unsupported 0F AE form");
-                    }
-                }
+            // Group 15: with mod=11 the fences ignore the r/m field, so
+            // `0f ae e8`-`ef` is LFENCE, `f0`-`f7` MFENCE and `f8`-`ff`
+            // SFENCE; with a memory operand, /7 is CLFLUSH(OPT).
+            let (ext, rm) = decode_modrm(d, p, Width::Q)?;
+            match (ext & 7, matches!(rm, Operand::Mem(_))) {
+                (5, false) => Instruction::new(Mnemonic::Lfence),
+                (6, false) => Instruction::new(Mnemonic::Mfence),
+                (7, false) => Instruction::new(Mnemonic::Sfence),
+                (7, true) if p.p66 => Instruction::unary(Mnemonic::Clflushopt, rm),
+                (7, true) => Instruction::unary(Mnemonic::Clflush, rm),
+                _ => return d.err("unsupported 0F AE form"),
             }
         }
         0x18 => {
             let (ext, rm) = decode_modrm(d, p, Width::Q)?;
+            if !matches!(rm, Operand::Mem(_)) {
+                // A register operand makes the prefetch a hint NOP.
+                return Ok(Instruction::new(Mnemonic::Nop));
+            }
             let mnem = match ext & 7 {
                 0 => Mnemonic::Prefetchnta,
                 1 => Mnemonic::Prefetcht0,
@@ -2331,5 +2331,32 @@ mod tests {
     #[test]
     fn unknown_opcode_is_error() {
         assert!(decode_program(&[0x0F, 0xFF]).is_err());
+    }
+
+    #[test]
+    fn register_forms_decode_as_x86_does() {
+        // LEA with mod=11 is #UD.
+        let err = decode_program(&[0x8D, 0xE8]).unwrap_err();
+        assert!(err.message.contains("lea"), "{err}");
+        // Group 15 fences ignore the r/m field.
+        for (byte, fence) in [(0xE8, "lfence"), (0xEF, "lfence"), (0xF3, "mfence")]
+            .into_iter()
+            .chain((0xF8..=0xFF).map(|b| (b, "sfence")))
+        {
+            let decoded = decode_program(&[0x0F, 0xAE, byte]).unwrap();
+            assert_eq!(decoded, parse_asm(fence).unwrap(), "0f ae {byte:02x}");
+        }
+        // Other group-15 register forms stay unsupported.
+        assert!(decode_program(&[0x0F, 0xAE, 0xC0]).is_err());
+        // A prefetch with a register operand is a hint NOP.
+        for byte in [0xC1, 0xC8, 0xD7, 0xDF] {
+            let decoded = decode_program(&[0x0F, 0x18, byte]).unwrap();
+            assert_eq!(decoded, parse_asm("nop").unwrap(), "0f 18 {byte:02x}");
+        }
+        // The memory forms are unchanged.
+        assert_eq!(
+            decode_program(&[0x0F, 0xAE, 0x38, 0x0F, 0x18, 0x01]).unwrap(),
+            parse_asm("clflush [rax]; prefetchnta [rcx]").unwrap()
+        );
     }
 }
