@@ -96,12 +96,18 @@ impl AccessSeq {
 /// prefetcher disabling) happens once, and every sequence of a campaign
 /// reuses it. Sequences normalize their own starting state via `<WBINVD>`,
 /// so no session reset is needed (or wanted: a reset would re-enable the
-/// prefetchers).
+/// prefetchers). The loads a sequence is made of are built once too, and
+/// each sequence copies them into the spec's reused code buffer.
 #[derive(Debug)]
 pub struct CacheSeq {
     session: Session,
     spec: BenchSpec,
     pool: AddrPool,
+    /// The eviction pad between two same-set accesses: two rounds of loads
+    /// over `pool.evictors`.
+    pad: Vec<Instruction>,
+    /// One load per block of `pool.target_blocks`.
+    loads: Vec<Instruction>,
 }
 
 impl CacheSeq {
@@ -154,10 +160,18 @@ impl CacheSeq {
             .basic_mode(true)
             .n_measurements(1)
             .unroll_count(1);
+        let pad = [&pool.evictors, &pool.evictors]
+            .into_iter()
+            .flatten()
+            .map(|&e| load_of(e))
+            .collect();
+        let loads = pool.target_blocks.iter().map(|&b| load_of(b)).collect();
         Ok(CacheSeq {
             session,
             spec,
             pool,
+            pad,
+            loads,
         })
     }
 
@@ -176,20 +190,13 @@ impl CacheSeq {
         &mut self.session
     }
 
-    fn load_of(addr: u64) -> Instruction {
-        Instruction::binary(
-            Mnemonic::Mov,
-            Operand::gpr(Gpr::Rbx),
-            Operand::Mem(MemRef::absolute(addr, Width::Q)),
-        )
-    }
-
-    /// Generates the microbenchmark body for a sequence.
-    fn body(&self, seq: &AccessSeq) -> Vec<Instruction> {
-        // Each access adds its load, at most two rounds of eviction loads
-        // and at most two counting markers; one marker may close the body.
-        let pads = 2 * self.pool.evictors.len();
-        let mut out = Vec::with_capacity(seq.items.len() * (pads + 3) + 1);
+    /// Writes the microbenchmark body for a sequence into `out`, which
+    /// it clears first.
+    fn write_body(&self, seq: &AccessSeq, out: &mut Vec<Instruction>) {
+        out.clear();
+        // Each access adds its load, at most the eviction pad and at most
+        // two counting markers; one marker may close the body.
+        out.reserve(seq.items.len() * (self.pad.len() + 3) + 1);
         let mut counting = true;
         let set_counting = |out: &mut Vec<Instruction>, on: bool, counting: &mut bool| {
             if *counting != on {
@@ -204,19 +211,14 @@ impl CacheSeq {
         for (i, item) in seq.items.iter().enumerate() {
             // Eviction pads between same-set accesses (never before the
             // first access): excluded from measurement.
-            if i > 0 && !self.pool.evictors.is_empty() {
-                set_counting(&mut out, false, &mut counting);
-                for _ in 0..2 {
-                    for &e in &self.pool.evictors {
-                        out.push(Self::load_of(e));
-                    }
-                }
+            if i > 0 && !self.pad.is_empty() {
+                set_counting(out, false, &mut counting);
+                out.extend_from_slice(&self.pad);
             }
-            set_counting(&mut out, item.measured, &mut counting);
-            out.push(Self::load_of(self.pool.target_blocks[item.block]));
+            set_counting(out, item.measured, &mut counting);
+            out.push(self.loads[item.block]);
         }
-        set_counting(&mut out, true, &mut counting);
-        out
+        set_counting(out, true, &mut counting);
     }
 
     /// Runs the sequence once and returns the number of *measured*
@@ -234,13 +236,13 @@ impl CacheSeq {
                 self.pool.target_blocks.len()
             )));
         }
-        let body = self.body(seq);
-        let init = if seq.wbinvd {
-            vec![Instruction::new(Mnemonic::Wbinvd)]
-        } else {
-            Vec::new()
-        };
-        self.spec.init(init).code(body);
+        let mut code = std::mem::take(&mut self.spec.code);
+        self.write_body(seq, &mut code);
+        self.spec.code = code;
+        self.spec.init.clear();
+        if seq.wbinvd {
+            self.spec.init.push(Instruction::new(Mnemonic::Wbinvd));
+        }
         let result = self.session.run(&self.spec)?;
         let value = result.get(self.pool.level.hit_event()).unwrap_or(0.0);
         Ok(value.round().max(0.0) as u64)
@@ -250,6 +252,15 @@ impl CacheSeq {
     pub fn measured_count(seq: &AccessSeq) -> usize {
         seq.items.iter().filter(|i| i.measured).count()
     }
+}
+
+/// The load of one block or evictor: `mov rbx, qword ptr [addr]`.
+fn load_of(addr: u64) -> Instruction {
+    Instruction::binary(
+        Mnemonic::Mov,
+        Operand::gpr(Gpr::Rbx),
+        Operand::Mem(MemRef::absolute(addr, Width::Q)),
+    )
 }
 
 #[cfg(test)]

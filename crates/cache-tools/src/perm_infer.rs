@@ -229,15 +229,16 @@ fn spec_matches(
 /// Simulates the spec to derive position-based hit and miss permutations
 /// from the canonical (post-fill) state.
 fn derive_position_perms(spec: &PermutationSpec, assoc: usize) -> (Vec<Perm>, Perm) {
-    use nanobench_cache::policy::{PermutationPolicy, SetPolicy};
+    use nanobench_cache::policy::{occupancy, PermutationPolicy, SetPolicy};
+
+    let occupied = |tags: &[Option<u64>]| occupancy(tags.iter().map(Option::is_some));
 
     // Track block positions through a simulated fill.
     let fill_state = || {
         let mut policy = PermutationPolicy::new(spec.clone());
         let mut tags: Vec<Option<u64>> = vec![None; assoc];
         for b in 0..assoc as u64 {
-            let occupied: Vec<bool> = tags.iter().map(Option::is_some).collect();
-            let way = policy.on_miss(&occupied);
+            let way = policy.on_miss(occupied(&tags));
             tags[way] = Some(b);
         }
         (policy, tags)
@@ -248,8 +249,7 @@ fn derive_position_perms(spec: &PermutationSpec, assoc: usize) -> (Vec<Perm>, Pe
         let mut p = policy.clone();
         let mut t = tags.to_vec();
         for round in 0..assoc {
-            let occupied: Vec<bool> = t.iter().map(Option::is_some).collect();
-            let way = p.on_miss(&occupied);
+            let way = p.on_miss(occupied(&t));
             if let Some(b) = t[way] {
                 if (b as usize) < assoc {
                     pos[b as usize] = round;
@@ -274,8 +274,7 @@ fn derive_position_perms(spec: &PermutationSpec, assoc: usize) -> (Vec<Perm>, Pe
             .iter()
             .position(|t| *t == Some(block as u64))
             .expect("block present");
-        let occupied: Vec<bool> = tags.iter().map(Option::is_some).collect();
-        policy.on_hit(way, &occupied);
+        policy.on_hit(way, occupied(&tags));
         let after = positions(&policy, &tags);
         let mut perm = vec![0usize; assoc];
         for (b, &newp) in after.iter().enumerate() {
@@ -285,8 +284,7 @@ fn derive_position_perms(spec: &PermutationSpec, assoc: usize) -> (Vec<Perm>, Pe
     }
 
     let (mut policy, mut tags) = fill_state();
-    let occupied: Vec<bool> = tags.iter().map(Option::is_some).collect();
-    let way = policy.on_miss(&occupied);
+    let way = policy.on_miss(occupied(&tags));
     tags[way] = Some(assoc as u64); // the fresh block
     let after_all = {
         let mut pos_of_fresh = 0usize;
@@ -294,8 +292,7 @@ fn derive_position_perms(spec: &PermutationSpec, assoc: usize) -> (Vec<Perm>, Pe
         let mut p2 = policy.clone();
         let mut t2 = tags.clone();
         for round in 0..assoc {
-            let occ: Vec<bool> = t2.iter().map(Option::is_some).collect();
-            let w = p2.on_miss(&occ);
+            let w = p2.on_miss(occupied(&t2));
             match t2[w] {
                 Some(b) if (b as usize) < assoc => pos[b as usize] = round,
                 Some(b) if b as usize == assoc => pos_of_fresh = round,

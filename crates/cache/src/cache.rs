@@ -1,6 +1,6 @@
 //! A single set-associative cache.
 
-use crate::policy::{PolicyKind, PolicySlot, SetPolicy};
+use crate::policy::{occupancy, PolicyKind, PolicySlot, SetPolicy};
 use std::sync::atomic::{AtomicI32, Ordering};
 use std::sync::Arc;
 
@@ -75,9 +75,8 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// Upper bound on associativity, so occupancy snapshots fit in a stack
-/// buffer — the access path must not heap-allocate (it runs once per
-/// simulated load/store).
+/// Upper bound on associativity, so a set's occupancy fits in one `u64`
+/// (see [`crate::policy::occupancy`]).
 pub const MAX_ASSOC: usize = 64;
 
 /// Sentinel marking an empty way in the packed tag arena. No reachable
@@ -171,9 +170,6 @@ pub struct Dueling {
     /// consults its own.
     policies: [PolicySlot; 2],
     psel: Arc<PselCounter>,
-    /// Whether a policy this set may consult reads the occupancy on
-    /// hits: fixed for the set's lifetime, and the cache asks on every hit.
-    wants_occupied: bool,
 }
 
 impl Dueling {
@@ -193,20 +189,13 @@ impl Dueling {
         seed: u64,
         psel: &Arc<PselCounter>,
     ) -> PolicySlot {
-        let policies = [
-            policy_a.instantiate(assoc, seed),
-            policy_b.instantiate(assoc, seed ^ POLICY_B_SEED_SALT),
-        ];
-        let wants_occupied = match role {
-            SetRole::LeaderA => policies[0].wants_occupied_on_hit(),
-            SetRole::LeaderB => policies[1].wants_occupied_on_hit(),
-            SetRole::Follower => policies.iter().any(PolicySlot::wants_occupied_on_hit),
-        };
         PolicySlot::Dueling(Box::new(Dueling {
             role,
-            policies,
+            policies: [
+                policy_a.instantiate(assoc, seed),
+                policy_b.instantiate(assoc, seed ^ POLICY_B_SEED_SALT),
+            ],
             psel: Arc::clone(psel),
-            wants_occupied,
         }))
     }
 
@@ -223,15 +212,11 @@ impl Dueling {
 }
 
 impl SetPolicy for Dueling {
-    fn on_hit(&mut self, way: usize, occupied: &[bool]) {
+    fn on_hit(&mut self, way: usize, occupied: u64) {
         self.active().on_hit(way, occupied);
     }
 
-    fn wants_occupied_on_hit(&self) -> bool {
-        self.wants_occupied
-    }
-
-    fn on_miss(&mut self, occupied: &[bool]) -> usize {
+    fn on_miss(&mut self, occupied: u64) -> usize {
         match self.role {
             SetRole::LeaderA => self.psel.miss_in_a(),
             SetRole::LeaderB => self.psel.miss_in_b(),
@@ -275,6 +260,13 @@ pub struct Cache {
     states: Vec<u8>,
     /// Most-recently-hit (or filled) way per set, probed before the scan.
     mru_way: Vec<u8>,
+    /// Per-set valid mask: bit `w` is set while way `w` holds a line. A
+    /// fill sets its way's bit and an invalidation clears it, so no access
+    /// rebuilds it from the tags; the policies read it or'ed with
+    /// `spare_ways` ([`Cache::occupancy_of`]).
+    valid: Vec<u64>,
+    /// The bits past `assoc`, which an [`occupancy`] reads as full.
+    spare_ways: u64,
     /// One bit per set (`set / 64`, bit `set % 64`), set by a fill and for
     /// every set at build and reset: the sets that may differ from their
     /// flushed state, and so the only ones [`Cache::flush_all`] visits. A
@@ -321,6 +313,8 @@ impl Cache {
             tags: vec![TAG_INVALID; ways],
             states: vec![0; ways.div_ceil(4)],
             mru_way: vec![0; num_sets],
+            valid: vec![0; num_sets],
+            spare_ways: occupancy(std::iter::repeat_n(false, assoc)),
             dirty: vec![0; num_sets.div_ceil(64)],
             policies: (0..num_sets).map(&mut factory).collect(),
             assoc,
@@ -368,15 +362,10 @@ impl Cache {
             .position(|&t| t == block)
     }
 
-    /// Writes the per-way occupancy of `set` into `buf` and returns the
-    /// filled prefix (`..assoc`).
+    /// The [`occupancy`] of `set` that its policy takes.
     #[inline]
-    fn occupied<'a>(&self, set: usize, buf: &'a mut [bool; MAX_ASSOC]) -> &'a [bool] {
-        let base = set * self.assoc;
-        for (b, &t) in buf.iter_mut().zip(&self.tags[base..base + self.assoc]) {
-            *b = t != TAG_INVALID;
-        }
-        &buf[..self.assoc]
+    fn occupancy_of(&self, set: usize) -> u64 {
+        self.valid[set] | self.spare_ways
     }
 
     /// Number of sets.
@@ -417,13 +406,8 @@ impl Cache {
         let block = paddr / LINE_SIZE;
         let set = self.set_index(paddr);
         if let Some(way) = self.find_way(set, block) {
-            if self.policies[set].wants_occupied_on_hit() {
-                let mut occ = [false; MAX_ASSOC];
-                self.occupied(set, &mut occ);
-                self.policies[set].on_hit(way, &occ[..self.assoc]);
-            } else {
-                self.policies[set].on_hit(way, &[]);
-            }
+            let occupied = self.occupancy_of(set);
+            self.policies[set].on_hit(way, occupied);
             self.mru_way[set] = way as u8;
             self.stats.hits += 1;
             Some(self.state_at(set * self.assoc + way))
@@ -435,30 +419,34 @@ impl Cache {
 
     /// Inserts the line for `paddr` in the `Exclusive` state, returning
     /// the physical block address of the evicted line if a valid line was
-    /// displaced.
+    /// displaced. The line must be absent (see [`Cache::fill_with_state`]).
     pub fn fill(&mut self, paddr: u64) -> Option<u64> {
         self.fill_with_state(paddr, LineState::Exclusive)
     }
 
     /// Inserts the line for `paddr` with an explicit MESI state (what the
     /// coherent hierarchy uses), returning the physical block address of
-    /// the evicted line if a valid line was displaced. If the line is
-    /// already present, only its state is updated.
+    /// the evicted line if a valid line was displaced.
+    ///
+    /// The line must be absent: every fill follows a miss (or a failed
+    /// [`Cache::probe`]) of this cache for the same line, and nothing in
+    /// between inserts it, so the fill does not scan the set again. Debug
+    /// builds check this.
     pub fn fill_with_state(&mut self, paddr: u64, state: LineState) -> Option<u64> {
         let block = paddr / LINE_SIZE;
         let set = self.set_index(paddr);
+        debug_assert!(
+            self.find_way(set, block).is_none(),
+            "fill of {paddr:#x}, which the cache already holds"
+        );
         let base = set * self.assoc;
-        if let Some(way) = self.find_way(set, block) {
-            self.set_state_at(base + way, state); // already present (e.g. racing prefetch)
-            return None;
-        }
         self.dirty[set >> 6] |= 1 << (set & 63);
-        let mut occ = [false; MAX_ASSOC];
-        self.occupied(set, &mut occ);
-        let way = self.policies[set].on_miss(&occ[..self.assoc]);
+        let occupied = self.occupancy_of(set);
+        let way = self.policies[set].on_miss(occupied);
         let evicted = self.tags[base + way];
         self.tags[base + way] = block;
         self.set_state_at(base + way, state);
+        self.valid[set] |= 1 << way;
         self.mru_way[set] = way as u8;
         if evicted == TAG_INVALID {
             None
@@ -499,6 +487,7 @@ impl Cache {
         if let Some(way) = self.find_way(set, block) {
             self.tags[set * self.assoc + way] = TAG_INVALID;
             self.set_state_at(set * self.assoc + way, LineState::Invalid);
+            self.valid[set] &= !(1 << way);
             self.policies[set].on_invalidate(way);
             true
         } else {
@@ -521,6 +510,7 @@ impl Cache {
                     self.set_state_at(idx, LineState::Invalid);
                 }
                 self.mru_way[set] = 0;
+                self.valid[set] = 0;
                 self.policies[set].on_flush();
             }
         }
@@ -544,6 +534,7 @@ impl Cache {
         self.tags.fill(TAG_INVALID);
         self.states.fill(0);
         self.mru_way.fill(0);
+        self.valid.fill(0);
         self.mark_all_dirty();
         for (s, policy) in self.policies.iter_mut().enumerate() {
             policy.reset(per_set_seed(s));
@@ -591,20 +582,6 @@ mod tests {
             },
             0,
         )
-    }
-
-    #[test]
-    fn dueling_wrappers_forward_wants_occupied_on_hit() {
-        // Regression: a dueling set must forward the hit-path occupancy
-        // requirement, or a non-UMO QLRU inside it silently sees an empty
-        // occupancy slice on hits (observable as wrong Table I inference
-        // on the adaptive-L3 parts).
-        let qlru = PolicyKind::parse("QLRU_H11_M1_R1_U2").unwrap();
-        let psel = PselCounter::new();
-        let slot = |role| Dueling::slot(role, &qlru, &PolicyKind::Lru, 4, 0, &psel);
-        assert!(slot(SetRole::LeaderA).wants_occupied_on_hit());
-        assert!(slot(SetRole::Follower).wants_occupied_on_hit());
-        assert!(!slot(SetRole::LeaderB).wants_occupied_on_hit());
     }
 
     #[test]
@@ -672,16 +649,17 @@ mod tests {
         let psel = PselCounter::new();
         let (a, b) = (PolicyKind::Lru, PolicyKind::Fifo);
         let mut f = Dueling::slot(SetRole::Follower, &a, &b, 4, 0, &psel);
-        let occ = [true; 4];
-        // With PSEL at midpoint, policy A (LRU) is active: hits reorder.
-        f.on_hit(0, &occ);
+        // All four ways hold lines. With PSEL at midpoint, policy A (LRU)
+        // is active: hits reorder.
+        let occ = u64::MAX;
+        f.on_hit(0, occ);
         // Push PSEL toward B and verify misses now follow FIFO order
         // regardless of the hit we just made on way 0.
         for _ in 0..600 {
             psel.miss_in_a();
         }
         assert!(psel.use_policy_b());
-        let way = f.on_miss(&occ);
+        let way = f.on_miss(occ);
         assert_eq!(way, 0, "FIFO (policy B) ignores the earlier hit");
     }
 }

@@ -656,12 +656,11 @@ impl CacheHierarchy {
                 invalidated,
             };
         }
-        let l2_hit = self.cores[core].l2.access(paddr);
+        let l2_state = self.cores[core].l2.access_with_state(paddr);
         let l2_pref = self.cores[core]
             .prefetchers
-            .observe_l2_access(paddr, l2_hit);
-        if l2_hit {
-            let state = self.cores[core].l2.state_of(paddr);
+            .observe_l2_access(paddr, l2_state.is_some());
+        if let Some(state) = l2_state {
             self.cores[core].l1.fill_with_state(paddr, state);
             let (latency, snoop, invalidated) = self.private_hit(core, paddr, is_write, lat.l2);
             self.apply_prefetches(core, l1_pref.addrs(), l2_pref.addrs());

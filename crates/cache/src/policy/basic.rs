@@ -1,6 +1,6 @@
 //! LRU, FIFO, tree-based PLRU and random replacement.
 
-use super::SetPolicy;
+use super::{first_empty, SetPolicy};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -31,12 +31,12 @@ impl Lru {
 }
 
 impl SetPolicy for Lru {
-    fn on_hit(&mut self, way: usize, _occupied: &[bool]) {
+    fn on_hit(&mut self, way: usize, _occupied: u64) {
         self.touch(way);
     }
 
-    fn on_miss(&mut self, occupied: &[bool]) -> usize {
-        let way = match occupied.iter().position(|o| !o) {
+    fn on_miss(&mut self, occupied: u64) -> usize {
+        let way = match first_empty(occupied) {
             Some(empty) => empty,
             None => *self.stack.last().expect("associativity is positive"),
         };
@@ -80,10 +80,10 @@ impl Fifo {
 }
 
 impl SetPolicy for Fifo {
-    fn on_hit(&mut self, _way: usize, _occupied: &[bool]) {}
+    fn on_hit(&mut self, _way: usize, _occupied: u64) {}
 
-    fn on_miss(&mut self, occupied: &[bool]) -> usize {
-        let way = match occupied.iter().position(|o| !o) {
+    fn on_miss(&mut self, occupied: u64) -> usize {
+        let way = match first_empty(occupied) {
             Some(empty) => empty,
             None => self.queue[0],
         };
@@ -127,8 +127,10 @@ pub struct Plru {
     assoc: usize,
     /// Heap-layout tree bits packed into a word: bit 1 is the root, node
     /// `i` has children `2i` and `2i+1`. Bit value 0 points left, 1 points
-    /// right. Associativity is capped at 64 ways, so the tree's `assoc`
-    /// nodes always fit.
+    /// right. Associativity is capped at 64 ways, so the tree's `assoc - 1`
+    /// inner nodes always fit. The leaves `assoc..2 * assoc` are the ways
+    /// (way `w` is node `assoc + w`), so a way's bits, high to low, spell
+    /// its path from the root.
     tree: u64,
 }
 
@@ -143,50 +145,35 @@ impl Plru {
         Plru { assoc, tree: 0 }
     }
 
+    /// Points every node on `way`'s path away from it: a node whose left
+    /// child lies on the path gets 1 (right), one whose right child does
+    /// gets 0.
     fn promote(&mut self, way: usize) {
-        let mut node = 1usize;
-        let mut lo = 0usize;
-        let mut hi = self.assoc;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            if way < mid {
-                // Accessed the left half: point the bit right (away).
-                self.tree |= 1 << node;
-                node *= 2;
-                hi = mid;
-            } else {
-                self.tree &= !(1 << node);
-                node = 2 * node + 1;
-                lo = mid;
-            }
+        let mut node = self.assoc + way;
+        while node > 1 {
+            let away = ((node & 1) ^ 1) as u64;
+            node >>= 1;
+            self.tree = (self.tree & !(1 << node)) | (away << node);
         }
     }
 
+    /// Follows the bits from the root down to a leaf.
     fn victim(&self) -> usize {
-        let mut node = 1usize;
-        let mut lo = 0usize;
-        let mut hi = self.assoc;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            if self.tree & (1 << node) != 0 {
-                node = 2 * node + 1;
-                lo = mid;
-            } else {
-                node *= 2;
-                hi = mid;
-            }
+        let mut node = 1;
+        while node < self.assoc {
+            node = 2 * node + ((self.tree >> node) & 1) as usize;
         }
-        lo
+        node - self.assoc
     }
 }
 
 impl SetPolicy for Plru {
-    fn on_hit(&mut self, way: usize, _occupied: &[bool]) {
+    fn on_hit(&mut self, way: usize, _occupied: u64) {
         self.promote(way);
     }
 
-    fn on_miss(&mut self, occupied: &[bool]) -> usize {
-        let way = match occupied.iter().position(|o| !o) {
+    fn on_miss(&mut self, occupied: u64) -> usize {
+        let way = match first_empty(occupied) {
             Some(empty) => empty,
             None => self.victim(),
         };
@@ -220,10 +207,10 @@ impl RandomPolicy {
 }
 
 impl SetPolicy for RandomPolicy {
-    fn on_hit(&mut self, _way: usize, _occupied: &[bool]) {}
+    fn on_hit(&mut self, _way: usize, _occupied: u64) {}
 
-    fn on_miss(&mut self, occupied: &[bool]) -> usize {
-        match occupied.iter().position(|o| !o) {
+    fn on_miss(&mut self, occupied: u64) -> usize {
+        match first_empty(occupied) {
             Some(empty) => empty,
             None => self.rng.gen_range(0..self.assoc),
         }
@@ -274,11 +261,10 @@ mod tests {
         // Standard 4-way PLRU worked example: fill 0,1,2,3 then hit 0;
         // the next victim must come from the right half and be way 2.
         let mut p = Plru::new(4);
-        let occ = [true; 4];
         for w in 0..4 {
             p.promote(w);
         }
-        p.on_hit(0, &occ);
+        p.on_hit(0, u64::MAX);
         assert_eq!(p.victim(), 2);
     }
 

@@ -26,33 +26,62 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::fmt;
 
+/// A set's occupancy as a policy sees it: bit `w` is set when way `w` holds
+/// a valid line, and every bit at or past the set's associativity is set
+/// too. A full set reads `u64::MAX`, and the clear bits are exactly the
+/// empty ways ([`MAX_ASSOC`] = 64 is what makes a set fit in one word).
+/// `valid` lists each way's validity, way 0 first.
+///
+/// # Examples
+///
+/// ```
+/// use nanobench_cache::policy::{first_empty, last_empty, occupancy};
+/// let occ = occupancy([true, false, true, false]);
+/// assert_eq!((first_empty(occ), last_empty(occ)), (Some(1), Some(3)));
+/// assert_eq!(first_empty(occupancy([true; 4])), None);
+/// ```
+pub fn occupancy(valid: impl IntoIterator<Item = bool>) -> u64 {
+    valid.into_iter().enumerate().fold(
+        u64::MAX,
+        |occ, (w, v)| if v { occ } else { occ & !(1 << w) },
+    )
+}
+
+/// The leftmost empty way of an [`occupancy`], if the set is not full.
+#[inline]
+pub fn first_empty(occupied: u64) -> Option<usize> {
+    let empty = !occupied;
+    (empty != 0).then(|| empty.trailing_zeros() as usize)
+}
+
+/// The rightmost empty way of an [`occupancy`], if the set is not full.
+#[inline]
+pub fn last_empty(occupied: u64) -> Option<usize> {
+    let empty = !occupied;
+    (empty != 0).then(|| 63 - empty.leading_zeros() as usize)
+}
+
+/// Whether way `w` holds a line in an [`occupancy`].
+#[inline]
+pub fn holds(occupied: u64, w: usize) -> bool {
+    (occupied >> w) & 1 != 0
+}
+
 /// Per-set replacement policy state machine.
 ///
 /// The cache set tells the policy about hits and asks it for a placement
 /// location on misses; the policy never sees addresses, only way indices and
-/// the current occupancy. This mirrors how real replacement logic only
+/// the current [`occupancy`]. This mirrors how real replacement logic only
 /// observes per-line status bits.
 pub trait SetPolicy: fmt::Debug + Send {
-    /// Called when an access hits the block at `way`.
-    ///
-    /// `occupied[w]` indicates which ways currently hold valid lines.
-    /// The slice is only guaranteed to be populated when
-    /// [`SetPolicy::wants_occupied_on_hit`] returns `true`; policies that
-    /// ignore it on hits let the cache skip the occupancy scan entirely.
-    fn on_hit(&mut self, way: usize, occupied: &[bool]);
+    /// Called when an access hits the block at `way`; `occupied` is the
+    /// set's [`occupancy`].
+    fn on_hit(&mut self, way: usize, occupied: u64);
 
-    /// Whether [`SetPolicy::on_hit`] reads `occupied`. Defaults to `false`
-    /// so the cache's hit fast path avoids building the occupancy vector;
-    /// policies whose hit transition depends on it (e.g. QLRU update
-    /// heuristics) must override this.
-    fn wants_occupied_on_hit(&self) -> bool {
-        false
-    }
-
-    /// Called on a miss; returns the way where the new block is placed
-    /// (evicting any valid line there) and updates internal state as if the
-    /// new block had been inserted.
-    fn on_miss(&mut self, occupied: &[bool]) -> usize;
+    /// Called on a miss with the set's [`occupancy`]; returns the way where
+    /// the new block is placed (evicting any valid line there) and updates
+    /// internal state as if the new block had been inserted.
+    fn on_miss(&mut self, occupied: u64) -> usize;
 
     /// Called when the line at `way` is invalidated (e.g. `CLFLUSH`).
     fn on_invalidate(&mut self, way: usize);
@@ -116,17 +145,12 @@ macro_rules! for_each_slot {
 
 impl SetPolicy for PolicySlot {
     #[inline]
-    fn on_hit(&mut self, way: usize, occupied: &[bool]) {
+    fn on_hit(&mut self, way: usize, occupied: u64) {
         for_each_slot!(self, p => p.on_hit(way, occupied))
     }
 
     #[inline]
-    fn wants_occupied_on_hit(&self) -> bool {
-        for_each_slot!(self, p => p.wants_occupied_on_hit())
-    }
-
-    #[inline]
-    fn on_miss(&mut self, occupied: &[bool]) -> usize {
+    fn on_miss(&mut self, occupied: u64) -> usize {
         for_each_slot!(self, p => p.on_miss(occupied))
     }
 
@@ -378,12 +402,12 @@ impl SetSim {
 
     /// Accesses `block`; returns `true` on a hit.
     pub fn access(&mut self, block: u64) -> bool {
-        let occupied: Vec<bool> = self.tags.iter().map(Option::is_some).collect();
+        let occupied = occupancy(self.tags.iter().map(Option::is_some));
         if let Some(way) = self.tags.iter().position(|t| *t == Some(block)) {
-            self.policy.on_hit(way, &occupied);
+            self.policy.on_hit(way, occupied);
             true
         } else {
-            let way = self.policy.on_miss(&occupied);
+            let way = self.policy.on_miss(occupied);
             assert!(way < self.tags.len(), "policy returned way out of range");
             self.tags[way] = Some(block);
             false
@@ -467,6 +491,31 @@ mod tests {
         // A B A C B: A hit; C evicts B? no, evicts LRU=B after A touched. B misses.
         let hits = simulate_sequence(&PolicyKind::Lru, 2, 0, &[0, 1, 0, 2, 1]);
         assert_eq!(hits, vec![false, false, true, false, false]);
+    }
+
+    #[test]
+    fn occupancy_helpers_at_1_12_and_64_ways() {
+        // One way: the spare bits are all but bit 0.
+        assert_eq!(occupancy([false]), u64::MAX - 1);
+        assert_eq!(first_empty(occupancy([false])), Some(0));
+        assert_eq!(last_empty(occupancy([false])), Some(0));
+        assert_eq!(first_empty(occupancy([true])), None);
+        // Twelve ways (the Ivy Bridge L3): ways 12..64 read as full.
+        let twelve = occupancy((0..12).map(|w| w != 3 && w != 10));
+        assert_eq!(first_empty(twelve), Some(3));
+        assert_eq!(last_empty(twelve), Some(10));
+        assert!(holds(twelve, 0) && !holds(twelve, 3) && holds(twelve, 11));
+        assert!(holds(twelve, 12) && holds(twelve, 63));
+        assert_eq!(twelve | 1 << 3 | 1 << 10, u64::MAX);
+        assert_eq!(last_empty(occupancy([false; 12])), Some(11));
+        // 64 ways use bit 63 and leave no spare bit.
+        assert_eq!(occupancy([false; MAX_ASSOC]), 0);
+        assert_eq!(last_empty(occupancy([false; MAX_ASSOC])), Some(63));
+        let last_free = occupancy((0..MAX_ASSOC).map(|w| w != 63));
+        assert_eq!(first_empty(last_free), Some(63));
+        assert!(!holds(last_free, 63) && holds(last_free, 62));
+        assert_eq!(first_empty(occupancy([true; MAX_ASSOC])), None);
+        assert_eq!(last_empty(occupancy([true; MAX_ASSOC])), None);
     }
 
     #[test]

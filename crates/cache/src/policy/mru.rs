@@ -1,6 +1,6 @@
 //! The MRU (bit-PLRU / PLRUm / NRU) policy and its Sandy Bridge variant.
 
-use super::SetPolicy;
+use super::{first_empty, SetPolicy};
 
 /// One-status-bit-per-line MRU replacement (§VI-B2 of the paper).
 ///
@@ -47,12 +47,12 @@ impl Mru {
 }
 
 impl SetPolicy for Mru {
-    fn on_hit(&mut self, way: usize, _occupied: &[bool]) {
+    fn on_hit(&mut self, way: usize, _occupied: u64) {
         self.touch(way);
     }
 
-    fn on_miss(&mut self, occupied: &[bool]) -> usize {
-        match occupied.iter().position(|o| !o) {
+    fn on_miss(&mut self, occupied: u64) -> usize {
+        match first_empty(occupied) {
             Some(empty) => {
                 if self.fill_sets_all_ones {
                     // Sandy Bridge variant: while filling, all bits stay 1.
@@ -91,14 +91,13 @@ mod tests {
     #[test]
     fn mru_saturation_rule() {
         let mut m = Mru::new(4, false);
-        let occ = [true; 4];
         // Clear bits 0..2; when bit 3 (the last 1) is cleared, all others
         // must be re-set.
         for w in 0..3 {
-            m.on_hit(w, &occ);
+            m.on_hit(w, u64::MAX);
         }
         assert_eq!(m.bits(), &[false, false, false, true]);
-        m.on_hit(3, &occ);
+        m.on_hit(3, u64::MAX);
         assert_eq!(m.bits(), &[true, true, true, false]);
     }
 

@@ -13,7 +13,7 @@
 //! spec-driven policy is behaviourally identical to the native
 //! implementations.
 
-use super::SetPolicy;
+use super::{first_empty, SetPolicy};
 
 /// A permutation over positions: `perm[old_position] = new_position`.
 pub type Perm = Vec<usize>;
@@ -271,13 +271,13 @@ enum PermChoice {
 }
 
 impl SetPolicy for PermutationPolicy {
-    fn on_hit(&mut self, way: usize, _occupied: &[bool]) {
+    fn on_hit(&mut self, way: usize, _occupied: u64) {
         let p = self.position_of(way);
         self.apply(PermChoice::Hit(p));
     }
 
-    fn on_miss(&mut self, occupied: &[bool]) -> usize {
-        if let Some(empty) = occupied.iter().position(|o| !o) {
+    fn on_miss(&mut self, occupied: u64) -> usize {
+        if let Some(empty) = first_empty(occupied) {
             let p = self.position_of(empty);
             self.apply(PermChoice::Fill(p));
             empty

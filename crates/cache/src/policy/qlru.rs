@@ -12,8 +12,7 @@
 //! * **UMO** — the no-age-3 check happens only on a miss, before victim
 //!   selection ("update on miss only").
 
-use super::SetPolicy;
-use crate::cache::MAX_ASSOC;
+use super::{first_empty, holds, last_empty, SetPolicy};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::fmt;
@@ -274,28 +273,24 @@ impl QlruPolicy {
         }
     }
 
-    /// Applies the U-update if no occupied block has age 3. `accessed` is
+    /// Applies the U-update if no occupied block has age 3, i.e. if the
+    /// largest age `M` among the occupied blocks is below 3. `accessed` is
     /// the location `i` from the paper's definition.
-    fn maybe_update(&mut self, accessed: usize, occupied: &[bool]) {
-        let any3 = self
-            .ages
-            .iter()
-            .zip(occupied)
-            .any(|(a, occ)| *occ && *a == 3);
-        if any3 {
-            return;
-        }
+    fn maybe_update(&mut self, accessed: usize, occupied: u64) {
         let max_age = self
             .ages
             .iter()
-            .zip(occupied)
-            .filter(|(_, occ)| **occ)
-            .map(|(a, _)| *a)
+            .enumerate()
+            .filter(|&(w, _)| holds(occupied, w))
+            .map(|(_, &a)| a)
             .max()
             .unwrap_or(0);
+        if max_age == 3 {
+            return;
+        }
         let delta3 = 3 - max_age;
         for (w, age) in self.ages.iter_mut().enumerate() {
-            if !occupied.get(w).copied().unwrap_or(false) {
+            if !holds(occupied, w) {
                 continue;
             }
             let skip_accessed = matches!(self.variant.update, UVariant::U1 | UVariant::U3);
@@ -310,54 +305,39 @@ impl QlruPolicy {
         }
     }
 
-    fn pick_victim(&self, occupied: &[bool]) -> usize {
-        let leftmost_3 = self
-            .ages
-            .iter()
-            .zip(occupied)
-            .position(|(a, occ)| *occ && *a == 3);
+    /// The victim in a full set: the leftmost block of age 3.
+    fn pick_victim(&self) -> usize {
         // With no age-3 block, R1 replaces the leftmost; R0/R2 are
         // undefined here (the paper excludes such combinations) — fall back
         // to leftmost so behaviour stays total and deterministic.
-        leftmost_3.unwrap_or(0)
+        self.ages.iter().position(|&a| a == 3).unwrap_or(0)
     }
 }
 
 impl SetPolicy for QlruPolicy {
-    fn on_hit(&mut self, way: usize, occupied: &[bool]) {
+    fn on_hit(&mut self, way: usize, occupied: u64) {
         self.ages[way] = self.variant.hit.apply(self.ages[way]);
         if !self.variant.umo {
             self.maybe_update(way, occupied);
         }
     }
 
-    fn wants_occupied_on_hit(&self) -> bool {
-        // UMO variants only run the update heuristic on misses.
-        !self.variant.umo
-    }
-
-    fn on_miss(&mut self, occupied: &[bool]) -> usize {
+    fn on_miss(&mut self, occupied: u64) -> usize {
         // UMO: the no-age-3 check happens on the miss, before victim
         // selection. The "accessed" block for U1/U3 does not exist yet; the
         // update applies to all blocks (use an out-of-range index).
         if self.variant.umo {
             self.maybe_update(usize::MAX, occupied);
         }
-        let way = if let Some(empty) = find_empty(occupied, self.variant.replace) {
-            empty
-        } else {
-            self.pick_victim(occupied)
+        let empty = match self.variant.replace {
+            RVariant::R0 | RVariant::R1 => first_empty(occupied),
+            RVariant::R2 => last_empty(occupied),
         };
+        let way = empty.unwrap_or_else(|| self.pick_victim());
         self.ages[way] = self.draw_insert_age();
         if !self.variant.umo {
             // After the fill, the inserted block is the accessed one.
-            let mut buf = [false; MAX_ASSOC];
-            let occ_after = &mut buf[..occupied.len()];
-            occ_after.copy_from_slice(occupied);
-            if way < occ_after.len() {
-                occ_after[way] = true;
-            }
-            self.maybe_update(way, occ_after);
+            self.maybe_update(way, occupied | 1 << way);
         }
         way
     }
@@ -377,17 +357,10 @@ impl SetPolicy for QlruPolicy {
     }
 }
 
-fn find_empty(occupied: &[bool], replace: RVariant) -> Option<usize> {
-    match replace {
-        RVariant::R0 | RVariant::R1 => occupied.iter().position(|o| !o),
-        RVariant::R2 => occupied.iter().rposition(|o| !o),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{simulate_sequence, PolicyKind, SetSim};
+    use crate::policy::{occupancy, simulate_sequence, PolicyKind, SetSim};
 
     fn v(name: &str) -> QlruVariant {
         QlruVariant::parse(name).unwrap()
@@ -447,13 +420,13 @@ mod tests {
         // at age 1 while an age-3 block exists.
         let variant = v("QLRU_H11_M1_R0_U0");
         let mut p = QlruPolicy::new(4, variant, rand::SeedableRng::seed_from_u64(0));
-        let mut occupied = vec![false; 4];
-        let w0 = p.on_miss(&occupied);
-        occupied[w0] = true;
+        let mut occupied = occupancy([false; 4]);
+        let w0 = p.on_miss(occupied);
+        occupied |= 1 << w0;
         assert_eq!(w0, 0, "R0 fills leftmost empty");
         assert_eq!(p.ages()[0], 3, "U0 renormalizes the lone block to age 3");
-        let w1 = p.on_miss(&occupied);
-        occupied[w1] = true;
+        let w1 = p.on_miss(occupied);
+        occupied |= 1 << w1;
         assert_eq!(w1, 1);
         assert_eq!(
             p.ages()[1],
@@ -462,7 +435,7 @@ mod tests {
         );
         // A hit on way 0 takes it from 3 to 1 (H11); then no age-3 block
         // remains among {3->1, 1}, so U0 adds 2 to every occupied block.
-        p.on_hit(0, &occupied);
+        p.on_hit(0, occupied);
         assert_eq!(&p.ages()[..2], &[3, 3]);
     }
 
@@ -516,9 +489,8 @@ mod tests {
         let mut policy = QlruPolicy::new(16, variant, rand::SeedableRng::seed_from_u64(7));
         let mut age1 = 0usize;
         let n = 4096;
-        let occupied = vec![true; 16];
         for _ in 0..n {
-            let way = policy.on_miss(&occupied);
+            let way = policy.on_miss(u64::MAX);
             // Read the age right after insertion (U2 may bump it, but the
             // inserted value is what draw produced; check both 1 and 2).
             if policy.ages()[way] <= 2 {
@@ -538,9 +510,8 @@ mod tests {
         // policy still returns a valid way instead of panicking.
         let variant = v("QLRU_H00_M0_R0_U1");
         let mut policy = QlruPolicy::new(4, variant, rand::SeedableRng::seed_from_u64(0));
-        let occupied = vec![true; 4];
         for _ in 0..20 {
-            let way = policy.on_miss(&occupied);
+            let way = policy.on_miss(u64::MAX);
             assert!(way < 4);
         }
     }

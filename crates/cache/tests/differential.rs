@@ -1,11 +1,11 @@
 //! Differential test: the arena cache against a naive reference model.
 //!
 //! The oracle keeps its own storage — per-set `Vec<Option<u64>>` tags and
-//! `Vec<LineState>` states — and always hands the policy a full occupancy
-//! slice on hits, i.e. it does not use the `wants_occupied_on_hit` fast
-//! path, has no MRU-way probe, no packed state words, flushes every set
-//! rather than only the sets filled since the last flush, and rebuilds
-//! every set on a reset instead of reseeding it. Its sets hold the
+//! `Vec<LineState>` states — and builds each set's occupancy mask from its
+//! own tags on every access instead of keeping one up to date; it has no
+//! MRU-way probe, no packed state words, flushes every set rather than
+//! only the sets filled since the last flush, and rebuilds every set on a
+//! reset instead of reseeding it. Its sets hold the
 //! library's single-policy `PolicySlot`s, but set dueling is its own
 //! model: leaders step the oracle's own PSEL integer on misses and
 //! followers consult it, never the library's `Dueling` arm. Agreement on
@@ -23,9 +23,38 @@ use proptest::prelude::*;
 use proptest::TestRng;
 
 const NUM_SETS: usize = 4;
-/// Distinct cache blocks the generated streams touch: 8 per set, i.e.
-/// 2x the largest associativity, so evictions and re-fills are common.
-const BLOCK_SPAN: u64 = 32;
+
+/// Associativities of the cache properties: the two small ones, the Ivy
+/// Bridge L3's 12 ways (spare bits past `assoc` in the occupancy mask),
+/// the 16-way L3s, and `MAX_ASSOC` = 64, which leaves no spare bit.
+fn assocs() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(4usize),
+        Just(8usize),
+        Just(12usize),
+        Just(16usize),
+        Just(64usize)
+    ]
+}
+
+/// Distinct cache blocks a stream touches for `assoc` ways: twice the
+/// associativity per set, so a sweep can fill and overflow any set.
+fn block_span(assoc: usize) -> u64 {
+    (2 * assoc * NUM_SETS) as u64
+}
+
+/// The occupancy mask the policies take, built from a set's tags: bit `w`
+/// clear exactly when way `w` is empty (every bit past the tags set). The
+/// test computes it itself rather than through the library's helper.
+fn mask_of(tags: &[Option<u64>]) -> u64 {
+    let mut mask = u64::MAX;
+    for (w, tag) in tags.iter().enumerate() {
+        if tag.is_none() {
+            mask ^= 1 << w;
+        }
+    }
+    mask
+}
 
 /// The oracle's PSEL: a 10-bit saturating counter that starts at its
 /// midpoint; followers use policy B while it is above the midpoint.
@@ -97,17 +126,13 @@ impl NaiveCache {
         self.sets[set].tags.iter().position(|&t| t == Some(block))
     }
 
-    fn occupied(&self, set: usize) -> Vec<bool> {
-        self.sets[set].tags.iter().map(|t| t.is_some()).collect()
-    }
-
     fn access_with_state(&mut self, paddr: u64) -> Option<LineState> {
         let block = paddr / LINE_SIZE;
         let set = self.set_index(paddr);
         match self.find_way(set, block) {
             Some(way) => {
-                let occ = self.occupied(set);
-                self.decide(set, false).on_hit(way, &occ);
+                let occ = mask_of(&self.sets[set].tags);
+                self.decide(set, false).on_hit(way, occ);
                 self.stats.hits += 1;
                 Some(self.sets[set].states[way])
             }
@@ -118,15 +143,12 @@ impl NaiveCache {
         }
     }
 
+    /// Fills an absent line, as `Cache::fill_with_state` requires.
     fn fill_with_state(&mut self, paddr: u64, state: LineState) -> Option<u64> {
         let block = paddr / LINE_SIZE;
         let set = self.set_index(paddr);
-        if let Some(way) = self.find_way(set, block) {
-            self.sets[set].states[way] = state;
-            return None;
-        }
-        let occ = self.occupied(set);
-        let way = self.decide(set, true).on_miss(&occ);
+        let occ = mask_of(&self.sets[set].tags);
+        let way = self.decide(set, true).on_miss(occ);
         let evicted = self.sets[set].tags[way];
         self.sets[set].tags[way] = Some(block);
         self.sets[set].states[way] = state;
@@ -195,11 +217,17 @@ impl NaiveCache {
     }
 }
 
-/// One generated operation against both models.
+/// One generated operation against both models. Addresses are drawn over
+/// the largest span and folded into the case's [`block_span`].
 #[derive(Debug, Clone, Copy)]
 enum Op {
     /// Access; on a miss, fill with the given state.
     Access(u64, LineState),
+    /// `len % (2 * assoc) + 1` accesses to consecutive blocks of one set,
+    /// from the block of the address on, each filling on a miss: a
+    /// same-set sweep, long enough to fill and overflow a set of any
+    /// associativity between two flushes.
+    Sweep(u64, u64, LineState),
     Invalidate(u64),
     SetState(u64, LineState),
     StateOf(u64),
@@ -215,43 +243,71 @@ struct OpStrategy;
 impl Strategy for OpStrategy {
     type Value = Op;
     fn generate(&self, rng: &mut TestRng) -> Op {
-        let paddr = (0..BLOCK_SPAN).generate(rng) * LINE_SIZE + (0..LINE_SIZE).generate(rng);
+        let paddr = (0..block_span(64)).generate(rng) * LINE_SIZE + (0..LINE_SIZE).generate(rng);
         let state = match (0u8..3).generate(rng) {
             0 => LineState::Exclusive,
             1 => LineState::Shared,
             _ => LineState::Modified,
         };
-        match (0u8..22).generate(rng) {
+        match (0u8..24).generate(rng) {
             0..=11 => Op::Access(paddr, state),
             12 | 13 => Op::Invalidate(paddr),
             14 | 15 => Op::SetState(paddr, state),
             16 | 17 => Op::StateOf(paddr),
             18..=20 => Op::Flush,
-            _ => Op::Reset,
+            21 => Op::Reset,
+            _ => Op::Sweep(paddr, (0..128u64).generate(rng), state),
         }
+    }
+}
+
+/// One access to both models, filling on a miss; checks the hit, the
+/// line's state and the eviction.
+fn access_both(arena: &mut Cache, oracle: &mut NaiveCache, paddr: u64, state: LineState, i: usize) {
+    let a = arena.access_with_state(paddr);
+    let o = oracle.access_with_state(paddr);
+    assert_eq!(a, o, "op {i}: hit/state mismatch at {paddr:#x}");
+    if a.is_none() {
+        let ev_a = arena.fill_with_state(paddr, state);
+        let ev_o = oracle.fill_with_state(paddr, state);
+        assert_eq!(ev_a, ev_o, "op {i}: eviction mismatch at {paddr:#x}");
     }
 }
 
 /// Drives the same stream through both models and checks every observable;
 /// both were built with [`set_seed`] of `case_seed`. Returns the oracle's
-/// final PSEL.
-fn check_equivalence(mut arena: Cache, mut oracle: NaiveCache, case_seed: u64, ops: &[Op]) -> i32 {
+/// final PSEL and the final statistics.
+fn check_equivalence(
+    mut arena: Cache,
+    mut oracle: NaiveCache,
+    case_seed: u64,
+    ops: &[Op],
+) -> (i32, CacheStats) {
+    let assoc = arena.assoc();
+    let span = block_span(assoc) * LINE_SIZE;
     for (i, &op) in ops.iter().enumerate() {
         match op {
             Op::Access(paddr, state) => {
-                let a = arena.access_with_state(paddr);
-                let o = oracle.access_with_state(paddr);
-                assert_eq!(a, o, "op {i}: hit/state mismatch at {paddr:#x}");
-                if a.is_none() {
-                    let ev_a = arena.fill_with_state(paddr, state);
-                    let ev_o = oracle.fill_with_state(paddr, state);
-                    assert_eq!(ev_a, ev_o, "op {i}: eviction mismatch at {paddr:#x}");
+                access_both(&mut arena, &mut oracle, paddr % span, state, i);
+            }
+            Op::Sweep(paddr, len, state) => {
+                let stride = NUM_SETS as u64 * LINE_SIZE;
+                for k in 0..len % (2 * assoc as u64) + 1 {
+                    access_both(
+                        &mut arena,
+                        &mut oracle,
+                        (paddr + k * stride) % span,
+                        state,
+                        i,
+                    );
                 }
             }
             Op::Invalidate(paddr) => {
+                let paddr = paddr % span;
                 assert_eq!(arena.invalidate(paddr), oracle.invalidate(paddr), "op {i}");
             }
             Op::SetState(paddr, state) => {
+                let paddr = paddr % span;
                 assert_eq!(
                     arena.set_state(paddr, state),
                     oracle.set_state(paddr, state),
@@ -259,6 +315,7 @@ fn check_equivalence(mut arena: Cache, mut oracle: NaiveCache, case_seed: u64, o
                 );
             }
             Op::StateOf(paddr) => {
+                let paddr = paddr % span;
                 assert_eq!(arena.state_of(paddr), oracle.state_of(paddr), "op {i}");
             }
             Op::Flush => {
@@ -279,7 +336,7 @@ fn check_equivalence(mut arena: Cache, mut oracle: NaiveCache, case_seed: u64, o
             "final contents of set {set}"
         );
     }
-    for block in 0..BLOCK_SPAN {
+    for block in 0..block_span(assoc) {
         let paddr = block * LINE_SIZE;
         assert_eq!(
             arena.state_of(paddr),
@@ -287,7 +344,22 @@ fn check_equivalence(mut arena: Cache, mut oracle: NaiveCache, case_seed: u64, o
             "final state of block {block}"
         );
     }
-    oracle.psel
+    (oracle.psel, oracle.stats)
+}
+
+/// One sweep of `2 * assoc` blocks overflows a set at every associativity
+/// of [`assocs`], so the properties above evict at 64 ways too.
+#[test]
+fn a_sweep_overflows_a_set_at_every_associativity() {
+    for assoc in [4, 8, 12, 16, 64] {
+        let lru = move |_| (vec![PolicyKind::Lru.instantiate(assoc, 0)], 0);
+        let arena = Cache::with_policies(NUM_SETS, assoc, |set| lru(set).0.remove(0));
+        let oracle = NaiveCache::new(NUM_SETS, assoc, lru);
+        let sweep = Op::Sweep(0, 2 * assoc as u64 - 1, LineState::Exclusive);
+        let (_, stats) = check_equivalence(arena, oracle, 0, &[sweep]);
+        assert_eq!(stats.misses, 2 * assoc as u64, "{assoc} ways");
+        assert_eq!(stats.evictions, assoc as u64, "{assoc} ways");
+    }
 }
 
 /// Every parseable policy family exercised by the plain differential run.
@@ -312,15 +384,20 @@ const DUELING_PAIRS: &[(&str, &str)] = &[
 ];
 
 proptest! {
-    /// Uniform-policy caches: the arena against the oracle.
+    /// Uniform-policy caches: the arena against the oracle, at every
+    /// associativity of [`assocs`] the policy accepts (PLRU needs a power
+    /// of two).
     #[test]
     fn arena_cache_matches_naive_model(
         policy_idx in 0..POLICIES.len(),
-        assoc in prop_oneof![Just(4usize), Just(8usize)],
+        assoc in assocs(),
         case_seed in 0..u64::MAX,
         ops in collection::vec(OpStrategy, 1..200),
     ) {
         let kind = PolicyKind::parse(POLICIES[policy_idx]).unwrap();
+        if kind.validate(assoc).is_err() {
+            return;
+        }
         let arena = Cache::with_policies(NUM_SETS, assoc, |set| {
             kind.instantiate(assoc, set_seed(case_seed, set))
         });
@@ -336,7 +413,7 @@ proptest! {
     #[test]
     fn dueling_cache_matches_naive_model(
         pair in 0..DUELING_PAIRS.len(),
-        assoc in prop_oneof![Just(4usize), Just(8usize)],
+        assoc in assocs(),
         case_seed in 0..u64::MAX,
         ops in collection::vec(OpStrategy, 1..200),
     ) {
@@ -357,7 +434,7 @@ proptest! {
                 _ => (vec![policy_a(), policy_b()], 0),
             }
         });
-        let oracle_psel = check_equivalence(arena, oracle, case_seed, &ops);
+        let (oracle_psel, _) = check_equivalence(arena, oracle, case_seed, &ops);
         prop_assert_eq!(psel.value(), oracle_psel);
     }
 
@@ -424,7 +501,7 @@ fn drive(policy: &mut PolicySlot, assoc: usize, ops: &[u64]) -> Vec<usize> {
     let mut tags: Vec<Option<u64>> = vec![None; assoc];
     let mut victims = Vec::new();
     for &op in ops {
-        let occupied: Vec<bool> = tags.iter().map(Option::is_some).collect();
+        let occupied = mask_of(&tags);
         let (block, invalidate) = if op < 12 {
             (op, false)
         } else {
@@ -435,10 +512,10 @@ fn drive(policy: &mut PolicySlot, assoc: usize, ops: &[u64]) -> Vec<usize> {
                 tags[way] = None;
                 policy.on_invalidate(way);
             }
-            Some(way) => policy.on_hit(way, &occupied),
+            Some(way) => policy.on_hit(way, occupied),
             None if invalidate => {}
             None => {
-                let way = policy.on_miss(&occupied);
+                let way = policy.on_miss(occupied);
                 tags[way] = Some(block);
                 victims.push(way);
             }

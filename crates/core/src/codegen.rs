@@ -73,8 +73,36 @@ trait Sink {
     fn pos(&self) -> usize;
     /// Emits one instruction.
     fn inst(&mut self, mnemonic: Mnemonic, operands: &[Operand]);
-    /// Emits a run of instructions taken verbatim from the request.
+    /// Emits a run of instructions taken from the request: the init part
+    /// or one copy of the code, with its labels moved to where it lands.
     fn slice(&mut self, insts: &[Instruction]);
+}
+
+/// `inst` as emitted at `base`: the request numbers its labels from its
+/// own first instruction, so every label target moves by `base`.
+fn relocated(inst: &Instruction, base: usize) -> Instruction {
+    let mut out = *inst;
+    for op in out.operands.iter_mut() {
+        if let Operand::Label(target) = op {
+            *target += base;
+        }
+    }
+    out
+}
+
+/// Whether `got` is `inst` as emitted at `base` ([`relocated`]), decided
+/// without copying `inst`.
+fn is_relocated(got: &Instruction, inst: &Instruction, base: usize) -> bool {
+    got.mnemonic == inst.mnemonic
+        && got.operands.len() == inst.operands.len()
+        && got
+            .operands
+            .iter()
+            .zip(inst.operands.iter())
+            .all(|pair| match pair {
+                (Operand::Label(g), Operand::Label(t)) => *g == t + base,
+                (g, op) => g == op,
+            })
 }
 
 impl Sink for Vec<Instruction> {
@@ -87,7 +115,8 @@ impl Sink for Vec<Instruction> {
     }
 
     fn slice(&mut self, insts: &[Instruction]) {
-        self.extend_from_slice(insts);
+        let base = self.len();
+        self.extend(insts.iter().map(|inst| relocated(inst, base)));
     }
 }
 
@@ -114,8 +143,14 @@ impl Sink for Matcher<'_> {
     }
 
     fn slice(&mut self, insts: &[Instruction]) {
-        let end = self.pos + insts.len();
-        self.ok = self.ok && self.program.get(self.pos..end) == Some(insts);
+        let base = self.pos;
+        let end = base + insts.len();
+        self.ok = self.ok
+            && self.program.get(base..end).is_some_and(|got| {
+                got.iter()
+                    .zip(insts)
+                    .all(|(g, inst)| is_relocated(g, inst, base))
+            });
         self.pos = end;
     }
 }
@@ -266,8 +301,8 @@ pub fn generate(req: &CodegenRequest) -> Vec<Instruction> {
 
 /// Whether `program` is exactly what [`generate`] returns for `req`,
 /// decided without building it: the emitter runs once more and compares
-/// each piece in place, the init part and every body copy as whole
-/// slices.
+/// each piece in place, the init part and every body copy with their
+/// labels moved as [`generate`] moves them.
 ///
 /// # Panics
 ///
@@ -361,6 +396,44 @@ mod tests {
         };
         // The branch targets the first body instruction.
         assert_eq!(g[target].mnemonic, Mnemonic::Nop);
+    }
+
+    #[test]
+    fn labels_point_into_their_own_copy() {
+        let init = parse_asm("jmp i; nop; i: nop").unwrap();
+        let code = parse_asm("call f; jmp e; f: ret; e: nop").unwrap();
+        let req = CodegenRequest {
+            init: &init,
+            code: &code,
+            local_unroll: 3,
+            loop_count: 0,
+            selectors: &[1 << 30],
+            no_mem: false,
+            arenas: arenas(),
+        };
+        let g = generate(&req);
+        let target = |i: usize| match g[i].dst() {
+            Some(Operand::Label(t)) => *t,
+            other => panic!("expected a label at {i}, got {other:?}"),
+        };
+        let init_at = g.iter().position(|i| i.mnemonic == Mnemonic::Jmp).unwrap();
+        assert_eq!(target(init_at), init_at + 2);
+        let calls: Vec<usize> = (0..g.len())
+            .filter(|&i| g[i].mnemonic == Mnemonic::Call)
+            .collect();
+        assert_eq!(calls.len(), 3);
+        for &at in &calls {
+            assert_eq!(
+                (target(at), target(at + 1)),
+                (at + 2, at + 3),
+                "copy at {at}"
+            );
+        }
+        assert!(generates(&req, &g));
+        // The request's own numbering, unmoved, is a different program.
+        let mut unmoved = g.clone();
+        unmoved[calls[1]] = code[0];
+        assert!(!generates(&req, &unmoved));
     }
 
     #[test]

@@ -1047,7 +1047,7 @@ fn step_generic<B: Bus + ?Sized>(
         a.t.vreg[v as usize] = result_ready;
     }
 
-    let next = exec::execute(inst, a.state, a.bus)?;
+    let next = exec::execute(inst, a.pc, a.state, a.bus)?;
     Ok(StepOutcome::one(next, hot.has(meta::RETIRES)))
 }
 
@@ -1191,7 +1191,7 @@ fn alu_entry<B: Bus + ?Sized>(a: &mut StepArgs<'_, B>, pc: usize) -> Result<(), 
     a.t.write_outputs(body, hot, result_ready);
     let fast = &body.fast[pc];
     if matches!(fast, FastOp::None) {
-        exec::execute(&a.insts[pc], a.state, a.bus)?;
+        exec::execute(&a.insts[pc], pc, a.state, a.bus)?;
     } else {
         // Pre-decoded register-only semantics: cannot fault.
         exec::execute_fast(fast, a.state);
@@ -1271,7 +1271,7 @@ fn mem_entry<B: Bus + ?Sized, const READS: bool, const WRITES: bool>(
     // loop from random register and flag states).
     match fast {
         FastOp::None => {
-            let next = exec::execute(&a.insts[pc], a.state, a.bus)?;
+            let next = exec::execute(&a.insts[pc], pc, a.state, a.bus)?;
             debug_assert!(matches!(next, Next::Seq), "mem shapes never branch");
         }
         FastOp::LoadQ { dst, .. } => a.state.set_gpr(dst, loaded),
@@ -1393,7 +1393,7 @@ fn step_branch<B: Bus + ?Sized, const COND: bool>(
     let taken = exec::branch_taken(inst, a.state);
     eng.branch_uop(a.t, input_ready, COND.then_some((a.pc, taken)), a.batch);
     a.t.write_outputs(body, hot, result_ready);
-    let next = exec::execute(inst, a.state, a.bus)?;
+    let next = exec::execute(inst, a.pc, a.state, a.bus)?;
     Ok(StepOutcome::one(next, hot.has(meta::RETIRES)))
 }
 
@@ -1675,7 +1675,7 @@ fn step_push<B: Bus + ?Sized>(
         a.state.set_gpr(Gpr::Rsp, vaddr);
         Next::Seq
     } else {
-        exec::execute(inst, a.state, a.bus)?
+        exec::execute(inst, a.pc, a.state, a.bus)?
     };
     Ok(StepOutcome::one(next, true))
 }
@@ -1707,7 +1707,7 @@ fn step_pop<B: Bus + ?Sized>(
             a.state.set_gpr_part(g, value);
             Next::Seq
         }
-        None => exec::execute(inst, a.state, a.bus)?,
+        None => exec::execute(inst, a.pc, a.state, a.bus)?,
     };
     Ok(StepOutcome::one(next, true))
 }

@@ -229,13 +229,15 @@ pub(crate) fn fast_mem_alu(state: &mut CpuState, op: FastAlu, a: u64, b: u64) ->
 
 /// Executes one "ordinary" instruction semantically (the engine handles
 /// fences, counter reads, privileged and cache-control instructions before
-/// calling this).
+/// calling this). `pc` is the instruction's index in its program: `call`
+/// pushes `pc + 1` as its return address, the index its `ret` jumps to.
 ///
 /// # Errors
 ///
 /// Propagates memory faults and raises [`CpuFault::DivideError`].
 pub fn execute<B: Bus + ?Sized>(
     inst: &Instruction,
+    pc: usize,
     state: &mut CpuState,
     bus: &mut B,
 ) -> Result<Next, CpuFault> {
@@ -523,8 +525,8 @@ pub fn execute<B: Bus + ?Sized>(
             if let Some(Operand::Label(t)) = inst.dst() {
                 let rsp = state.gpr(Gpr::Rsp).wrapping_sub(8);
                 state.set_gpr(Gpr::Rsp, rsp);
-                // The return "address" is the instruction index.
-                bus.write(rsp, 8, u64::MAX)?; // placeholder written by engine
+                // The return "address" is the next instruction's index.
+                bus.write(rsp, 8, pc as u64 + 1)?;
                 return Ok(Next::Jump(*t));
             }
         }
@@ -610,7 +612,7 @@ mod tests {
         while pc < insts.len() {
             steps += 1;
             assert!(steps < 10_000, "runaway test loop");
-            match execute(&insts[pc], state, bus).unwrap() {
+            match execute(&insts[pc], pc, state, bus).unwrap() {
                 Next::Seq => pc += 1,
                 Next::Jump(t) => pc = t,
             }
@@ -707,8 +709,8 @@ mod tests {
         let mut s = CpuState::new();
         let bus = &mut TestBus::new(true);
         let insts = parse_asm("pxor xmm0, xmm0; paddd xmm1, xmm0; paddd xmm2, xmm0").unwrap();
-        for inst in &insts {
-            execute(inst, &mut s, bus).unwrap();
+        for (pc, inst) in insts.iter().enumerate() {
+            execute(inst, pc, &mut s, bus).unwrap();
         }
         // Same inputs but different destinations started differently.
         assert_ne!(s.vreg_digest(0), 0);
@@ -719,8 +721,11 @@ mod tests {
         let mut s = CpuState::new();
         let bus = &mut TestBus::new(true);
         let insts = parse_asm("mov rbx, 0; div rbx").unwrap();
-        execute(&insts[0], &mut s, bus).unwrap();
-        assert_eq!(execute(&insts[1], &mut s, bus), Err(CpuFault::DivideError));
+        execute(&insts[0], 0, &mut s, bus).unwrap();
+        assert_eq!(
+            execute(&insts[1], 1, &mut s, bus),
+            Err(CpuFault::DivideError)
+        );
     }
 
     #[test]

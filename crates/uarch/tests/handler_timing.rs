@@ -314,6 +314,18 @@ fn every_handler_keeps_its_pinned_timing() {
     );
 }
 
+/// `call` pushes the index of the instruction after it, so `ret` returns
+/// there: six vector instructions, `call`, `add`, `ret`, `jmp` and
+/// `mulps` retire, eleven in all.
+#[test]
+fn call_returns_to_the_instruction_after_it() {
+    let asm = "vaddps ymm0, ymm1, ymm2; vmulps ymm3, ymm0, ymm0; addps xmm4, [r14+64]; \
+               movaps [r14+128], xmm4; movq rax, xmm3; vaddps ymm5, ymm3, ymm0; \
+               call f; jmp e; f: add rax, [r14+8]; ret; e: mulps xmm4, xmm4";
+    let (stats, _) = run_pass(asm, &[]);
+    assert_eq!(stats.instructions, 11);
+}
+
 /// Every store drains the C-Box lookups its access caused right after the
 /// access, so a later write to the uncore counters starts them from a
 /// clean slate. Zeroing both slices' counters after a store to a cold line

@@ -356,7 +356,7 @@ fn execute_loop(
         if inst.mnemonic.is_privileged() && !bus.is_kernel() {
             return Err(CpuFault::PrivilegedInstruction(inst.mnemonic));
         }
-        pc = match exec::execute(inst, state, bus)? {
+        pc = match exec::execute(inst, pc, state, bus)? {
             Next::Seq => pc + 1,
             Next::Jump(target) => target,
         };

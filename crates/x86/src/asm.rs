@@ -259,7 +259,8 @@ pub fn parse_mnemonic(name: &str) -> Option<Mnemonic> {
 ///
 /// Returns [`ParseAsmError`] on unknown mnemonics or registers, malformed
 /// memory operands, displacements outside the 64-bit range, more than
-/// [`MAX_OPERANDS`] operands, or unresolved label references.
+/// [`MAX_OPERANDS`] operands, an operand count or kind the mnemonic does
+/// not take, or unresolved label references.
 ///
 /// # Examples
 ///
@@ -340,7 +341,7 @@ pub fn parse_asm(text: &str) -> Result<Vec<Instruction>, ParseAsmError> {
                 }
             }
         }
-        if let Some(message) = missing_memory_operand(mnemonic, &operands) {
+        if let Some(message) = malformed_operands(mnemonic, &operands) {
             return Err(ParseAsmError {
                 statement: statement_no,
                 message,
@@ -372,6 +373,58 @@ pub fn parse_asm(text: &str) -> Result<Vec<Instruction>, ParseAsmError> {
     }
 
     Ok(instructions)
+}
+
+/// The operand rules a statement must keep before it can run: the
+/// mnemonic's register-free forms ([`missing_memory_operand`]), its
+/// operand count ([`operand_count`]) and at most one memory operand.
+/// Returns the error message for a statement that breaks one.
+fn malformed_operands(m: Mnemonic, operands: &[Operand]) -> Option<String> {
+    if let Some(message) = missing_memory_operand(m, operands) {
+        return Some(message);
+    }
+    let name = mnemonic_name(m);
+    let (min, max) = operand_count(m);
+    let n = operands.len();
+    if n < min || n > max {
+        let takes = match (min, max) {
+            (1, 1) => "1 operand".to_string(),
+            (min, max) if min == max => format!("{min} operands"),
+            (min, max) => format!("{min} to {max} operands"),
+        };
+        return Some(format!("`{name}` takes {takes}, got {n}"));
+    }
+    if operands
+        .iter()
+        .filter(|o| matches!(o, Operand::Mem(_)))
+        .count()
+        > 1
+    {
+        return Some(format!("`{name}` takes at most one memory operand"));
+    }
+    None
+}
+
+/// The operand counts a mnemonic takes, `(min, max)`: the forms the
+/// encoder and `exec` model, counted in Intel syntax (`mov cr3, rax` is
+/// `mov_cr3 rax`; `sha256rnds2` leaves its `xmm0` implicit).
+fn operand_count(m: Mnemonic) -> (usize, usize) {
+    use Mnemonic::*;
+    match m {
+        Nop | Pause | Ret | Lfence | Mfence | Sfence | Cpuid | Rdtsc | Rdtscp | Rdpmc | Rdmsr
+        | Wrmsr | Wbinvd | Invd | Cli | Sti | Hlt | Swapgs | Vzeroupper | Vzeroall | NbPause
+        | NbResume => (0, 0),
+        Push | Pop | Bswap | Setz | Setnz | Inc | Dec | Neg | Not | Mul | Div | Idiv | Jmp | Jz
+        | Jnz | Jc | Jnc | Call | Invlpg | MovCr3 | Clflush | Clflushopt | Prefetcht0
+        | Prefetcht1 | Prefetcht2 | Prefetchnta | Rdrand | Rdseed => (1, 1),
+        Imul => (1, 3),
+        Shufps | Pshufd | Roundps | Blendps | Dpps | Pclmulqdq | Vaddps | Vaddpd | Vmulps
+        | Vmulpd | Vdivps | Vdivpd | Vfmadd132ps | Vfmadd213ps | Vfmadd231ps | Vfmadd231pd
+        | Vpaddd | Vpaddq | Vpmulld | Vpand | Vpor | Vpxor | Vpermilps | Vextractf128
+        | Vgatherdps => (3, 3),
+        Vperm2f128 | Vinsertf128 => (4, 4),
+        _ => (2, 2),
+    }
 }
 
 /// The forms whose operand must be memory, where x86 has no register form
@@ -768,7 +821,7 @@ mod tests {
         assert!(err.message.contains("more than 4 operands"), "{err}");
         // Four still fit.
         assert_eq!(
-            parse_asm("add rax, rbx, rcx, rdx").unwrap()[0]
+            parse_asm("vperm2f128 ymm0, ymm1, ymm2, 1").unwrap()[0]
                 .operands
                 .len(),
             4
@@ -793,6 +846,34 @@ mod tests {
             assert_eq!(err.message, message, "{text}");
         }
         assert!(parse_asm("lea rax, [rbx+8]; clflush [rax]; prefetcht2 [rcx]").is_ok());
+    }
+
+    #[test]
+    fn operand_counts_and_kinds_are_checked() {
+        for (text, message) in [
+            ("nop; add rax", "`add` takes 2 operands, got 1"),
+            ("nop; add rax, rbx, rcx", "`add` takes 2 operands, got 3"),
+            ("nop; nop rax", "`nop` takes 0 operands, got 1"),
+            ("nop; push", "`push` takes 1 operand, got 0"),
+            ("nop; imul", "`imul` takes 1 to 3 operands, got 0"),
+            ("nop; movaps xmm0", "`movaps` takes 2 operands, got 1"),
+            ("nop; vaddps ymm0, ymm1", "`vaddps` takes 3 operands, got 2"),
+            ("nop; call", "`call` takes 1 operand, got 0"),
+            ("nop; jnz", "`jnz` takes 1 operand, got 0"),
+            (
+                "nop; mov [r14], [r15]",
+                "`mov` takes at most one memory operand",
+            ),
+        ] {
+            let err = parse_asm(text).unwrap_err();
+            assert_eq!(err.statement, 2, "{text}");
+            assert_eq!(err.message, message, "{text}");
+        }
+        assert!(parse_asm(
+            "imul rax; imul rax, rbx; imul rax, rbx, 3; ret; mov cr3, rax; \
+             vinsertf128 ymm0, ymm1, xmm2, 1; l: jnz l; sha256rnds2 xmm1, xmm2"
+        )
+        .is_ok());
     }
 
     #[test]

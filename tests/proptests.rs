@@ -263,7 +263,7 @@ proptest! {
         let mut pc = 0;
         let want = loop {
             let Some(inst) = program.get(pc) else { break Ok(()) };
-            match exec::execute(inst, &mut expected, &mut reference) {
+            match exec::execute(inst, pc, &mut expected, &mut reference) {
                 Ok(Next::Seq) => pc += 1,
                 Ok(Next::Jump(target)) => pc = target,
                 Err(fault) => break Err(fault),
