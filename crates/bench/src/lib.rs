@@ -1,8 +1,10 @@
 //! Experiment harness for the nanoBench reproduction; see the `bin`
-//! targets (e1..e9) and the `overhead` criterion bench.
+//! targets: the eleven experiments e1..e11 and the `nblint` and
+//! `nbverify` checkers. The repository's benchmark is the separate
+//! `perfbench` package.
 //!
-//! Timing-shaped experiments (e2, e5, e6, e9) emit their measurements as
-//! `BENCH_*.json` artifacts in a shared format via
+//! Timing-shaped experiments (e2, e5, e6, e9, e10, e11) emit their
+//! measurements as `BENCH_*.json` artifacts in a shared format via
 //! [`write_metrics_json`], so CI can collect a perf trajectory across
 //! commits instead of the numbers dying in the job log.
 
@@ -23,7 +25,7 @@ pub const ENV_RUSTC_VERSION: &str = "NANOBENCH_RUSTC_VERSION";
 
 /// Provenance pairs from the harness environment: whichever of
 /// [`ENV_GIT_COMMIT`] / [`ENV_RUSTC_VERSION`] are set. Empty when run
-/// outside the harness (local `cargo bench`), so artifacts stay
+/// outside the harness (a local `cargo run`), so artifacts stay
 /// reproducible byte-for-byte without CI context.
 pub fn provenance_from_env() -> Vec<(String, String)> {
     [(ENV_GIT_COMMIT, "git_commit"), (ENV_RUSTC_VERSION, "rustc")]

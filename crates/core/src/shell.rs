@@ -65,19 +65,6 @@ pub fn tokenize_spanned(line: &str) -> Result<Vec<(String, Span)>, NbError> {
     Ok(tokens)
 }
 
-/// Splits a command line into tokens, honouring double and single quotes.
-///
-/// # Errors
-///
-/// Returns [`NbError::OptionAt`] if a quote is left unterminated (see
-/// [`tokenize_spanned`], which this drops the spans of).
-pub fn tokenize(line: &str) -> Result<Vec<String>, NbError> {
-    Ok(tokenize_spanned(line)?
-        .into_iter()
-        .map(|(t, _)| t)
-        .collect())
-}
-
 /// Renders a caret line pointing at `span` within `line`, for printing
 /// under the offending option line:
 ///
@@ -281,16 +268,19 @@ mod tests {
 
     #[test]
     fn tokenizer_handles_quotes() {
-        let t = tokenize(r#"-asm "mov R14, [R14]" -unroll_count 10"#).unwrap();
-        assert_eq!(t, vec!["-asm", "mov R14, [R14]", "-unroll_count", "10"]);
-        let t = tokenize("-asm 'add rax, 1; nop'").unwrap();
-        assert_eq!(t, vec!["-asm", "add rax, 1; nop"]);
+        let texts = |line| -> Vec<String> {
+            let tokens = tokenize_spanned(line).unwrap();
+            tokens.into_iter().map(|(t, _)| t).collect()
+        };
+        let t = texts(r#"-asm "mov R14, [R14]" -unroll_count 10"#);
+        assert_eq!(t, ["-asm", "mov R14, [R14]", "-unroll_count", "10"]);
+        assert_eq!(texts("-asm 'add rax, 1; nop'"), ["-asm", "add rax, 1; nop"]);
     }
 
     #[test]
     fn unterminated_quotes_are_errors_for_both_styles() {
         for line in [r#"-asm "mov rax, rbx"#, "-asm 'mov rax, rbx"] {
-            let err = tokenize(line).unwrap_err();
+            let err = tokenize_spanned(line).unwrap_err();
             assert!(err.to_string().contains("unterminated"), "`{line}`: {err}");
             // And the error propagates out of the option parser.
             let mut nb = NanoBench::kernel(MicroArch::Skylake);
@@ -374,7 +364,7 @@ mod tests {
         );
         // An unterminated quote spans from the quote to the end of line.
         let line = r#"-asm "mov rax, rbx"#;
-        let err = tokenize(line).unwrap_err();
+        let err = tokenize_spanned(line).unwrap_err();
         let NbError::OptionAt { span, .. } = err else {
             panic!("expected OptionAt, got {err}");
         };

@@ -1,9 +1,10 @@
-//! Heap allocations as exact counts: a plan-cache hit must not build the
-//! program it replays, the simulated memory path must not allocate per
-//! access, and building, parsing and decoding a program must not allocate
-//! per instruction. A counting global allocator tallies allocations on
-//! the current thread only, so the tests of this binary can run in
-//! parallel.
+//! Heap allocations and simulated work as exact counts: a plan-cache hit
+//! must not build the program it replays, the simulated memory path must
+//! not allocate per access, building, parsing and decoding a program must
+//! not allocate per instruction, and one steady-state run of each engine
+//! and memory-path shape does a pinned amount of work. A counting global
+//! allocator tallies allocations on the current thread only, so the tests
+//! of this binary can run in parallel.
 
 use nanobench_core::{BenchSpec, Session};
 use nanobench_machine::{Machine, Mode};
@@ -146,4 +147,117 @@ fn parsing_asm_makes_a_few_allocations_per_statement() {
         allocations < 10 * statements,
         "{allocations} allocations for {statements} statements"
     );
+}
+
+/// The 8-instruction ALU+memory body: dependency chains, a store, a load
+/// and a read-modify-write, the shape of a generated benchmark's measured
+/// region.
+const ALU_MEM_BODY: &str = "add rax, 1; mov [r14], rax; mov rbx, [r14]; imul rbx, rbx; \
+                            add [r14+64], rbx; xor rcx, rbx; lea rdx, [rcx+rbx]; sub r9, rdx";
+
+/// `body` looped 200 times behind a `dec`/`jnz` loop close.
+fn looped(body: &str) -> String {
+    format!("mov r15, 200; l: {body}; dec r15; jnz l")
+}
+
+/// What one `Machine::run_plan` did.
+#[derive(Debug, PartialEq)]
+struct Work {
+    instructions: u64,
+    cycles: u64,
+    /// `Machine::mem_path_counters`: address translations and hierarchy
+    /// walks.
+    translations: u64,
+    walks: u64,
+    /// `(hits, misses)` of core 0's L1 and L2 and of the L3.
+    l1: (u64, u64),
+    l2: (u64, u64),
+    l3: (u64, u64),
+    allocations: u64,
+}
+
+/// The work of the run after `warm` runs of `program` on a kernel-mode
+/// Skylake machine (32 KiB L1, 256 KiB L2, 8 MiB L3) whose `R14` points
+/// at the first of `ring` cache lines, each holding the address of the
+/// next (no ring for 0).
+fn steady_state_work(program: &str, ring: u64, warm: usize) -> Work {
+    let mut m = Machine::new(MicroArch::Skylake, Mode::Kernel, 7);
+    let base = m.alloc_region((ring * 64).max(1 << 20));
+    for i in 0..ring {
+        m.write_mem(base + i * 64, 8, base + (i + 1) % ring * 64)
+            .unwrap();
+    }
+    m.state_mut().set_gpr(Gpr::R14, base);
+    let plan = m.decode(&parse_asm(program).unwrap());
+    for _ in 0..warm {
+        m.run_plan(&plan).unwrap();
+    }
+    let counts = |m: &Machine| {
+        let h = m.hierarchy();
+        let (translations, walks) = m.mem_path_counters();
+        [h.l1_stats(), h.l2_stats(), h.l3_stats()]
+            .map(|s| (s.hits, s.misses))
+            .into_iter()
+            .chain([(translations, walks)])
+            .collect::<Vec<_>>()
+    };
+    let before = counts(&m);
+    let mut stats = None;
+    let allocations = allocations_in(|| stats = Some(m.run_plan(&plan).unwrap()));
+    let stats = stats.unwrap();
+    let d: Vec<(u64, u64)> = counts(&m)
+        .iter()
+        .zip(&before)
+        .map(|(a, b)| (a.0 - b.0, a.1 - b.1))
+        .collect();
+    Work {
+        instructions: stats.instructions,
+        cycles: stats.cycles,
+        translations: d[3].0,
+        walks: d[3].1,
+        l1: d[0],
+        l2: d[1],
+        l3: d[2],
+        allocations,
+    }
+}
+
+#[test]
+fn engine_and_memory_shapes_do_pinned_work_per_run() {
+    let chase = looped(&"mov r14, [r14]; ".repeat(8));
+    let stores: String = (0..8)
+        .map(|i| format!("mov [r14 + {}], rax; ", i * 64))
+        .collect();
+    let work = |instructions, cycles, translations, walks, l1, l2, l3| Work {
+        instructions,
+        cycles,
+        translations,
+        walks,
+        l1,
+        l2,
+        l3,
+        allocations: 0,
+    };
+    // (shape, program, ring lines, warm-up runs, work of the next run).
+    // The 2 MiB chase is L3-resident only once it has wrapped its ring:
+    // its first 20 runs miss the L3 800 times each.
+    #[rustfmt::skip]
+    let shapes = [
+        ("looped ALU+mem", looped(ALU_MEM_BODY), 0, 10, work(2_001, 969, 800, 600, (600, 0), (0, 0), (0, 0))),
+        ("unrolled ALU+mem", format!("{ALU_MEM_BODY}; ").repeat(100), 0, 10, work(800, 505, 400, 300, (300, 0), (0, 0), (0, 0))),
+        ("L1 chase", chase.clone(), 1, 10, work(2_001, 6_400, 1_600, 1_600, (1_600, 0), (0, 0), (0, 0))),
+        ("L2 chase", chase.clone(), 2_048, 10, work(2_001, 15_000, 1_600, 1_600, (525, 1_075), (1_075, 0), (0, 0))),
+        ("L3 chase", chase, 32_768, 25, work(2_001, 39_000, 1_600, 1_600, (525, 1_075), (275, 800), (800, 0))),
+        ("streaming stores", looped(&stores), 0, 10, work(2_001, 966, 1_600, 1_600, (1_600, 0), (0, 0), (0, 0))),
+    ];
+    let mut moved = Vec::new();
+    for (shape, program, ring, warm, pinned) in shapes {
+        let measured = steady_state_work(&program, ring, warm);
+        if measured != pinned {
+            moved.push(format!(
+                "{shape}: pinned {pinned:?}\n  measured {measured:?}"
+            ));
+        }
+    }
+    assert!(moved.is_empty(), "{}", moved.join("\n"));
 }

@@ -341,9 +341,16 @@ pub fn execute<B: Bus + ?Sized>(
         }
         Imul => {
             if inst.operands.len() >= 2 {
+                // `imul r, r/m` multiplies the destination by the source;
+                // `imul r, r/m, imm` writes the source times the immediate.
                 let dst = *inst.dst().expect("imul dst");
-                let a = read_operand(state, bus, &dst)? as i64;
-                let b = read_operand(state, bus, inst.src().expect("imul src"))? as i64;
+                let src = inst.src().expect("imul src");
+                let (a, b) = match inst.operands.get(2) {
+                    Some(imm) => (src, imm),
+                    None => (&dst, src),
+                };
+                let a = read_operand(state, bus, a)? as i64;
+                let b = read_operand(state, bus, b)? as i64;
                 let r = a.wrapping_mul(b) as u64 & w.mask();
                 let overflow = a.checked_mul(b).is_none();
                 state.set_flag(Flag::Cf, overflow);
@@ -650,6 +657,17 @@ mod tests {
         );
         assert_eq!(s.gpr(Gpr::Rax), 20);
         assert_eq!(s.gpr(Gpr::R15), 0);
+    }
+
+    #[test]
+    fn three_operand_imul_multiplies_source_by_immediate() {
+        let mut s = CpuState::new();
+        run_seq("mov rax, 5; mov rsi, 7; imul rax, rsi, 3", &mut s);
+        assert_eq!(s.gpr(Gpr::Rax), 21);
+        assert!(!s.flag(Flag::Cf) && !s.flag(Flag::Of));
+        run_seq("mov rsi, 0x4000000000000000; imul rax, rsi, 2", &mut s);
+        assert_eq!(s.gpr(Gpr::Rax), 1 << 63);
+        assert!(s.flag(Flag::Cf) && s.flag(Flag::Of));
     }
 
     #[test]

@@ -1166,7 +1166,7 @@ mod tests {
 
     #[test]
     fn branch_entries_distinguish_conditional() {
-        let p = plan("jmp 0; jnz 0");
+        let p = plan("l: jmp l; jnz l");
         let body = p.body();
         assert_eq!(body.hot[0].handler, handler::JUMP);
         assert!(body.hot[0].has(meta::IS_BRANCH) && !body.hot[0].has(meta::CONDITIONAL));

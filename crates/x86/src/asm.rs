@@ -377,8 +377,9 @@ pub fn parse_asm(text: &str) -> Result<Vec<Instruction>, ParseAsmError> {
 
 /// The operand rules a statement must keep before it can run: the
 /// mnemonic's register-free forms ([`missing_memory_operand`]), its
-/// operand count ([`operand_count`]) and at most one memory operand.
-/// Returns the error message for a statement that breaks one.
+/// operand count ([`operand_count`]), a label as a branch's target and at
+/// most one memory operand. Returns the error message for a statement
+/// that breaks one.
 fn malformed_operands(m: Mnemonic, operands: &[Operand]) -> Option<String> {
     if let Some(message) = missing_memory_operand(m, operands) {
         return Some(message);
@@ -393,6 +394,11 @@ fn malformed_operands(m: Mnemonic, operands: &[Operand]) -> Option<String> {
             (min, max) => format!("{min} to {max} operands"),
         };
         return Some(format!("`{name}` takes {takes}, got {n}"));
+    }
+    // `ret` has no operand (counted above): this checks jump and `call`
+    // targets.
+    if m.is_branch() && !operands.iter().all(|o| matches!(o, Operand::Label(_))) {
+        return Some(format!("`{name}` takes a label operand"));
     }
     if operands
         .iter()

@@ -1011,7 +1011,24 @@ fn encode_nonbranch(inst: &Instruction) -> Result<Vec<u8>, EncodeError> {
             e.opcode = vec![if w == Width::B { 0xFE } else { 0xFF }];
             e.set_modrm(if m == Mnemonic::Inc { 0 } else { 1 }, &rm)?;
         }
-        Mnemonic::Neg | Mnemonic::Not | Mnemonic::Mul | Mnemonic::Div | Mnemonic::Idiv => {
+        Mnemonic::Imul if inst.operands.len() > 1 => {
+            // Only the two-operand form `imul r, r/m` is encoded: the
+            // three-operand `imul r, r/m, imm` (6B/69) has no encoding
+            // here, and dropping its immediate would change its meaning.
+            let [Operand::Gpr(d), src] = &inst.operands[..] else {
+                return Err(invalid());
+            };
+            let (rm, _) = rm_of(src).ok_or_else(invalid)?;
+            e.set_width(d.width);
+            e.opcode = vec![0x0F, 0xAF];
+            e.set_modrm(d.reg.number(), &rm)?;
+        }
+        Mnemonic::Neg
+        | Mnemonic::Not
+        | Mnemonic::Mul
+        | Mnemonic::Imul
+        | Mnemonic::Div
+        | Mnemonic::Idiv => {
             let (rm, w) = rm_of(inst.dst().ok_or_else(invalid)?).ok_or_else(invalid)?;
             e.set_width(w);
             e.opcode = vec![if w == Width::B { 0xF6 } else { 0xF7 }];
@@ -1019,30 +1036,12 @@ fn encode_nonbranch(inst: &Instruction) -> Result<Vec<u8>, EncodeError> {
                 Mnemonic::Not => 2,
                 Mnemonic::Neg => 3,
                 Mnemonic::Mul => 4,
+                Mnemonic::Imul => 5,
                 Mnemonic::Div => 6,
                 Mnemonic::Idiv => 7,
                 _ => unreachable!(),
             };
             e.set_modrm(ext, &rm)?;
-        }
-        Mnemonic::Imul => {
-            // Only the two-operand form `imul r, r/m` is encoded; the
-            // one-operand form uses F7 /5.
-            match (inst.dst(), inst.src()) {
-                (Some(Operand::Gpr(d)), Some(src)) => {
-                    let (rm, _) = rm_of(src).ok_or_else(invalid)?;
-                    e.set_width(d.width);
-                    e.opcode = vec![0x0F, 0xAF];
-                    e.set_modrm(d.reg.number(), &rm)?;
-                }
-                (Some(one), None) => {
-                    let (rm, w) = rm_of(one).ok_or_else(invalid)?;
-                    e.set_width(w);
-                    e.opcode = vec![0xF7];
-                    e.set_modrm(5, &rm)?;
-                }
-                _ => return Err(invalid()),
-            }
         }
         _ if shift_ext(m).is_some() => {
             let ext = shift_ext(m).unwrap();
@@ -2358,5 +2357,24 @@ mod tests {
             decode_program(&[0x0F, 0xAE, 0x38, 0x0F, 0x18, 0x01]).unwrap(),
             parse_asm("clflush [rax]; prefetchnta [rcx]").unwrap()
         );
+    }
+
+    #[test]
+    fn byte_width_imul_round_trips() {
+        // F6 /5 is `imul r/m8`; it must not re-encode as F7 /5.
+        let decoded = decode_program(&[0xF6, 0xE9]).unwrap();
+        assert_eq!(decoded, parse_asm("imul cl").unwrap());
+        let (encoded, _) = encode_program(&decoded).unwrap();
+        assert_eq!(encoded, [0xF6, 0xE9]);
+        assert_eq!(decode_program(&encoded).unwrap(), decoded);
+    }
+
+    #[test]
+    fn three_operand_imul_is_refused_not_truncated() {
+        let insts = parse_asm("imul rax, rsi, 3").unwrap();
+        assert!(matches!(
+            encode_program(&insts),
+            Err(EncodeError::InvalidOperands(_))
+        ));
     }
 }

@@ -5,8 +5,9 @@
 //! statement. Given as raw bytes (mod=11), LEA is a decode error (#UD),
 //! `0f ae f9` is SFENCE and `0f 18 c1` a hint NOP, as on hardware: both
 //! run cleanly. So is every statement with an operand count its mnemonic
-//! does not take (a branch without a target among them) or with two
-//! memory operands. No input may panic the tool in either version.
+//! does not take (a branch without a target among them), every branch
+//! whose target is not a label, and every statement with two memory
+//! operands. No input may panic the tool in either version.
 
 use nanobench::nb::shell::{kernel_nanobench, user_nanobench};
 use nanobench::nb::{BenchmarkResult, NbError};
@@ -26,9 +27,10 @@ const INPUTS: [(&str, bool); 6] = [
 
 /// One-statement programs with operands no x86 form takes: too few (these
 /// panicked the tool when `exec::execute` met them), too many, a branch
-/// without a target, and a memory-to-memory move (which ran in kernel
-/// mode and page-faulted at 0x0 in user mode).
-const MALFORMED: [&str; 19] = [
+/// without a target or with a number for one (which fell through without
+/// jumping), and a memory-to-memory move (which ran in kernel mode and
+/// page-faulted at 0x0 in user mode).
+const MALFORMED: [&str; 22] = [
     "add rax",
     "mov rax",
     "push",
@@ -47,6 +49,9 @@ const MALFORMED: [&str; 19] = [
     "call",
     "jmp",
     "jnz",
+    "jmp 0",
+    "jnz 0x10",
+    "call 5",
     "mov [r14], [r15]",
 ];
 
