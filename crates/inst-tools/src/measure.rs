@@ -288,6 +288,29 @@ mod tests {
         );
         assert!(m.ports[1] > 0.9, "{:?}", m.ports);
         assert_eq!(m.port_usage_string(), "1.00*p1");
+
+        // `imul r, r/m, imm` writes its destination from the source alone:
+        // one port-1 µop of latency 3, so independent copies run one per
+        // cycle and a chain through RAX takes three cycles per link.
+        let run = |asm: &str| {
+            let mut bench = BenchSpec::new();
+            bench
+                .asm(asm)
+                .unwrap()
+                .config_str(PORTS_CONFIG)
+                .unwrap()
+                .unroll_count(100);
+            let out = Session::kernel(MicroArch::Skylake).run(&bench).unwrap();
+            let port1 = out.get("UOPS_DISPATCHED_PORT.PORT_1").unwrap();
+            (out.core_cycles().unwrap(), port1)
+        };
+        // (core cycles, port-1 µops) per run of the body.
+        assert_eq!(run("imul rax, rsi, 3"), (1.0, 1.0));
+        assert_eq!(
+            run("imul rax, rsi, 3; imul rbx, rsi, 3; imul rcx, rsi, 3; imul rdx, rsi, 3"),
+            (4.0, 4.0)
+        );
+        assert_eq!(run("imul rax, rax, 3"), (3.0, 1.0));
     }
 
     #[test]

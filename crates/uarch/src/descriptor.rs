@@ -258,6 +258,7 @@ impl DescriptorTable {
             self.def(m, alu1.clone());
         }
         self.form(Imul, &[R, R], vec![UopSpec::new(PortClass::IntMul, 3)]);
+        self.form(Imul, &[R, R, I], vec![UopSpec::new(PortClass::IntMul, 3)]);
         self.form(
             Imul,
             &[R],

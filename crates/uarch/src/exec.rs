@@ -671,6 +671,21 @@ mod tests {
     }
 
     #[test]
+    fn a_dword_store_writes_four_bytes() {
+        // `mov [r14], eax` takes the register's width as asm and as code
+        // bytes alike: the upper half of the qword at [r14] survives.
+        let text = "mov rax, 0xAAAAAAAABBBBBBBB; mov rcx, 0x1111111122222222; \
+                    mov [r14], rcx; mov [r14], eax; mov rdx, [r14]";
+        let asm = parse_asm(text).unwrap();
+        let (bytes, _) = nanobench_x86::encode::encode_program(&asm).unwrap();
+        assert_eq!(nanobench_x86::encode::decode_program(&bytes).unwrap(), asm);
+        let mut s = CpuState::new();
+        s.set_gpr(Gpr::R14, 0x5000);
+        run_seq(text, &mut s);
+        assert_eq!(s.gpr(Gpr::Rdx), 0x1111_1111_BBBB_BBBB);
+    }
+
+    #[test]
     fn adc_carry_chain() {
         let mut s = CpuState::new();
         run_seq("mov rax, -1; mov rbx, 0; add rax, 1; adc rbx, 0", &mut s);

@@ -253,14 +253,16 @@ pub fn parse_mnemonic(name: &str) -> Option<Mnemonic> {
 /// Statements are separated by `;` or newlines. Comments start with `#` and
 /// run to end of line. Labels are declared as `name:` and may be referenced
 /// by branch instructions; references are resolved to instruction indices
-/// ([`Operand::Label`]).
+/// ([`Operand::Label`]). A memory operand without a size takes its
+/// register operand's width where x86 gives both one size.
 ///
 /// # Errors
 ///
 /// Returns [`ParseAsmError`] on unknown mnemonics or registers, malformed
 /// memory operands, displacements outside the 64-bit range, more than
 /// [`MAX_OPERANDS`] operands, an operand count or kind the mnemonic does
-/// not take, or unresolved label references.
+/// not take, a memory size that contradicts the register operand's, or
+/// unresolved label references.
 ///
 /// # Examples
 ///
@@ -312,6 +314,8 @@ pub fn parse_asm(text: &str) -> Result<Vec<Instruction>, ParseAsmError> {
         })?;
 
         let mut operands = Operands::new();
+        // Whether the memory operand carries an explicit size.
+        let mut mem_sized = false;
         if !rest.is_empty() {
             for op_text in split_operands(rest) {
                 let op_text = op_text.trim();
@@ -334,6 +338,10 @@ pub fn parse_asm(text: &str) -> Result<Vec<Instruction>, ParseAsmError> {
                 }
                 match parse_operand(op_text, statement_no)? {
                     ParsedOperand::Operand(op) => operands.push(op),
+                    ParsedOperand::Mem { mem, sized } => {
+                        mem_sized |= sized;
+                        operands.push(Operand::Mem(mem));
+                    }
                     ParsedOperand::LabelRef(name) => {
                         fixups.push((instructions.len(), operands.len(), name, statement_no));
                         operands.push(Operand::Label(usize::MAX));
@@ -341,22 +349,13 @@ pub fn parse_asm(text: &str) -> Result<Vec<Instruction>, ParseAsmError> {
                 }
             }
         }
-        if let Some(message) = malformed_operands(mnemonic, &operands) {
+        if let Some(message) = malformed_operands(mnemonic, &operands)
+            .or_else(|| size_memory_operand(mnemonic, &mut operands, mem_sized))
+        {
             return Err(ParseAsmError {
                 statement: statement_no,
                 message,
             });
-        }
-        // Vector memory accesses are modeled at qword granularity (see
-        // `strip_size_prefix`): normalize explicit size prefixes so the asm
-        // path and the §III-E byte path (whose encodings carry no memory
-        // width) see identical instructions.
-        if mnemonic.is_vector() {
-            for op in operands.iter_mut() {
-                if let Operand::Mem(m) = op {
-                    m.width = Width::Q;
-                }
-            }
         }
         instructions.push(Instruction { mnemonic, operands });
     }
@@ -450,6 +449,48 @@ fn missing_memory_operand(m: Mnemonic, operands: &[Operand]) -> Option<String> {
     }
 }
 
+/// Gives a statement's memory operand its access width, so the asm path
+/// and the §III-E byte path see identical instructions. Where x86 gives the
+/// register and the memory operand one size (ALU, MOV, TEST, XCHG, XADD,
+/// CMOVcc, IMUL, BSF/BSR, POPCNT/LZCNT/TZCNT and LEA), a memory operand
+/// without a size takes the register's width, and a size that contradicts
+/// the register is an error. Vector memory accesses are modeled at qword
+/// granularity (see `strip_size_prefix`), and x86 ignores the width of the
+/// CLFLUSH/CLFLUSHOPT, PREFETCHh and INVLPG operand, so those normalize to
+/// qword. Everything else keeps its size or the qword default: MOVZX,
+/// MOVSX and CRC32 sources among them. Returns the error message for a
+/// statement whose sizes disagree.
+fn size_memory_operand(m: Mnemonic, operands: &mut [Operand], sized: bool) -> Option<String> {
+    use Mnemonic::*;
+    let width = match m {
+        Clflush | Clflushopt | Prefetcht0 | Prefetcht1 | Prefetcht2 | Prefetchnta | Invlpg => {
+            Width::Q
+        }
+        _ if m.is_vector() => Width::Q,
+        Add | Adc | Sub | Sbb | And | Or | Xor | Cmp | Mov | Test | Xchg | Xadd | Cmovz
+        | Cmovnz | Imul | Bsf | Bsr | Popcnt | Lzcnt | Tzcnt | Lea => {
+            let reg = operands.iter().find_map(Operand::as_gpr)?;
+            let mem = operands.iter().find_map(Operand::as_mem)?;
+            if sized && mem.width != reg.width {
+                return Some(format!(
+                    "`{}` with `{reg}` takes a {} memory operand, not {}",
+                    mnemonic_name(m),
+                    reg.width,
+                    mem.width
+                ));
+            }
+            reg.width
+        }
+        _ => return None,
+    };
+    for op in operands.iter_mut() {
+        if let Operand::Mem(mem) = op {
+            mem.width = width;
+        }
+    }
+    None
+}
+
 /// Formats a program back to parseable assembler text (one statement per
 /// line, labels emitted as `l<N>:` where referenced).
 pub fn format_program(insts: &[Instruction]) -> String {
@@ -483,6 +524,11 @@ pub fn format_program(insts: &[Instruction]) -> String {
 
 enum ParsedOperand {
     Operand(Operand),
+    /// A memory operand, and whether it has an explicit size.
+    Mem {
+        mem: MemRef,
+        sized: bool,
+    },
     LabelRef(String),
 }
 
@@ -550,7 +596,10 @@ fn parse_operand(text: &str, stmt: usize) -> Result<ParsedOperand, ParseAsmError
         }
         let inner = &rest[1..rest.len() - 1];
         let mem = parse_mem_expr(inner, explicit_width.unwrap_or(Width::Q), stmt)?;
-        return Ok(ParsedOperand::Operand(Operand::Mem(mem)));
+        return Ok(ParsedOperand::Mem {
+            mem,
+            sized: explicit_width.is_some(),
+        });
     }
     if explicit_width.is_some() {
         return Err(ParseAsmError {
@@ -754,6 +803,28 @@ mod tests {
         assert_eq!(mem.base, Some(Gpr::R14));
         assert_eq!(mem.index, Some((Gpr::Rcx, 8)));
         assert_eq!(mem.disp, -16);
+    }
+
+    #[test]
+    fn bare_memory_operands_take_the_register_width() {
+        // MOVZX keeps its source size; CLFLUSH normalizes to qword.
+        let insts = parse_asm(
+            "mov [r14], eax; lea ax, [rbx]; imul r9d, [r14], 3; \
+             movzx eax, byte ptr [r14]; clflush byte ptr [r14]",
+        )
+        .unwrap();
+        assert_eq!(
+            format_program(&insts),
+            "mov dword ptr [r14], eax\nlea ax, word ptr [rbx]\n\
+             imul r9d, dword ptr [r14], 0x3\nmovzx eax, byte ptr [r14]\n\
+             clflush qword ptr [r14]\n"
+        );
+        let err = parse_asm("nop; mov rcx, dword ptr [r14]").unwrap_err();
+        assert_eq!(err.statement, 2);
+        assert_eq!(
+            err.message,
+            "`mov` with `rcx` takes a qword memory operand, not dword"
+        );
     }
 
     #[test]

@@ -19,11 +19,16 @@ use crate::inst::{Instruction, Mnemonic};
 use crate::operand::{MemRef, Operand};
 use crate::reg::{Flag, Gpr, GprPart, VecReg};
 
-/// Whether the first (destination) operand is also an input.
-pub fn reads_dst(m: Mnemonic) -> bool {
+/// Whether the first (destination) operand is also an input. The
+/// three-operand `imul r, r/m, imm` writes its destination from the source
+/// and the immediate alone.
+pub fn reads_dst(inst: &Instruction) -> bool {
     use Mnemonic::*;
+    if inst.mnemonic == Imul && inst.operands.len() == 3 {
+        return false;
+    }
     !matches!(
-        m,
+        inst.mnemonic,
         Mov | Movzx
             | Movsx
             | Lea
@@ -89,13 +94,12 @@ pub fn is_move(m: Mnemonic) -> bool {
 /// cleared first).
 pub fn input_gprs(inst: &Instruction, out: &mut Vec<GprPart>) {
     out.clear();
-    let m = inst.mnemonic;
     for (i, op) in inst.operands.iter().enumerate() {
         match op {
             Operand::Gpr(g)
                 // The first operand is written; whether it is also read
-                // depends on the mnemonic.
-                if (i > 0 || reads_dst(m)) => {
+                // depends on the instruction.
+                if (i > 0 || reads_dst(inst)) => {
                     out.push(*g);
                 }
             Operand::Mem(mem) => {
@@ -159,10 +163,9 @@ pub fn output_gprs(inst: &Instruction, out: &mut Vec<GprPart>) {
 /// [`addr_gprs`].
 pub fn data_gpr_reads(inst: &Instruction) -> Vec<GprPart> {
     let mut regs = Vec::new();
-    let m = inst.mnemonic;
     for (i, op) in inst.operands.iter().enumerate() {
         if let Operand::Gpr(g) = op {
-            if i > 0 || reads_dst(m) {
+            if i > 0 || reads_dst(inst) {
                 regs.push(*g);
             }
         }

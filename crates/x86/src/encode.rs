@@ -9,6 +9,35 @@
 //! move forms, fences, counter reads, the privileged instructions, and the
 //! SSE/AVX subset the simulator models).
 //!
+//! Two tables drive both directions: `GPR_OPS` for the general-purpose and
+//! system subset, `VEC_OPS` for SSE/AVX. The encoder takes the first
+//! row whose operand form, widths and immediate fit; the decoder looks rows
+//! up by prefix, opcode map, opcode, ModRM extension and ModRM mode. No
+//! other code maps a mnemonic to an opcode or back, so `decode(encode(i))
+//! == i`, and every decoded instruction re-encodes to itself.
+//!
+//! # GPR/system encoding support matrix
+//!
+//! | Form | Encoding | Status |
+//! |---|---|---|
+//! | ALU `add`...`cmp`, `mov`, `test`, `xchg`, `xadd` | `r/m ← reg` / `reg ← r/m`, byte twin opcode, `66`/REX.W sizes | encode + decode |
+//! | ALU, `mov`, `test` with an immediate | `83 /n ib` first, then `81`/`80`, `C7`/`C6`, `F7`/`F6` with imm8/16/32 by width; `B8+r` imm64 | encode + decode |
+//! | `imul r, r/m` and `imul r, r/m, imm` | `0F AF`, then `6B ib`, `69 iw/id` | encode + decode |
+//! | one-operand `inc`...`idiv`, shifts by 1 or an imm8 count | `FE`/`FF`, `F6`/`F7`, `D0`/`D1`, `C0`/`C1` with `/ext` | encode + decode |
+//! | `lea`, `movzx`/`movsx`, CMOVcc, SETcc, bit counting, `bswap`, `push`/`pop` | `8D` (memory only), `0F B6`...`0F BF`, `0F 44`/`45`, `0F 94`/`95`, `F3 0F B8`/`BC`/`BD`, `0F C8+r`, `50+r`/`58+r` | encode + decode |
+//! | branches | rel32 (`E8`, `E9`, `0F 8x`); rel8 (`EB`, `7x`) decodes only | encode + decode |
+//! | fences, counters, privileged, cache control | `0F AE /5`..`/7`, `0F 01 F8`/`F9`, `0F 01 /7`, `0F 22 /3`, `0F 18 /0`..`/3`, `0F C7 /6`/`/7`, ... | encode + decode |
+//!
+//! An immediate must come back as written: ib, iw and id are read back
+//! sign-extended, a shift count unsigned, so `add al, 0x8000`, `mov al, 128`
+//! and `shl rax, 256` are [`EncodeError::OutOfRange`]. Forms x86 lacks
+//! (`imul al, cl`, `setz ax`, `bswap al`, `mov_cr3 eax`, a memory width that
+//! differs from the register's, the two-operand `imul r, imm`) are
+//! [`EncodeError::InvalidOperands`]. Byte registers `spl`, `bpl`, `sil` and
+//! `dil` always take a REX prefix; without one the decoder reads register
+//! numbers 4–7 of byte width as those same registers (`ah`...`bh` are not
+//! modeled).
+//!
 //! # Vector encoding support matrix
 //!
 //! | Form | Encoding | Status |
@@ -43,12 +72,13 @@ pub const MAGIC_RESUME: [u8; 8] = [0x0F, 0x1F, 0x84, 0x00, 0x4E, 0x42, 0x52, 0x0
 /// An error produced while encoding instructions to machine code.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EncodeError {
-    /// The instruction form has no encoder support (never silently
-    /// mis-encoded; see the module docs).
+    /// The mnemonic has no encoding row (never silently mis-encoded; see
+    /// the module docs).
     Unsupported(String),
-    /// The operand combination is architecturally invalid.
+    /// No encoding row takes the operand kinds or widths.
     InvalidOperands(String),
-    /// A displacement or immediate does not fit its encoding field.
+    /// A displacement or immediate does not fit its encoding field as the
+    /// decoder reads it back.
     OutOfRange(String),
 }
 
@@ -142,6 +172,16 @@ impl Enc {
         match width {
             Width::W => self.prefix66 = true,
             Width::Q => self.rex_w = true,
+            _ => {}
+        }
+    }
+
+    /// Sets the mandatory prefix (VEX `pp` numbering).
+    fn set_pp(&mut self, pp: u8) {
+        match pp {
+            PP_66 => self.prefix66 = true,
+            PP_F3 => self.prefix_f3 = true,
+            PP_F2 => self.prefix_f2 = true,
             _ => {}
         }
     }
@@ -245,49 +285,14 @@ enum Rm {
     Mem(MemRef),
 }
 
-fn rm_of(op: &Operand) -> Option<(Rm, Width)> {
-    match op {
-        Operand::Gpr(g) => Some((Rm::Reg(g.reg.number()), g.width)),
-        Operand::Mem(m) => Some((Rm::Mem(*m), m.width)),
-        _ => None,
-    }
-}
-
+/// Byte registers 4–7 (`spl`, `bpl`, `sil`, `dil`) exist only under REX.
 fn needs_rex_for_byte(g: &GprPart) -> bool {
     g.width == Width::B && (4..8).contains(&g.reg.number())
 }
 
-/// ALU group index for the 0x80-family opcodes.
-fn alu_index(m: Mnemonic) -> Option<u8> {
-    Some(match m {
-        Mnemonic::Add => 0,
-        Mnemonic::Or => 1,
-        Mnemonic::Adc => 2,
-        Mnemonic::Sbb => 3,
-        Mnemonic::And => 4,
-        Mnemonic::Sub => 5,
-        Mnemonic::Xor => 6,
-        Mnemonic::Cmp => 7,
-        _ => return None,
-    })
-}
-
-fn shift_ext(m: Mnemonic) -> Option<u8> {
-    Some(match m {
-        Mnemonic::Rol => 0,
-        Mnemonic::Ror => 1,
-        Mnemonic::Shl => 4,
-        Mnemonic::Shr => 5,
-        Mnemonic::Sar => 7,
-        _ => return None,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// SSE/AVX: one table drives both the encoder and the decoder (§III-E)
-// ---------------------------------------------------------------------------
-
-/// Escape-map numbers, identical to the VEX `mmmmm` field values.
+/// Escape-map numbers, identical to the VEX `mmmmm` field values; the
+/// one-byte map (no escape) is 0.
+const MAP_1B: u8 = 0;
 const MAP_0F: u8 = 1;
 const MAP_0F38: u8 = 2;
 const MAP_0F3A: u8 = 3;
@@ -298,7 +303,472 @@ const PP_66: u8 = 1;
 const PP_F3: u8 = 2;
 const PP_F2: u8 = 3;
 
-/// Operand pattern of a vector-op table entry.
+// ---------------------------------------------------------------------------
+// GPR/system: one table drives both the encoder and the decoder (§III-E)
+// ---------------------------------------------------------------------------
+
+/// Operand form of a [`GprOp`] row, in Intel order. A row with an
+/// immediate field takes the immediate as one more, last, operand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Form {
+    /// No operands.
+    Bare,
+    /// `reg ← r/m`: the ModRM `reg` field is the first operand.
+    RegRm,
+    /// `r/m ← reg`: the ModRM `reg` field is the second operand.
+    RmReg,
+    /// One r/m operand; the ModRM `reg` field holds the extension.
+    Rm,
+    /// One register in the opcode's low three bits (`push`, `B8+r`).
+    OpReg,
+    /// A branch target as a rel32 displacement.
+    Rel32,
+    /// A branch target as a rel8 displacement (decoded, never encoded).
+    Rel8,
+}
+
+/// Immediate field of a [`GprOp`] row. Every immediate but a shift count
+/// is read back sign-extended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Imm {
+    /// imm8.
+    Ib,
+    /// imm8 at byte width (the byte twin), imm16 at word width, imm32
+    /// otherwise.
+    Iz,
+    /// The full operand width: imm16, imm32 or imm64 (`B8+r`).
+    Iv,
+    /// An unsigned imm8 shift count.
+    Count,
+    /// A count of 1 with no immediate bytes (`D0`/`D1`).
+    One,
+}
+
+impl Imm {
+    /// The field's length in bytes at operand width `w`.
+    fn len(self, w: Width) -> usize {
+        match (self, w) {
+            (Imm::One, _) => 0,
+            (Imm::Ib | Imm::Count, _) | (_, Width::B) => 1,
+            (_, Width::W) => 2,
+            (Imm::Iv, Width::Q) => 8,
+            _ => 4,
+        }
+    }
+
+    /// Whether `v` comes back unchanged from a field of `len` bytes.
+    fn fits(self, v: i64, len: usize) -> bool {
+        match self {
+            Imm::One => v == 1,
+            Imm::Count => u8::try_from(v).is_ok(),
+            _ => len == 8 || v == sign_extend(v, len),
+        }
+    }
+}
+
+/// The low `len` bytes of `v`, sign-extended (`len` is 1–8).
+fn sign_extend(v: i64, len: usize) -> i64 {
+    let shift = 64 - 8 * len as u32;
+    (v << shift) >> shift
+}
+
+/// How a [`GprOp`] row sizes its operands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Size {
+    /// The operand size: 16, 32 or 64 bits by `66`/REX.W, and 8 bits
+    /// through the byte twin opcode where the row has one. Register and
+    /// r/m operands share it.
+    Op,
+    /// Always this width; no `66`/REX.W is emitted and the decoder
+    /// ignores them.
+    Fixed(Width),
+    /// The register takes the operand size, the r/m operand is this width
+    /// (`movzx`/`movsx`).
+    Extend(Width),
+}
+
+/// Which ModRM bytes a [`GprOp`] row takes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ModRm {
+    /// The row has no ModRM byte.
+    Absent,
+    /// A register or memory r/m operand.
+    Any,
+    /// Memory only: with mod=11 the opcode is #UD or another instruction.
+    Mem,
+    /// Register only (mod=11). A row without an r/m operand ignores the
+    /// r/m bits and encodes them as 0 (the group-15 fences).
+    Reg,
+    /// Exactly this byte (`swapgs` is `0F 01 F8`).
+    Byte(u8),
+}
+
+/// One encodable GPR/system instruction form.
+struct GprOp {
+    m: Mnemonic,
+    /// Mandatory prefix (VEX `pp` numbering). The decoder requires it
+    /// present; a row without one ignores `66`/`F2`/`F3` as prefixes
+    /// (beyond `66` sizing the operands), so a prefixed row comes first.
+    pp: u8,
+    map: u8,
+    op: u8,
+    /// The opcode of the byte-width twin (`88` for `89`).
+    op8: Option<u8>,
+    /// The ModRM `reg` field of a row whose `reg` field is no operand;
+    /// `None` encodes 0 and decodes any value (`C7`, SETcc).
+    ext: Option<u8>,
+    size: Size,
+    imm: Option<Imm>,
+    form: Form,
+    modrm: ModRm,
+}
+
+const fn gpr(m: Mnemonic, map: u8, op: u8, form: Form) -> GprOp {
+    GprOp {
+        m,
+        pp: PP_NONE,
+        map,
+        op,
+        op8: None,
+        ext: None,
+        size: Size::Op,
+        imm: None,
+        form,
+        modrm: match form {
+            Form::RegRm | Form::RmReg | Form::Rm => ModRm::Any,
+            _ => ModRm::Absent,
+        },
+    }
+}
+
+impl GprOp {
+    const fn byte(self, op8: u8) -> GprOp {
+        GprOp {
+            op8: Some(op8),
+            ..self
+        }
+    }
+
+    const fn ext(self, ext: u8) -> GprOp {
+        GprOp {
+            ext: Some(ext),
+            ..self
+        }
+    }
+
+    const fn imm(self, imm: Imm) -> GprOp {
+        GprOp {
+            imm: Some(imm),
+            ..self
+        }
+    }
+
+    const fn pp(self, pp: u8) -> GprOp {
+        GprOp { pp, ..self }
+    }
+
+    const fn size(self, size: Size) -> GprOp {
+        GprOp { size, ..self }
+    }
+
+    const fn modrm(self, modrm: ModRm) -> GprOp {
+        GprOp { modrm, ..self }
+    }
+}
+
+/// The GPR/system encoding table. Entry order matters: the encoder takes
+/// the first row of a mnemonic that fits (`83 ib` before `81`, `C7` before
+/// `B8+r`, rel32 before rel8), and the decoder the first row that matches
+/// (`F3 90` is `pause` before `90` is `nop`).
+#[rustfmt::skip]
+const GPR_OPS: &[GprOp] = &[
+    // -- moves ---------------------------------------------------------------
+    gpr(Mnemonic::Mov, MAP_1B, 0x8B, Form::RegRm).byte(0x8A),
+    gpr(Mnemonic::Mov, MAP_1B, 0x89, Form::RmReg).byte(0x88),
+    gpr(Mnemonic::Mov, MAP_1B, 0xC7, Form::Rm).byte(0xC6).imm(Imm::Iz),
+    gpr(Mnemonic::Mov, MAP_1B, 0xB8, Form::OpReg).imm(Imm::Iv),
+    gpr(Mnemonic::Lea, MAP_1B, 0x8D, Form::RegRm).modrm(ModRm::Mem),
+    gpr(Mnemonic::Movzx, MAP_0F, 0xB6, Form::RegRm).size(Size::Extend(Width::B)),
+    gpr(Mnemonic::Movzx, MAP_0F, 0xB7, Form::RegRm).size(Size::Extend(Width::W)),
+    gpr(Mnemonic::Movsx, MAP_0F, 0xBE, Form::RegRm).size(Size::Extend(Width::B)),
+    gpr(Mnemonic::Movsx, MAP_0F, 0xBF, Form::RegRm).size(Size::Extend(Width::W)),
+    gpr(Mnemonic::Xchg, MAP_1B, 0x87, Form::RmReg).byte(0x86),
+    gpr(Mnemonic::Xadd, MAP_0F, 0xC1, Form::RmReg).byte(0xC0),
+    gpr(Mnemonic::Push, MAP_1B, 0x50, Form::OpReg).size(Size::Fixed(Width::Q)),
+    gpr(Mnemonic::Pop, MAP_1B, 0x58, Form::OpReg).size(Size::Fixed(Width::Q)),
+    gpr(Mnemonic::Bswap, MAP_0F, 0xC8, Form::OpReg),
+    gpr(Mnemonic::Cmovz, MAP_0F, 0x44, Form::RegRm),
+    gpr(Mnemonic::Cmovnz, MAP_0F, 0x45, Form::RegRm),
+    gpr(Mnemonic::Setz, MAP_0F, 0x94, Form::Rm).size(Size::Fixed(Width::B)),
+    gpr(Mnemonic::Setnz, MAP_0F, 0x95, Form::Rm).size(Size::Fixed(Width::B)),
+    // -- ALU: reg <- r/m, r/m <- reg, r/m with imm8, r/m with imm -------------
+    gpr(Mnemonic::Add, MAP_1B, 0x03, Form::RegRm).byte(0x02),
+    gpr(Mnemonic::Add, MAP_1B, 0x01, Form::RmReg).byte(0x00),
+    gpr(Mnemonic::Add, MAP_1B, 0x83, Form::Rm).ext(0).imm(Imm::Ib),
+    gpr(Mnemonic::Add, MAP_1B, 0x81, Form::Rm).byte(0x80).ext(0).imm(Imm::Iz),
+    gpr(Mnemonic::Or, MAP_1B, 0x0B, Form::RegRm).byte(0x0A),
+    gpr(Mnemonic::Or, MAP_1B, 0x09, Form::RmReg).byte(0x08),
+    gpr(Mnemonic::Or, MAP_1B, 0x83, Form::Rm).ext(1).imm(Imm::Ib),
+    gpr(Mnemonic::Or, MAP_1B, 0x81, Form::Rm).byte(0x80).ext(1).imm(Imm::Iz),
+    gpr(Mnemonic::Adc, MAP_1B, 0x13, Form::RegRm).byte(0x12),
+    gpr(Mnemonic::Adc, MAP_1B, 0x11, Form::RmReg).byte(0x10),
+    gpr(Mnemonic::Adc, MAP_1B, 0x83, Form::Rm).ext(2).imm(Imm::Ib),
+    gpr(Mnemonic::Adc, MAP_1B, 0x81, Form::Rm).byte(0x80).ext(2).imm(Imm::Iz),
+    gpr(Mnemonic::Sbb, MAP_1B, 0x1B, Form::RegRm).byte(0x1A),
+    gpr(Mnemonic::Sbb, MAP_1B, 0x19, Form::RmReg).byte(0x18),
+    gpr(Mnemonic::Sbb, MAP_1B, 0x83, Form::Rm).ext(3).imm(Imm::Ib),
+    gpr(Mnemonic::Sbb, MAP_1B, 0x81, Form::Rm).byte(0x80).ext(3).imm(Imm::Iz),
+    gpr(Mnemonic::And, MAP_1B, 0x23, Form::RegRm).byte(0x22),
+    gpr(Mnemonic::And, MAP_1B, 0x21, Form::RmReg).byte(0x20),
+    gpr(Mnemonic::And, MAP_1B, 0x83, Form::Rm).ext(4).imm(Imm::Ib),
+    gpr(Mnemonic::And, MAP_1B, 0x81, Form::Rm).byte(0x80).ext(4).imm(Imm::Iz),
+    gpr(Mnemonic::Sub, MAP_1B, 0x2B, Form::RegRm).byte(0x2A),
+    gpr(Mnemonic::Sub, MAP_1B, 0x29, Form::RmReg).byte(0x28),
+    gpr(Mnemonic::Sub, MAP_1B, 0x83, Form::Rm).ext(5).imm(Imm::Ib),
+    gpr(Mnemonic::Sub, MAP_1B, 0x81, Form::Rm).byte(0x80).ext(5).imm(Imm::Iz),
+    gpr(Mnemonic::Xor, MAP_1B, 0x33, Form::RegRm).byte(0x32),
+    gpr(Mnemonic::Xor, MAP_1B, 0x31, Form::RmReg).byte(0x30),
+    gpr(Mnemonic::Xor, MAP_1B, 0x83, Form::Rm).ext(6).imm(Imm::Ib),
+    gpr(Mnemonic::Xor, MAP_1B, 0x81, Form::Rm).byte(0x80).ext(6).imm(Imm::Iz),
+    gpr(Mnemonic::Cmp, MAP_1B, 0x3B, Form::RegRm).byte(0x3A),
+    gpr(Mnemonic::Cmp, MAP_1B, 0x39, Form::RmReg).byte(0x38),
+    gpr(Mnemonic::Cmp, MAP_1B, 0x83, Form::Rm).ext(7).imm(Imm::Ib),
+    gpr(Mnemonic::Cmp, MAP_1B, 0x81, Form::Rm).byte(0x80).ext(7).imm(Imm::Iz),
+    gpr(Mnemonic::Test, MAP_1B, 0x85, Form::RmReg).byte(0x84),
+    gpr(Mnemonic::Test, MAP_1B, 0xF7, Form::Rm).byte(0xF6).ext(0).imm(Imm::Iz),
+    // -- one-operand ALU, multiply and divide --------------------------------
+    gpr(Mnemonic::Inc, MAP_1B, 0xFF, Form::Rm).byte(0xFE).ext(0),
+    gpr(Mnemonic::Dec, MAP_1B, 0xFF, Form::Rm).byte(0xFE).ext(1),
+    gpr(Mnemonic::Not, MAP_1B, 0xF7, Form::Rm).byte(0xF6).ext(2),
+    gpr(Mnemonic::Neg, MAP_1B, 0xF7, Form::Rm).byte(0xF6).ext(3),
+    gpr(Mnemonic::Mul, MAP_1B, 0xF7, Form::Rm).byte(0xF6).ext(4),
+    gpr(Mnemonic::Imul, MAP_1B, 0xF7, Form::Rm).byte(0xF6).ext(5),
+    gpr(Mnemonic::Div, MAP_1B, 0xF7, Form::Rm).byte(0xF6).ext(6),
+    gpr(Mnemonic::Idiv, MAP_1B, 0xF7, Form::Rm).byte(0xF6).ext(7),
+    gpr(Mnemonic::Imul, MAP_0F, 0xAF, Form::RegRm),
+    gpr(Mnemonic::Imul, MAP_1B, 0x6B, Form::RegRm).imm(Imm::Ib),
+    gpr(Mnemonic::Imul, MAP_1B, 0x69, Form::RegRm).imm(Imm::Iz),
+    // -- shifts and rotates: by 1, then by an imm8 count ---------------------
+    gpr(Mnemonic::Rol, MAP_1B, 0xD1, Form::Rm).byte(0xD0).ext(0).imm(Imm::One),
+    gpr(Mnemonic::Rol, MAP_1B, 0xC1, Form::Rm).byte(0xC0).ext(0).imm(Imm::Count),
+    gpr(Mnemonic::Ror, MAP_1B, 0xD1, Form::Rm).byte(0xD0).ext(1).imm(Imm::One),
+    gpr(Mnemonic::Ror, MAP_1B, 0xC1, Form::Rm).byte(0xC0).ext(1).imm(Imm::Count),
+    gpr(Mnemonic::Shl, MAP_1B, 0xD1, Form::Rm).byte(0xD0).ext(4).imm(Imm::One),
+    gpr(Mnemonic::Shl, MAP_1B, 0xC1, Form::Rm).byte(0xC0).ext(4).imm(Imm::Count),
+    gpr(Mnemonic::Shr, MAP_1B, 0xD1, Form::Rm).byte(0xD0).ext(5).imm(Imm::One),
+    gpr(Mnemonic::Shr, MAP_1B, 0xC1, Form::Rm).byte(0xC0).ext(5).imm(Imm::Count),
+    gpr(Mnemonic::Sar, MAP_1B, 0xD1, Form::Rm).byte(0xD0).ext(7).imm(Imm::One),
+    gpr(Mnemonic::Sar, MAP_1B, 0xC1, Form::Rm).byte(0xC0).ext(7).imm(Imm::Count),
+    // -- bit counting: the F3 forms before BSF/BSR ---------------------------
+    gpr(Mnemonic::Popcnt, MAP_0F, 0xB8, Form::RegRm).pp(PP_F3),
+    gpr(Mnemonic::Tzcnt, MAP_0F, 0xBC, Form::RegRm).pp(PP_F3),
+    gpr(Mnemonic::Lzcnt, MAP_0F, 0xBD, Form::RegRm).pp(PP_F3),
+    gpr(Mnemonic::Bsf, MAP_0F, 0xBC, Form::RegRm),
+    gpr(Mnemonic::Bsr, MAP_0F, 0xBD, Form::RegRm),
+    // -- control flow --------------------------------------------------------
+    gpr(Mnemonic::Jmp, MAP_1B, 0xE9, Form::Rel32),
+    gpr(Mnemonic::Jmp, MAP_1B, 0xEB, Form::Rel8),
+    gpr(Mnemonic::Call, MAP_1B, 0xE8, Form::Rel32),
+    gpr(Mnemonic::Jz, MAP_0F, 0x84, Form::Rel32),
+    gpr(Mnemonic::Jz, MAP_1B, 0x74, Form::Rel8),
+    gpr(Mnemonic::Jnz, MAP_0F, 0x85, Form::Rel32),
+    gpr(Mnemonic::Jnz, MAP_1B, 0x75, Form::Rel8),
+    gpr(Mnemonic::Jc, MAP_0F, 0x82, Form::Rel32),
+    gpr(Mnemonic::Jc, MAP_1B, 0x72, Form::Rel8),
+    gpr(Mnemonic::Jnc, MAP_0F, 0x83, Form::Rel32),
+    gpr(Mnemonic::Jnc, MAP_1B, 0x73, Form::Rel8),
+    gpr(Mnemonic::Ret, MAP_1B, 0xC3, Form::Bare),
+    // -- no operands ---------------------------------------------------------
+    gpr(Mnemonic::Pause, MAP_1B, 0x90, Form::Bare).pp(PP_F3),
+    gpr(Mnemonic::Nop, MAP_1B, 0x90, Form::Bare),
+    gpr(Mnemonic::Hlt, MAP_1B, 0xF4, Form::Bare),
+    gpr(Mnemonic::Cli, MAP_1B, 0xFA, Form::Bare),
+    gpr(Mnemonic::Sti, MAP_1B, 0xFB, Form::Bare),
+    gpr(Mnemonic::Cpuid, MAP_0F, 0xA2, Form::Bare),
+    gpr(Mnemonic::Rdtsc, MAP_0F, 0x31, Form::Bare),
+    gpr(Mnemonic::Rdpmc, MAP_0F, 0x33, Form::Bare),
+    gpr(Mnemonic::Rdmsr, MAP_0F, 0x32, Form::Bare),
+    gpr(Mnemonic::Wrmsr, MAP_0F, 0x30, Form::Bare),
+    gpr(Mnemonic::Wbinvd, MAP_0F, 0x09, Form::Bare),
+    gpr(Mnemonic::Invd, MAP_0F, 0x08, Form::Bare),
+    gpr(Mnemonic::Swapgs, MAP_0F, 0x01, Form::Bare).modrm(ModRm::Byte(0xF8)),
+    gpr(Mnemonic::Rdtscp, MAP_0F, 0x01, Form::Bare).modrm(ModRm::Byte(0xF9)),
+    gpr(Mnemonic::Lfence, MAP_0F, 0xAE, Form::Bare).ext(5).modrm(ModRm::Reg),
+    gpr(Mnemonic::Mfence, MAP_0F, 0xAE, Form::Bare).ext(6).modrm(ModRm::Reg),
+    gpr(Mnemonic::Sfence, MAP_0F, 0xAE, Form::Bare).ext(7).modrm(ModRm::Reg),
+    // A prefetch with a register operand is a hint NOP, whatever the hint.
+    gpr(Mnemonic::Nop, MAP_0F, 0x18, Form::Bare).modrm(ModRm::Reg),
+    // -- privileged and cache control ----------------------------------------
+    gpr(Mnemonic::Invlpg, MAP_0F, 0x01, Form::Rm).ext(7).size(Size::Fixed(Width::Q)).modrm(ModRm::Mem),
+    gpr(Mnemonic::MovCr3, MAP_0F, 0x22, Form::Rm).ext(3).size(Size::Fixed(Width::Q)).modrm(ModRm::Reg),
+    gpr(Mnemonic::Clflushopt, MAP_0F, 0xAE, Form::Rm).pp(PP_66).ext(7).size(Size::Fixed(Width::Q)).modrm(ModRm::Mem),
+    gpr(Mnemonic::Clflush, MAP_0F, 0xAE, Form::Rm).ext(7).size(Size::Fixed(Width::Q)).modrm(ModRm::Mem),
+    gpr(Mnemonic::Prefetchnta, MAP_0F, 0x18, Form::Rm).ext(0).size(Size::Fixed(Width::Q)).modrm(ModRm::Mem),
+    gpr(Mnemonic::Prefetcht0, MAP_0F, 0x18, Form::Rm).ext(1).size(Size::Fixed(Width::Q)).modrm(ModRm::Mem),
+    gpr(Mnemonic::Prefetcht1, MAP_0F, 0x18, Form::Rm).ext(2).size(Size::Fixed(Width::Q)).modrm(ModRm::Mem),
+    gpr(Mnemonic::Prefetcht2, MAP_0F, 0x18, Form::Rm).ext(3).size(Size::Fixed(Width::Q)).modrm(ModRm::Mem),
+    gpr(Mnemonic::Rdrand, MAP_0F, 0xC7, Form::Rm).ext(6).modrm(ModRm::Reg),
+    gpr(Mnemonic::Rdseed, MAP_0F, 0xC7, Form::Rm).ext(7).modrm(ModRm::Reg),
+];
+
+/// For each opcode of the one-byte and `0F` maps, the index of its first
+/// [`GPR_OPS`] row, or `u8::MAX` for none: the decoder's lookup starts
+/// there.
+const GPR_FIRST: [[u8; 256]; 2] = {
+    assert!(GPR_OPS.len() < u8::MAX as usize);
+    let mut first = [[u8::MAX; 256]; 2];
+    let mut i = GPR_OPS.len();
+    while i > 0 {
+        i -= 1;
+        let mut op = 0;
+        while op < 256 {
+            if GPR_OPS[i].has_opcode(op as u8) {
+                first[GPR_OPS[i].map as usize][op] = i as u8;
+            }
+            op += 1;
+        }
+    }
+    first
+};
+
+/// How a row fits an instruction's operands.
+enum Fit {
+    /// The operand kinds or widths do not fit the row.
+    No,
+    /// Everything fits but the immediate.
+    OutOfRange,
+    /// The row's encoding.
+    Bytes(Vec<u8>),
+}
+
+impl GprOp {
+    /// Encodes `inst` with this row. Errors are framing errors (a
+    /// displacement out of range, `rsp` as an index); a row that does not
+    /// fit is [`Fit::No`] or [`Fit::OutOfRange`].
+    fn encode(&self, inst: &Instruction) -> Result<Fit, EncodeError> {
+        let ops = inst.operands.as_slice();
+        let (ops, imm) = match (self.imm, ops.split_last()) {
+            (Some(_), Some((Operand::Imm(v), rest))) => (rest, Some(*v)),
+            (Some(_), _) => return Ok(Fit::No),
+            (None, _) => (ops, None),
+        };
+        let (reg, rm) = match (self.form, ops) {
+            (Form::Bare, []) => (None, None),
+            (Form::RegRm, [Operand::Gpr(r), rm]) | (Form::RmReg, [rm, Operand::Gpr(r)]) => {
+                (Some(*r), Some(rm))
+            }
+            (Form::Rm, [rm]) => (None, Some(rm)),
+            (Form::OpReg, [Operand::Gpr(r)]) => (Some(*r), None),
+            (Form::Rel32 | Form::Rel8, [Operand::Label(_)]) => (None, None),
+            _ => return Ok(Fit::No),
+        };
+        // The r/m side, its width, and whether it is a byte register that
+        // needs REX.
+        let rm = match rm {
+            None => None,
+            Some(Operand::Gpr(g)) if self.modrm != ModRm::Mem => {
+                Some((Rm::Reg(g.reg.number()), g.width, needs_rex_for_byte(g)))
+            }
+            Some(Operand::Mem(m)) if self.modrm != ModRm::Reg => {
+                Some((Rm::Mem(*m), m.width, false))
+            }
+            _ => return Ok(Fit::No),
+        };
+        let (wr, wm) = (reg.map(|g| g.width), rm.as_ref().map(|r| r.1));
+        // `osize` is the operand size that `66`, REX.W or the byte twin
+        // carries; fixed-width rows carry none.
+        let osize = match self.size {
+            Size::Fixed(w) if wr.is_none_or(|x| x == w) && wm.is_none_or(|x| x == w) => None,
+            Size::Extend(w) if wm == Some(w) => wr,
+            Size::Op if wr.is_none() || wm.is_none() || wr == wm => wr.or(wm),
+            _ => return Ok(Fit::No),
+        };
+        let op = match (osize, self.op8) {
+            (Some(Width::B), Some(op8)) => op8,
+            (Some(Width::B), None) => return Ok(Fit::No),
+            _ => self.op,
+        };
+        let mut e = Enc::default();
+        if let (Some(kind), Some(v)) = (self.imm, imm) {
+            let len = kind.len(osize.unwrap_or(Width::Q));
+            if !kind.fits(v, len) {
+                return Ok(Fit::OutOfRange);
+            }
+            e.imm.extend_from_slice(&v.to_le_bytes()[..len]);
+        }
+        e.set_pp(self.pp);
+        if let Some(w) = osize {
+            e.set_width(w);
+        }
+        e.force_rex =
+            reg.as_ref().is_some_and(needs_rex_for_byte) || rm.as_ref().is_some_and(|r| r.2);
+        if self.map == MAP_0F {
+            e.opcode.push(0x0F);
+        }
+        match (self.form, reg, &rm) {
+            (Form::OpReg, Some(r), _) => {
+                e.rex_b = r.reg.number() > 7;
+                e.opcode.push(op | (r.reg.number() & 7));
+            }
+            (_, reg, Some((rm, _, _))) => {
+                e.opcode.push(op);
+                let field = reg.map_or(self.ext.unwrap_or(0), |r| r.reg.number());
+                e.set_modrm(field, rm)?;
+            }
+            _ => {
+                e.opcode.push(op);
+                e.modrm = match self.modrm {
+                    ModRm::Reg => Some(0xC0 | (self.ext.unwrap_or(0) << 3)),
+                    ModRm::Byte(b) => Some(b),
+                    _ => None,
+                };
+                // A branch's displacement is patched by `encode_program`.
+                match self.form {
+                    Form::Rel32 => e.imm.extend_from_slice(&[0; 4]),
+                    Form::Rel8 => e.imm.push(0),
+                    _ => {}
+                }
+            }
+        }
+        Ok(Fit::Bytes(e.emit()))
+    }
+
+    /// Whether the row's opcode is `op` in its map: the opcode itself, its
+    /// byte twin, or for [`Form::OpReg`] any of its eight register slots.
+    const fn has_opcode(&self, op: u8) -> bool {
+        op == self.op
+            || matches!(self.op8, Some(op8) if op8 == op)
+            || (matches!(self.form, Form::OpReg) && op & !7 == self.op)
+    }
+
+    /// Whether the row's mandatory prefix is present.
+    fn takes_prefixes(&self, p: &Prefixes) -> bool {
+        match self.pp {
+            PP_66 => p.p66,
+            PP_F3 => p.f3,
+            _ => true,
+        }
+    }
+
+    /// Whether the row takes the ModRM byte: extension and mode.
+    fn takes_modrm(&self, modrm: u8) -> bool {
+        let is_reg = modrm >> 6 == 3;
+        self.ext.is_none_or(|ext| ext == (modrm >> 3) & 7)
+            && match self.modrm {
+                ModRm::Mem => !is_reg,
+                ModRm::Reg => is_reg,
+                ModRm::Byte(b) => b == modrm,
+                ModRm::Any | ModRm::Absent => true,
+            }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// SSE/AVX: one table drives both the encoder and the decoder (§III-E)
+// ---------------------------------------------------------------------------
+
+/// Operand pattern of a vector-op table entry; [`VForm::layout`] says
+/// where each operand sits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum VForm {
     /// `dst(vec) <- r/m(vec|mem)`; VEX.L from the destination class.
@@ -319,7 +789,8 @@ enum VForm {
     GprVec,
     /// `dst(gpr, reg field) <- r/m(gpr|mem)` (`crc32`).
     GprRm,
-    /// Shift-by-immediate group: vec in r/m, opcode extension in reg field.
+    /// Shift-by-immediate group: vec in r/m (register only), opcode
+    /// extension in the reg field.
     ShiftImm(u8),
     /// `vbroadcastss`: destination class from L, source is xmm or memory.
     BcastRm,
@@ -329,6 +800,53 @@ enum VForm {
     ExtractImm,
     /// No operands; the bool is the required VEX.L (`vzeroupper`/`vzeroall`).
     Bare(bool),
+}
+
+/// The register kind of a vector-op operand. In the r/m slot, memory is
+/// the alternative: qword-wide, or the GPR width where every operand is a
+/// GPR (`crc32`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// The entry's class: xmm for legacy SSE, xmm or ymm by VEX.L.
+    V,
+    /// Always xmm.
+    X,
+    /// Always ymm: the entry needs VEX.L = 1.
+    Y,
+    /// A 32- or 64-bit GPR, by REX/VEX.W.
+    G,
+}
+
+/// Where a vector-op operand sits in the encoding.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Reg(Kind),
+    Rm(Kind),
+    Vvvv(Kind),
+}
+
+impl VForm {
+    /// The operands in Intel order, and whether an unsigned imm8 follows.
+    fn layout(self) -> (&'static [Slot], bool) {
+        use Kind::{G, V, X, Y};
+        use Slot::{Reg, Rm, Vvvv};
+        match self {
+            VForm::Rm => (&[Reg(V), Rm(V)], false),
+            VForm::RmImm => (&[Reg(V), Rm(V)], true),
+            VForm::Mr => (&[Rm(V), Reg(V)], false),
+            VForm::Rvm => (&[Reg(V), Vvvv(V), Rm(V)], false),
+            VForm::RvmImm => (&[Reg(Y), Vvvv(Y), Rm(Y)], true),
+            VForm::VecRm => (&[Reg(X), Rm(G)], false),
+            VForm::RmVec => (&[Rm(G), Reg(X)], false),
+            VForm::GprVec => (&[Reg(G), Rm(X)], false),
+            VForm::GprRm => (&[Reg(G), Rm(G)], false),
+            VForm::ShiftImm(_) => (&[Rm(X)], true),
+            VForm::BcastRm => (&[Reg(V), Rm(X)], false),
+            VForm::InsertImm => (&[Reg(Y), Vvvv(Y), Rm(X)], true),
+            VForm::ExtractImm => (&[Rm(X), Reg(Y)], true),
+            VForm::Bare(_) => (&[], false),
+        }
+    }
 }
 
 /// One encodable vector-instruction form. `w: Some(_)` pins REX/VEX.W (it
@@ -356,13 +874,6 @@ const fn sse(m: Mnemonic, map: u8, pp: u8, op: u8, form: VForm) -> VecOp {
     }
 }
 
-const fn ssew(m: Mnemonic, map: u8, pp: u8, op: u8, w: bool, form: VForm) -> VecOp {
-    VecOp {
-        w: Some(w),
-        ..sse(m, map, pp, op, form)
-    }
-}
-
 const fn vex(m: Mnemonic, map: u8, pp: u8, op: u8, form: VForm) -> VecOp {
     VecOp {
         vex: true,
@@ -370,10 +881,10 @@ const fn vex(m: Mnemonic, map: u8, pp: u8, op: u8, form: VForm) -> VecOp {
     }
 }
 
-const fn vexw(m: Mnemonic, map: u8, pp: u8, op: u8, w: bool, form: VForm) -> VecOp {
-    VecOp {
-        w: Some(w),
-        ..vex(m, map, pp, op, form)
+impl VecOp {
+    /// Pins REX/VEX.W.
+    const fn w(self, w: bool) -> VecOp {
+        VecOp { w: Some(w), ..self }
     }
 }
 
@@ -395,10 +906,10 @@ const VEC_OPS: &[VecOp] = &[
     sse(Mnemonic::Movdqu, MAP_0F, PP_F3, 0x6F, VForm::Rm),
     sse(Mnemonic::Movdqu, MAP_0F, PP_F3, 0x7F, VForm::Mr),
     sse(Mnemonic::Movq, MAP_0F, PP_F3, 0x7E, VForm::Rm), // xmm <- xmm/m64
-    ssew(Mnemonic::Movd, MAP_0F, PP_66, 0x6E, false, VForm::VecRm),
-    ssew(Mnemonic::Movd, MAP_0F, PP_66, 0x7E, false, VForm::RmVec),
-    ssew(Mnemonic::Movq, MAP_0F, PP_66, 0x6E, true, VForm::VecRm),
-    ssew(Mnemonic::Movq, MAP_0F, PP_66, 0x7E, true, VForm::RmVec),
+    sse(Mnemonic::Movd, MAP_0F, PP_66, 0x6E, VForm::VecRm).w(false),
+    sse(Mnemonic::Movd, MAP_0F, PP_66, 0x7E, VForm::RmVec).w(false),
+    sse(Mnemonic::Movq, MAP_0F, PP_66, 0x6E, VForm::VecRm).w(true),
+    sse(Mnemonic::Movq, MAP_0F, PP_66, 0x7E, VForm::RmVec).w(true),
     // -- SSE packed/scalar float -------------------------------------------
     sse(Mnemonic::Addps, MAP_0F, PP_NONE, 0x58, VForm::Rm),
     sse(Mnemonic::Addpd, MAP_0F, PP_66, 0x58, VForm::Rm),
@@ -487,10 +998,10 @@ const VEC_OPS: &[VecOp] = &[
     vex(Mnemonic::Vdivps, MAP_0F, PP_NONE, 0x5E, VForm::Rvm),
     vex(Mnemonic::Vdivpd, MAP_0F, PP_66, 0x5E, VForm::Rvm),
     vex(Mnemonic::Vsqrtps, MAP_0F, PP_NONE, 0x51, VForm::Rm),
-    vexw(Mnemonic::Vfmadd132ps, MAP_0F38, PP_66, 0x98, false, VForm::Rvm),
-    vexw(Mnemonic::Vfmadd213ps, MAP_0F38, PP_66, 0xA8, false, VForm::Rvm),
-    vexw(Mnemonic::Vfmadd231ps, MAP_0F38, PP_66, 0xB8, false, VForm::Rvm),
-    vexw(Mnemonic::Vfmadd231pd, MAP_0F38, PP_66, 0xB8, true, VForm::Rvm),
+    vex(Mnemonic::Vfmadd132ps, MAP_0F38, PP_66, 0x98, VForm::Rvm).w(false),
+    vex(Mnemonic::Vfmadd213ps, MAP_0F38, PP_66, 0xA8, VForm::Rvm).w(false),
+    vex(Mnemonic::Vfmadd231ps, MAP_0F38, PP_66, 0xB8, VForm::Rvm).w(false),
+    vex(Mnemonic::Vfmadd231pd, MAP_0F38, PP_66, 0xB8, VForm::Rvm).w(true),
     vex(Mnemonic::Vpaddd, MAP_0F, PP_66, 0xFE, VForm::Rvm),
     vex(Mnemonic::Vpaddq, MAP_0F, PP_66, 0xD4, VForm::Rvm),
     vex(Mnemonic::Vpmulld, MAP_0F38, PP_66, 0x40, VForm::Rvm),
@@ -506,46 +1017,6 @@ const VEC_OPS: &[VecOp] = &[
     vex(Mnemonic::Vzeroupper, MAP_0F, PP_NONE, 0x77, VForm::Bare(false)),
     vex(Mnemonic::Vzeroall, MAP_0F, PP_NONE, 0x77, VForm::Bare(true)),
 ];
-
-/// Extracts a vector register of the given class.
-fn vec_of(op: &Operand, class: VecClass) -> Option<VecReg> {
-    match op {
-        Operand::Vec(v) if v.class == class => Some(*v),
-        _ => None,
-    }
-}
-
-/// Extracts a vector register (class-checked) or memory r/m side.
-fn rm_vec_or_mem(op: &Operand, class: VecClass) -> Option<Rm> {
-    match op {
-        Operand::Vec(v) if v.class == class => Some(Rm::Reg(v.index)),
-        Operand::Mem(m) => Some(Rm::Mem(*m)),
-        _ => None,
-    }
-}
-
-/// Extracts a GPR of width D or Q (returning the W bit) or memory r/m side.
-/// For memory operands the width falls back to `mem_w`.
-fn rm_gpr_or_mem(op: &Operand, mem_w: bool) -> Option<(Rm, bool)> {
-    match op {
-        Operand::Gpr(g) if g.width == Width::Q => Some((Rm::Reg(g.reg.number()), true)),
-        Operand::Gpr(g) if g.width == Width::D => Some((Rm::Reg(g.reg.number()), false)),
-        Operand::Mem(m) => Some((Rm::Mem(*m), mem_w)),
-        _ => None,
-    }
-}
-
-fn imm8_of(op: &Operand, inst: &Instruction) -> Result<u8, EncodeError> {
-    let v = op
-        .as_imm()
-        .ok_or_else(|| EncodeError::InvalidOperands(inst.to_string()))?;
-    u8::try_from(v).map_err(|_| EncodeError::OutOfRange(inst.to_string()))
-}
-
-/// The VEX.L bit for an operand set: 1 iff the governing register is ymm.
-fn l_bit(class: VecClass) -> bool {
-    class == VecClass::Ymm
-}
 
 /// Assembles a VEX-prefixed instruction from a filled [`Enc`] (modrm, sib,
 /// disp, imm and the R/X/B extension flags) plus the VEX fields. Uses the
@@ -576,12 +1047,7 @@ fn emit_vex(e: &Enc, entry: &VecOp, w: bool, l: bool, vvvv: u8) -> Vec<u8> {
 
 /// Finishes a legacy-SSE encoding: mandatory prefix, escape map, REX.
 fn emit_sse(mut e: Enc, entry: &VecOp, w: bool) -> Vec<u8> {
-    match entry.pp {
-        PP_66 => e.prefix66 = true,
-        PP_F3 => e.prefix_f3 = true,
-        PP_F2 => e.prefix_f2 = true,
-        _ => {}
-    }
+    e.set_pp(entry.pp);
     e.rex_w = w;
     e.opcode = match entry.map {
         MAP_0F38 => vec![0x0F, 0x38, entry.op],
@@ -600,178 +1066,78 @@ fn emit_entry(e: Enc, entry: &VecOp, w: bool, l: bool, vvvv: u8) -> Vec<u8> {
     }
 }
 
-/// Tries to encode `inst` against one table entry. `Ok(None)` means the
-/// entry's operand pattern does not match (the caller tries the next entry);
-/// errors are raised only for patterns that matched structurally.
-fn try_encode_vec(entry: &VecOp, inst: &Instruction) -> Result<Option<Vec<u8>>, EncodeError> {
-    // Legacy SSE operates on xmm only; VEX forms derive L from the class.
-    let sse_class = VecClass::Xmm;
+/// Encodes `inst` with one vector-op entry: its operand kinds, classes and
+/// widths must fit the entry's layout.
+fn try_encode_vec(entry: &VecOp, inst: &Instruction) -> Result<Fit, EncodeError> {
+    let (slots, has_imm) = entry.form.layout();
     let ops = inst.operands.as_slice();
-    let w_default = entry.w.unwrap_or(false);
-    let mut e = Enc::default();
-    let bytes = match entry.form {
-        VForm::Rm | VForm::RmImm => {
-            let n = if entry.form == VForm::Rm { 2 } else { 3 };
-            if ops.len() != n {
-                return Ok(None);
-            }
-            let class = match (entry.vex, ops[0]) {
-                (false, _) => sse_class,
-                (true, Operand::Vec(v)) => v.class,
-                _ => return Ok(None),
-            };
-            let (Some(d), Some(rm)) = (vec_of(&ops[0], class), rm_vec_or_mem(&ops[1], class))
-            else {
-                return Ok(None);
-            };
-            e.set_modrm(d.index, &rm)?;
-            if entry.form == VForm::RmImm {
-                e.imm.push(imm8_of(&ops[2], inst)?);
-            }
-            emit_entry(e, entry, w_default, l_bit(class), 0)
-        }
-        VForm::Mr => {
-            let [dst, src] = ops else { return Ok(None) };
-            let (Some(rm), Some(s)) = (rm_vec_or_mem(dst, sse_class), vec_of(src, sse_class))
-            else {
-                return Ok(None);
-            };
-            e.set_modrm(s.index, &rm)?;
-            emit_entry(e, entry, w_default, false, 0)
-        }
-        VForm::Rvm | VForm::RvmImm => {
-            let n = if entry.form == VForm::Rvm { 3 } else { 4 };
-            if ops.len() != n {
-                return Ok(None);
-            }
-            let Operand::Vec(d) = ops[0] else {
-                return Ok(None);
-            };
-            let class = d.class;
-            if entry.form == VForm::RvmImm && class != VecClass::Ymm {
-                // vperm2f128 is defined for ymm only (VEX.L must be 1).
-                return Err(EncodeError::InvalidOperands(inst.to_string()));
-            }
-            let (Some(v), Some(rm)) = (vec_of(&ops[1], class), rm_vec_or_mem(&ops[2], class))
-            else {
-                return Ok(None);
-            };
-            e.set_modrm(d.index, &rm)?;
-            if entry.form == VForm::RvmImm {
-                e.imm.push(imm8_of(&ops[3], inst)?);
-            }
-            emit_entry(e, entry, w_default, l_bit(class), v.index)
-        }
-        VForm::VecRm => {
-            let [dst, src] = ops else { return Ok(None) };
-            let (Some(d), Some((rm, w))) = (vec_of(dst, sse_class), rm_gpr_or_mem(src, w_default))
-            else {
-                return Ok(None);
-            };
-            if entry.w.is_some_and(|req| req != w) {
-                // `movd` takes a 32-bit GPR, `movq` a 64-bit one.
-                return Err(EncodeError::InvalidOperands(inst.to_string()));
-            }
-            e.set_modrm(d.index, &rm)?;
-            emit_entry(e, entry, w, false, 0)
-        }
-        VForm::RmVec => {
-            let [dst, src] = ops else { return Ok(None) };
-            let (Some((rm, w)), Some(s)) = (rm_gpr_or_mem(dst, w_default), vec_of(src, sse_class))
-            else {
-                return Ok(None);
-            };
-            if entry.w.is_some_and(|req| req != w) {
-                return Err(EncodeError::InvalidOperands(inst.to_string()));
-            }
-            e.set_modrm(s.index, &rm)?;
-            emit_entry(e, entry, w, false, 0)
-        }
-        VForm::GprVec => {
-            let [dst, src] = ops else { return Ok(None) };
-            let (Some(d), Some(rm)) = (dst.as_gpr(), rm_vec_or_mem(src, sse_class)) else {
-                return Ok(None);
-            };
-            let w = match d.width {
-                Width::Q => true,
-                Width::D => false,
-                _ => return Err(EncodeError::InvalidOperands(inst.to_string())),
-            };
-            e.set_modrm(d.reg.number(), &rm)?;
-            emit_entry(e, entry, w, false, 0)
-        }
-        VForm::GprRm => {
-            let [dst, src] = ops else { return Ok(None) };
-            let Some(d) = dst.as_gpr() else {
-                return Ok(None);
-            };
-            let w = match d.width {
-                Width::Q => true,
-                Width::D => false,
-                _ => return Err(EncodeError::InvalidOperands(inst.to_string())),
-            };
-            let Some((rm, _)) = rm_gpr_or_mem(src, w) else {
-                return Ok(None);
-            };
-            e.set_modrm(d.reg.number(), &rm)?;
-            emit_entry(e, entry, w, false, 0)
-        }
-        VForm::ShiftImm(ext) => {
-            let [dst, Operand::Imm(_)] = ops else {
-                return Ok(None);
-            };
-            let Some(d) = vec_of(dst, sse_class) else {
-                return Ok(None);
-            };
-            e.set_modrm(ext, &Rm::Reg(d.index))?;
-            e.imm.push(imm8_of(&ops[1], inst)?);
-            emit_entry(e, entry, w_default, false, 0)
-        }
-        VForm::BcastRm => {
-            let [dst, src] = ops else { return Ok(None) };
-            let (Operand::Vec(d), Some(rm)) = (dst, rm_vec_or_mem(src, VecClass::Xmm)) else {
-                return Ok(None);
-            };
-            e.set_modrm(d.index, &rm)?;
-            emit_entry(e, entry, w_default, l_bit(d.class), 0)
-        }
-        VForm::InsertImm => {
-            let [dst, src1, src2, imm] = ops else {
-                return Ok(None);
-            };
-            let (Some(d), Some(v), Some(rm)) = (
-                vec_of(dst, VecClass::Ymm),
-                vec_of(src1, VecClass::Ymm),
-                rm_vec_or_mem(src2, VecClass::Xmm),
-            ) else {
-                return Ok(None);
-            };
-            e.set_modrm(d.index, &rm)?;
-            e.imm.push(imm8_of(imm, inst)?);
-            emit_entry(e, entry, w_default, true, v.index)
-        }
-        VForm::ExtractImm => {
-            let [dst, src, imm] = ops else {
-                return Ok(None);
-            };
-            let (Some(rm), Some(s)) = (
-                rm_vec_or_mem(dst, VecClass::Xmm),
-                vec_of(src, VecClass::Ymm),
-            ) else {
-                return Ok(None);
-            };
-            e.set_modrm(s.index, &rm)?;
-            e.imm.push(imm8_of(imm, inst)?);
-            emit_entry(e, entry, w_default, true, 0)
-        }
-        VForm::Bare(l) => {
-            if !ops.is_empty() {
-                return Ok(None);
-            }
-            emit_entry(e, entry, w_default, l, 0)
-        }
+    if ops.len() != slots.len() + usize::from(has_imm) {
+        return Ok(Fit::No);
+    }
+    // Legacy SSE is xmm only; VEX takes its class from the first operand.
+    let class = match (entry.vex, ops.first()) {
+        (true, Some(Operand::Vec(v))) => v.class,
+        _ => VecClass::Xmm,
     };
-    Ok(Some(bytes))
+    let only_gprs = slots
+        .iter()
+        .all(|s| matches!(s, Slot::Reg(Kind::G) | Slot::Rm(Kind::G)));
+    let (mut reg, mut rm, mut vvvv) = (0, None, 0);
+    let (mut w, mut gpr_width, mut l) = (entry.w.unwrap_or(false), None, class == VecClass::Ymm);
+    for (slot, op) in slots.iter().zip(ops) {
+        let (Slot::Reg(kind) | Slot::Rm(kind) | Slot::Vvvv(kind)) = *slot;
+        let index = match (kind, op) {
+            (Kind::V, Operand::Vec(v)) if v.class == class => v.index,
+            (Kind::X, Operand::Vec(v)) if v.class == VecClass::Xmm => v.index,
+            (Kind::Y, Operand::Vec(v)) if v.class == VecClass::Ymm => {
+                l = true;
+                v.index
+            }
+            (Kind::G, Operand::Gpr(g)) if matches!(g.width, Width::D | Width::Q) => {
+                if gpr_width.is_some_and(|gw| gw != g.width) {
+                    return Ok(Fit::No);
+                }
+                gpr_width = Some(g.width);
+                w = g.width == Width::Q;
+                g.reg.number()
+            }
+            (_, Operand::Mem(m)) if matches!(slot, Slot::Rm(_)) => {
+                let width = if only_gprs { gpr_width } else { Some(Width::Q) };
+                if width != Some(m.width) || matches!(entry.form, VForm::ShiftImm(_)) {
+                    return Ok(Fit::No);
+                }
+                rm = Some(Rm::Mem(*m));
+                continue;
+            }
+            _ => return Ok(Fit::No),
+        };
+        match slot {
+            Slot::Reg(_) => reg = index,
+            Slot::Rm(_) => rm = Some(Rm::Reg(index)),
+            Slot::Vvvv(_) => vvvv = index,
+        }
+    }
+    if entry.w.is_some_and(|pin| pin != w) {
+        return Ok(Fit::No);
+    }
+    let mut e = Enc::default();
+    if has_imm {
+        match ops.last().and_then(Operand::as_imm).map(u8::try_from) {
+            Some(Ok(imm)) => e.imm.push(imm),
+            Some(Err(_)) => return Ok(Fit::OutOfRange),
+            None => return Ok(Fit::No),
+        }
+    }
+    if let VForm::ShiftImm(ext) = entry.form {
+        reg = ext;
+    }
+    if let Some(rm) = rm {
+        e.set_modrm(reg, &rm)?;
+    }
+    if let VForm::Bare(bare_l) = entry.form {
+        l = bare_l;
+    }
+    Ok(Fit::Bytes(emit_entry(e, entry, w, l, vvvv)))
 }
 
 /// Encodes an instruction through the vector-op table.
@@ -785,479 +1151,93 @@ fn encode_vector(inst: &Instruction) -> Result<Vec<u8>, EncodeError> {
             }
         }
     }
-    let mut found = false;
-    for entry in VEC_OPS.iter().filter(|e| e.m == inst.mnemonic) {
+    first_fit(
+        inst,
+        VEC_OPS
+            .iter()
+            .filter(|e| e.m == inst.mnemonic)
+            .map(|e| try_encode_vec(e, inst)),
+    )
+}
+
+/// The bytes of the first row that fits `inst`, or the error for an
+/// instruction no row takes: `Unsupported` without rows, `OutOfRange` when
+/// only an immediate did not fit, `InvalidOperands` otherwise.
+fn first_fit(
+    inst: &Instruction,
+    fits: impl Iterator<Item = Result<Fit, EncodeError>>,
+) -> Result<Vec<u8>, EncodeError> {
+    let (mut found, mut out_of_range) = (false, false);
+    for fit in fits {
         found = true;
-        if let Some(bytes) = try_encode_vec(entry, inst)? {
-            return Ok(bytes);
+        match fit? {
+            Fit::Bytes(bytes) => return Ok(bytes),
+            Fit::OutOfRange => out_of_range = true,
+            Fit::No => {}
         }
     }
-    Err(if found {
-        EncodeError::InvalidOperands(inst.to_string())
-    } else {
+    Err(if !found {
         EncodeError::Unsupported(inst.to_string())
+    } else if out_of_range {
+        EncodeError::OutOfRange(inst.to_string())
+    } else {
+        EncodeError::InvalidOperands(inst.to_string())
     })
 }
 
-/// Encodes a single non-branch instruction to machine code.
-///
-/// # Errors
-///
-/// Returns [`EncodeError`] for instruction forms outside the supported
-/// subset (see the module docs' support matrix) and for invalid operand
-/// combinations. Branches must be encoded through [`encode_program`], which
-/// resolves label targets; a lone branch here is an error.
-pub fn encode_instruction(inst: &Instruction) -> Result<Vec<u8>, EncodeError> {
-    if inst.mnemonic.is_branch() && inst.mnemonic != Mnemonic::Ret {
-        return Err(EncodeError::InvalidOperands(format!(
-            "branch `{inst}` must be encoded via encode_program"
-        )));
+/// Encodes one instruction through the table rows of its mnemonic; the
+/// magic markers are their own byte sequences.
+fn encode_one(inst: &Instruction) -> Result<Vec<u8>, EncodeError> {
+    match inst.mnemonic {
+        Mnemonic::NbPause => return Ok(MAGIC_PAUSE.to_vec()),
+        Mnemonic::NbResume => return Ok(MAGIC_RESUME.to_vec()),
+        _ => {}
     }
-    encode_nonbranch(inst)
-}
-
-fn simple_bytes(m: Mnemonic) -> Option<&'static [u8]> {
-    Some(match m {
-        Mnemonic::Nop => &[0x90],
-        Mnemonic::Pause => &[0xF3, 0x90],
-        Mnemonic::Ret => &[0xC3],
-        Mnemonic::Lfence => &[0x0F, 0xAE, 0xE8],
-        Mnemonic::Mfence => &[0x0F, 0xAE, 0xF0],
-        Mnemonic::Sfence => &[0x0F, 0xAE, 0xF8],
-        Mnemonic::Cpuid => &[0x0F, 0xA2],
-        Mnemonic::Rdtsc => &[0x0F, 0x31],
-        Mnemonic::Rdtscp => &[0x0F, 0x01, 0xF9],
-        Mnemonic::Rdpmc => &[0x0F, 0x33],
-        Mnemonic::Rdmsr => &[0x0F, 0x32],
-        Mnemonic::Wrmsr => &[0x0F, 0x30],
-        Mnemonic::Wbinvd => &[0x0F, 0x09],
-        Mnemonic::Invd => &[0x0F, 0x08],
-        Mnemonic::Hlt => &[0xF4],
-        Mnemonic::Cli => &[0xFA],
-        Mnemonic::Sti => &[0xFB],
-        Mnemonic::Swapgs => &[0x0F, 0x01, 0xF8],
-        Mnemonic::NbPause => &MAGIC_PAUSE,
-        Mnemonic::NbResume => &MAGIC_RESUME,
-        _ => return None,
-    })
-}
-
-fn encode_nonbranch(inst: &Instruction) -> Result<Vec<u8>, EncodeError> {
-    let m = inst.mnemonic;
-    if let Some(bytes) = simple_bytes(m) {
-        return Ok(bytes.to_vec());
+    let mut rows = GPR_OPS
+        .iter()
+        .filter(|row| row.m == inst.mnemonic)
+        .peekable();
+    if rows.peek().is_none() {
+        return encode_vector(inst);
     }
-    let mut e = Enc::default();
-    let unsupported = || EncodeError::Unsupported(inst.to_string());
-    let invalid = || EncodeError::InvalidOperands(inst.to_string());
-
-    match m {
-        Mnemonic::Mov => {
-            let dst = inst.dst().ok_or_else(invalid)?;
-            let src = inst.src().ok_or_else(invalid)?;
-            match (dst, src) {
-                (Operand::Gpr(d), Operand::Imm(v)) => {
-                    e.force_rex = needs_rex_for_byte(d);
-                    if d.width == Width::Q && i32::try_from(*v).is_err() {
-                        // movabs
-                        e.rex_w = true;
-                        e.rex_b = d.reg.number() > 7;
-                        e.opcode = vec![0xB8 + (d.reg.number() & 7)];
-                        e.imm.extend_from_slice(&v.to_le_bytes());
-                    } else {
-                        e.set_width(d.width);
-                        match d.width {
-                            Width::B => {
-                                e.opcode = vec![0xC6];
-                                e.imm.push(*v as u8);
-                            }
-                            Width::W => {
-                                e.opcode = vec![0xC7];
-                                e.imm.extend_from_slice(&(*v as i16).to_le_bytes());
-                            }
-                            _ => {
-                                e.opcode = vec![0xC7];
-                                let v32 = i32::try_from(*v)
-                                    .map_err(|_| EncodeError::OutOfRange(inst.to_string()))?;
-                                e.imm.extend_from_slice(&v32.to_le_bytes());
-                            }
-                        }
-                        e.set_modrm(0, &Rm::Reg(d.reg.number()))?;
-                    }
-                }
-                (Operand::Mem(mem), Operand::Imm(v)) => {
-                    e.set_width(mem.width);
-                    match mem.width {
-                        Width::B => {
-                            e.opcode = vec![0xC6];
-                            e.set_modrm(0, &Rm::Mem(*mem))?;
-                            e.imm.push(*v as u8);
-                        }
-                        Width::W => {
-                            e.opcode = vec![0xC7];
-                            e.set_modrm(0, &Rm::Mem(*mem))?;
-                            e.imm.extend_from_slice(&(*v as i16).to_le_bytes());
-                        }
-                        _ => {
-                            e.opcode = vec![0xC7];
-                            e.set_modrm(0, &Rm::Mem(*mem))?;
-                            let v32 = i32::try_from(*v)
-                                .map_err(|_| EncodeError::OutOfRange(inst.to_string()))?;
-                            e.imm.extend_from_slice(&v32.to_le_bytes());
-                        }
-                    }
-                }
-                (Operand::Gpr(d), _) => {
-                    let (rm, _) = rm_of(src).ok_or_else(invalid)?;
-                    e.force_rex = needs_rex_for_byte(d);
-                    e.set_width(d.width);
-                    e.opcode = vec![if d.width == Width::B { 0x8A } else { 0x8B }];
-                    e.set_modrm(d.reg.number(), &rm)?;
-                }
-                (Operand::Mem(mem), Operand::Gpr(s)) => {
-                    e.force_rex = needs_rex_for_byte(s);
-                    e.set_width(s.width);
-                    e.opcode = vec![if s.width == Width::B { 0x88 } else { 0x89 }];
-                    e.set_modrm(s.reg.number(), &Rm::Mem(*mem))?;
-                }
-                _ => return Err(unsupported()),
-            }
-        }
-        _ if alu_index(m).is_some() => {
-            let idx = alu_index(m).unwrap();
-            let dst = inst.dst().ok_or_else(invalid)?;
-            let src = inst.src().ok_or_else(invalid)?;
-            match (dst, src) {
-                (_, Operand::Imm(v)) => {
-                    let (rm, w) = rm_of(dst).ok_or_else(invalid)?;
-                    if let Operand::Gpr(g) = dst {
-                        e.force_rex = needs_rex_for_byte(g);
-                    }
-                    e.set_width(w);
-                    if w == Width::B {
-                        e.opcode = vec![0x80];
-                        e.set_modrm(idx, &rm)?;
-                        e.imm.push(*v as u8);
-                    } else if let Ok(v8) = i8::try_from(*v) {
-                        e.opcode = vec![0x83];
-                        e.set_modrm(idx, &rm)?;
-                        e.imm.push(v8 as u8);
-                    } else {
-                        e.opcode = vec![0x81];
-                        e.set_modrm(idx, &rm)?;
-                        let v32 = i32::try_from(*v)
-                            .map_err(|_| EncodeError::OutOfRange(inst.to_string()))?;
-                        if w == Width::W {
-                            e.imm.extend_from_slice(&(v32 as i16).to_le_bytes());
-                        } else {
-                            e.imm.extend_from_slice(&v32.to_le_bytes());
-                        }
-                    }
-                }
-                (Operand::Gpr(d), _) => {
-                    let (rm, _) = rm_of(src).ok_or_else(invalid)?;
-                    e.force_rex = needs_rex_for_byte(d);
-                    e.set_width(d.width);
-                    e.opcode = vec![if d.width == Width::B {
-                        idx * 8 + 2
-                    } else {
-                        idx * 8 + 3
-                    }];
-                    e.set_modrm(d.reg.number(), &rm)?;
-                }
-                (Operand::Mem(mem), Operand::Gpr(s)) => {
-                    e.force_rex = needs_rex_for_byte(s);
-                    e.set_width(s.width);
-                    e.opcode = vec![if s.width == Width::B {
-                        idx * 8
-                    } else {
-                        idx * 8 + 1
-                    }];
-                    e.set_modrm(s.reg.number(), &Rm::Mem(*mem))?;
-                }
-                _ => return Err(unsupported()),
-            }
-        }
-        Mnemonic::Test => {
-            let dst = inst.dst().ok_or_else(invalid)?;
-            let src = inst.src().ok_or_else(invalid)?;
-            match src {
-                Operand::Gpr(s) => {
-                    let (rm, w) = rm_of(dst).ok_or_else(invalid)?;
-                    e.force_rex = needs_rex_for_byte(s);
-                    e.set_width(w);
-                    e.opcode = vec![if w == Width::B { 0x84 } else { 0x85 }];
-                    e.set_modrm(s.reg.number(), &rm)?;
-                }
-                Operand::Imm(v) => {
-                    let (rm, w) = rm_of(dst).ok_or_else(invalid)?;
-                    e.set_width(w);
-                    e.opcode = vec![if w == Width::B { 0xF6 } else { 0xF7 }];
-                    e.set_modrm(0, &rm)?;
-                    if w == Width::B {
-                        e.imm.push(*v as u8);
-                    } else {
-                        let v32 = i32::try_from(*v)
-                            .map_err(|_| EncodeError::OutOfRange(inst.to_string()))?;
-                        e.imm.extend_from_slice(&v32.to_le_bytes());
-                    }
-                }
-                _ => return Err(unsupported()),
-            }
-        }
-        Mnemonic::Inc | Mnemonic::Dec => {
-            let (rm, w) = rm_of(inst.dst().ok_or_else(invalid)?).ok_or_else(invalid)?;
-            e.set_width(w);
-            e.opcode = vec![if w == Width::B { 0xFE } else { 0xFF }];
-            e.set_modrm(if m == Mnemonic::Inc { 0 } else { 1 }, &rm)?;
-        }
-        Mnemonic::Imul if inst.operands.len() > 1 => {
-            // Only the two-operand form `imul r, r/m` is encoded: the
-            // three-operand `imul r, r/m, imm` (6B/69) has no encoding
-            // here, and dropping its immediate would change its meaning.
-            let [Operand::Gpr(d), src] = &inst.operands[..] else {
-                return Err(invalid());
-            };
-            let (rm, _) = rm_of(src).ok_or_else(invalid)?;
-            e.set_width(d.width);
-            e.opcode = vec![0x0F, 0xAF];
-            e.set_modrm(d.reg.number(), &rm)?;
-        }
-        Mnemonic::Neg
-        | Mnemonic::Not
-        | Mnemonic::Mul
-        | Mnemonic::Imul
-        | Mnemonic::Div
-        | Mnemonic::Idiv => {
-            let (rm, w) = rm_of(inst.dst().ok_or_else(invalid)?).ok_or_else(invalid)?;
-            e.set_width(w);
-            e.opcode = vec![if w == Width::B { 0xF6 } else { 0xF7 }];
-            let ext = match m {
-                Mnemonic::Not => 2,
-                Mnemonic::Neg => 3,
-                Mnemonic::Mul => 4,
-                Mnemonic::Imul => 5,
-                Mnemonic::Div => 6,
-                Mnemonic::Idiv => 7,
-                _ => unreachable!(),
-            };
-            e.set_modrm(ext, &rm)?;
-        }
-        _ if shift_ext(m).is_some() => {
-            let ext = shift_ext(m).unwrap();
-            let (rm, w) = rm_of(inst.dst().ok_or_else(invalid)?).ok_or_else(invalid)?;
-            let amount = inst.src().and_then(|s| s.as_imm()).ok_or_else(invalid)?;
-            e.set_width(w);
-            if amount == 1 {
-                e.opcode = vec![if w == Width::B { 0xD0 } else { 0xD1 }];
-                e.set_modrm(ext, &rm)?;
-            } else {
-                e.opcode = vec![if w == Width::B { 0xC0 } else { 0xC1 }];
-                e.set_modrm(ext, &rm)?;
-                e.imm.push(amount as u8);
-            }
-        }
-        Mnemonic::Lea => {
-            let d = inst.dst().and_then(|o| o.as_gpr()).ok_or_else(invalid)?;
-            let mem = inst.src().and_then(|o| o.as_mem()).ok_or_else(invalid)?;
-            e.set_width(d.width);
-            e.opcode = vec![0x8D];
-            e.set_modrm(d.reg.number(), &Rm::Mem(mem))?;
-        }
-        Mnemonic::Movzx | Mnemonic::Movsx => {
-            let d = inst.dst().and_then(|o| o.as_gpr()).ok_or_else(invalid)?;
-            let (rm, sw) = rm_of(inst.src().ok_or_else(invalid)?).ok_or_else(invalid)?;
-            e.set_width(d.width);
-            let base = if m == Mnemonic::Movzx { 0xB6 } else { 0xBE };
-            let op = match sw {
-                Width::B => base,
-                Width::W => base + 1,
-                _ => return Err(unsupported()),
-            };
-            e.opcode = vec![0x0F, op];
-            e.set_modrm(d.reg.number(), &rm)?;
-        }
-        Mnemonic::Push | Mnemonic::Pop => {
-            let d = inst.dst().and_then(|o| o.as_gpr()).ok_or_else(invalid)?;
-            if d.width != Width::Q {
-                return Err(unsupported());
-            }
-            e.rex_b = d.reg.number() > 7;
-            let base = if m == Mnemonic::Push { 0x50 } else { 0x58 };
-            e.opcode = vec![base + (d.reg.number() & 7)];
-        }
-        Mnemonic::Xchg | Mnemonic::Xadd => {
-            let dst = inst.dst().ok_or_else(invalid)?;
-            let s = inst.src().and_then(|o| o.as_gpr()).ok_or_else(invalid)?;
-            let (rm, _) = rm_of(dst).ok_or_else(invalid)?;
-            e.set_width(s.width);
-            e.opcode = if m == Mnemonic::Xchg {
-                vec![if s.width == Width::B { 0x86 } else { 0x87 }]
-            } else {
-                vec![0x0F, if s.width == Width::B { 0xC0 } else { 0xC1 }]
-            };
-            e.set_modrm(s.reg.number(), &rm)?;
-        }
-        Mnemonic::Bswap => {
-            let d = inst.dst().and_then(|o| o.as_gpr()).ok_or_else(invalid)?;
-            e.set_width(d.width);
-            e.rex_b = d.reg.number() > 7;
-            e.opcode = vec![0x0F, 0xC8 + (d.reg.number() & 7)];
-        }
-        Mnemonic::Cmovz | Mnemonic::Cmovnz => {
-            let d = inst.dst().and_then(|o| o.as_gpr()).ok_or_else(invalid)?;
-            let (rm, _) = rm_of(inst.src().ok_or_else(invalid)?).ok_or_else(invalid)?;
-            e.set_width(d.width);
-            e.opcode = vec![0x0F, if m == Mnemonic::Cmovz { 0x44 } else { 0x45 }];
-            e.set_modrm(d.reg.number(), &rm)?;
-        }
-        Mnemonic::Setz | Mnemonic::Setnz => {
-            let (rm, _) = rm_of(inst.dst().ok_or_else(invalid)?).ok_or_else(invalid)?;
-            if let Some(Operand::Gpr(g)) = inst.dst() {
-                e.force_rex = needs_rex_for_byte(g);
-            }
-            e.opcode = vec![0x0F, if m == Mnemonic::Setz { 0x94 } else { 0x95 }];
-            e.set_modrm(0, &rm)?;
-        }
-        Mnemonic::Popcnt | Mnemonic::Lzcnt | Mnemonic::Tzcnt => {
-            let d = inst.dst().and_then(|o| o.as_gpr()).ok_or_else(invalid)?;
-            let (rm, _) = rm_of(inst.src().ok_or_else(invalid)?).ok_or_else(invalid)?;
-            e.prefix_f3 = true;
-            e.set_width(d.width);
-            let op = match m {
-                Mnemonic::Popcnt => 0xB8,
-                Mnemonic::Tzcnt => 0xBC,
-                Mnemonic::Lzcnt => 0xBD,
-                _ => unreachable!(),
-            };
-            e.opcode = vec![0x0F, op];
-            e.set_modrm(d.reg.number(), &rm)?;
-        }
-        Mnemonic::Bsf | Mnemonic::Bsr => {
-            let d = inst.dst().and_then(|o| o.as_gpr()).ok_or_else(invalid)?;
-            let (rm, _) = rm_of(inst.src().ok_or_else(invalid)?).ok_or_else(invalid)?;
-            e.set_width(d.width);
-            e.opcode = vec![0x0F, if m == Mnemonic::Bsf { 0xBC } else { 0xBD }];
-            e.set_modrm(d.reg.number(), &rm)?;
-        }
-        Mnemonic::Clflush | Mnemonic::Clflushopt => {
-            let mem = inst.dst().and_then(|o| o.as_mem()).ok_or_else(invalid)?;
-            e.prefix66 = m == Mnemonic::Clflushopt;
-            e.opcode = vec![0x0F, 0xAE];
-            e.set_modrm(7, &Rm::Mem(mem))?;
-        }
-        Mnemonic::Prefetcht0
-        | Mnemonic::Prefetcht1
-        | Mnemonic::Prefetcht2
-        | Mnemonic::Prefetchnta => {
-            let mem = inst.dst().and_then(|o| o.as_mem()).ok_or_else(invalid)?;
-            let ext = match m {
-                Mnemonic::Prefetchnta => 0,
-                Mnemonic::Prefetcht0 => 1,
-                Mnemonic::Prefetcht1 => 2,
-                Mnemonic::Prefetcht2 => 3,
-                _ => unreachable!(),
-            };
-            e.opcode = vec![0x0F, 0x18];
-            e.set_modrm(ext, &Rm::Mem(mem))?;
-        }
-        Mnemonic::Invlpg => {
-            let mem = inst.dst().and_then(|o| o.as_mem()).ok_or_else(invalid)?;
-            e.opcode = vec![0x0F, 0x01];
-            e.set_modrm(7, &Rm::Mem(mem))?;
-        }
-        Mnemonic::MovCr3 => {
-            let s = inst.dst().and_then(|o| o.as_gpr()).ok_or_else(invalid)?;
-            e.opcode = vec![0x0F, 0x22];
-            e.set_modrm(3, &Rm::Reg(s.reg.number()))?;
-        }
-        Mnemonic::Rdrand | Mnemonic::Rdseed => {
-            let d = inst.dst().and_then(|o| o.as_gpr()).ok_or_else(invalid)?;
-            e.set_width(d.width);
-            e.opcode = vec![0x0F, 0xC7];
-            e.set_modrm(
-                if m == Mnemonic::Rdrand { 6 } else { 7 },
-                &Rm::Reg(d.reg.number()),
-            )?;
-        }
-        // Everything else — the SSE/AVX subset plus CRC32 — goes through
-        // the vector-op table; unknown mnemonics fail there.
-        _ => return encode_vector(inst),
-    }
-    Ok(e.emit())
+    first_fit(inst, rows.map(|row| row.encode(inst)))
 }
 
 /// Encodes a whole program, resolving [`Operand::Label`] branch targets to
-/// relative displacements (rel32 for branches, rel8 never emitted).
+/// rel32 displacements.
 ///
 /// Returns the code bytes and the byte offset of each instruction.
 ///
 /// # Errors
 ///
 /// Returns [`EncodeError`] if any instruction is outside the supported
-/// encoding subset or a label index is out of range.
+/// encoding subset (see the module docs' support matrices) or a label
+/// index is out of range.
 pub fn encode_program(insts: &[Instruction]) -> Result<(Vec<u8>, Vec<usize>), EncodeError> {
-    // First pass: lengths (branches have fixed length: opcode + rel32).
-    let mut lengths = Vec::with_capacity(insts.len());
-    for inst in insts {
-        let len = match inst.mnemonic {
-            Mnemonic::Jmp | Mnemonic::Call => 5,
-            Mnemonic::Jz | Mnemonic::Jnz | Mnemonic::Jc | Mnemonic::Jnc => 6,
-            _ => encode_nonbranch(inst)?.len(),
-        };
-        lengths.push(len);
-    }
-    let mut offsets = Vec::with_capacity(insts.len() + 1);
-    let mut off = 0usize;
-    for len in &lengths {
-        offsets.push(off);
-        off += len;
-    }
-    let total = off;
-
-    let mut out = Vec::with_capacity(total);
+    let mut out = Vec::new();
+    let mut offsets = Vec::with_capacity(insts.len());
+    // (instruction, end of its rel32 field, target instruction)
+    let mut fixups = Vec::new();
     for (i, inst) in insts.iter().enumerate() {
-        match inst.mnemonic {
-            Mnemonic::Jmp
-            | Mnemonic::Call
-            | Mnemonic::Jz
-            | Mnemonic::Jnz
-            | Mnemonic::Jc
-            | Mnemonic::Jnc => {
-                let target = match inst.dst() {
-                    Some(Operand::Label(t)) => *t,
-                    _ => {
-                        return Err(EncodeError::InvalidOperands(format!(
-                            "branch `{inst}` needs a label operand"
-                        )))
-                    }
-                };
-                let target_off = if target == insts.len() {
-                    total
-                } else {
-                    *offsets.get(target).ok_or_else(|| {
-                        EncodeError::InvalidOperands(format!("label @{target} out of range"))
-                    })?
-                };
-                let next = offsets[i] + lengths[i];
-                let rel = target_off as i64 - next as i64;
-                let rel32 =
-                    i32::try_from(rel).map_err(|_| EncodeError::OutOfRange(inst.to_string()))?;
-                match inst.mnemonic {
-                    Mnemonic::Jmp => out.push(0xE9),
-                    Mnemonic::Call => out.push(0xE8),
-                    Mnemonic::Jz => out.extend_from_slice(&[0x0F, 0x84]),
-                    Mnemonic::Jnz => out.extend_from_slice(&[0x0F, 0x85]),
-                    Mnemonic::Jc => out.extend_from_slice(&[0x0F, 0x82]),
-                    Mnemonic::Jnc => out.extend_from_slice(&[0x0F, 0x83]),
-                    _ => unreachable!(),
-                }
-                out.extend_from_slice(&rel32.to_le_bytes());
-            }
-            _ => out.extend_from_slice(&encode_nonbranch(inst)?),
+        offsets.push(out.len());
+        out.extend_from_slice(&encode_one(inst)?);
+        // Only the rel32 rows take a label: the field ends the encoding.
+        if let Some(Operand::Label(target)) = inst.dst() {
+            fixups.push((i, out.len(), *target));
         }
     }
-    debug_assert_eq!(out.len(), total);
+    for (i, end, target) in fixups {
+        let target_off = if target == insts.len() {
+            out.len()
+        } else {
+            *offsets.get(target).ok_or_else(|| {
+                EncodeError::InvalidOperands(format!("label @{target} out of range"))
+            })?
+        };
+        let rel = i32::try_from(target_off as i64 - end as i64)
+            .map_err(|_| EncodeError::OutOfRange(insts[i].to_string()))?;
+        out[end - 4..end].copy_from_slice(&rel.to_le_bytes());
+    }
     Ok((out, offsets))
 }
 
@@ -1292,30 +1272,13 @@ impl<'a> Decoder<'a> {
         }
     }
 
-    fn i8(&mut self) -> Result<i8, DecodeError> {
-        Ok(self.u8()? as i8)
-    }
-
-    fn i16(&mut self) -> Result<i16, DecodeError> {
-        let lo = self.u8()?;
-        let hi = self.u8()?;
-        Ok(i16::from_le_bytes([lo, hi]))
-    }
-
-    fn i32(&mut self) -> Result<i32, DecodeError> {
-        let mut b = [0u8; 4];
-        for x in &mut b {
-            *x = self.u8()?;
-        }
-        Ok(i32::from_le_bytes(b))
-    }
-
-    fn i64(&mut self) -> Result<i64, DecodeError> {
+    /// Reads a little-endian `len`-byte (1–8) value, sign-extended.
+    fn int(&mut self, len: usize) -> Result<i64, DecodeError> {
         let mut b = [0u8; 8];
-        for x in &mut b {
+        for x in &mut b[..len] {
             *x = self.u8()?;
         }
-        Ok(i64::from_le_bytes(b))
+        Ok(sign_extend(i64::from_le_bytes(b), len))
     }
 }
 
@@ -1330,20 +1293,11 @@ impl Prefixes {
     fn w(&self) -> bool {
         self.rex & 8 != 0
     }
-    fn r(&self) -> u8 {
-        (self.rex >> 2) & 1
-    }
-    fn x(&self) -> u8 {
-        (self.rex >> 1) & 1
-    }
-    fn b(&self) -> u8 {
-        self.rex & 1
-    }
     fn bits(&self) -> RexBits {
         RexBits {
-            r: self.r(),
-            x: self.x(),
-            b: self.b(),
+            r: (self.rex >> 2) & 1,
+            x: (self.rex >> 1) & 1,
+            b: self.rex & 1,
         }
     }
     /// The SSE mandatory-prefix value (VEX `pp` numbering). As on real
@@ -1426,7 +1380,7 @@ fn decode_modrm_bits(
             index = Some((Gpr::from_number(idx_num).unwrap(), scale));
         }
         if base_bits == 5 && mode == 0 {
-            disp = d.i32()? as i64;
+            disp = d.int(4)?;
         } else {
             base = Some(Gpr::from_number(base_bits | (bits.b << 3)).unwrap());
         }
@@ -1439,8 +1393,8 @@ fn decode_modrm_bits(
         base = Some(Gpr::from_number(rm_bits | (bits.b << 3)).unwrap());
     }
     match mode {
-        1 => disp += d.i8()? as i64,
-        2 => disp += d.i32()? as i64,
+        1 => disp += d.int(1)?,
+        2 => disp += d.int(4)?,
         _ => {}
     }
     Ok((
@@ -1452,11 +1406,6 @@ fn decode_modrm_bits(
             width: mem_width,
         }),
     ))
-}
-
-/// Decodes ModRM for a GPR-form instruction (reg field, r/m operand).
-fn decode_modrm(d: &mut Decoder, p: &Prefixes, width: Width) -> Result<(u8, Operand), DecodeError> {
-    decode_modrm_bits(d, p.bits(), RmClass::Gpr(width), width)
 }
 
 fn gpr_op(num: u8, width: Width) -> Operand {
@@ -1557,195 +1506,119 @@ fn decode_one(
             _ => break,
         }
     }
-    let w = p.op_width();
     let op = d.u8()?;
-    let inst = match op {
-        0x90 => {
-            if p.f3 {
-                Instruction::new(Mnemonic::Pause)
-            } else {
-                Instruction::new(Mnemonic::Nop)
+    let (map, op) = match op {
+        0xC4 | 0xC5 => return decode_vex(d, op, &p),
+        0x0F => {
+            // The 0F 38 / 0F 3A escape maps and the prefix-selected SSE
+            // opcodes in the 0F map live in the vector-op table, the rest
+            // of the 0F map in the GPR/system table.
+            let op = d.u8()?;
+            if op == 0x38 || op == 0x3A {
+                let map = if op == 0x38 { MAP_0F38 } else { MAP_0F3A };
+                let op2 = d.u8()?;
+                return match decode_vec_entry(d, false, map, p.pp(), op2, p.w(), false, 0, p.bits())
+                {
+                    Some(res) => res,
+                    None => d.err(format!("unknown opcode 0f {op:02x} {op2:#04x}")),
+                };
             }
-        }
-        0xC3 => Instruction::new(Mnemonic::Ret),
-        0xF4 => Instruction::new(Mnemonic::Hlt),
-        0xFA => Instruction::new(Mnemonic::Cli),
-        0xFB => Instruction::new(Mnemonic::Sti),
-        0x50..=0x57 => {
-            Instruction::unary(Mnemonic::Push, gpr_op((op - 0x50) | (p.b() << 3), Width::Q))
-        }
-        0x58..=0x5F => {
-            Instruction::unary(Mnemonic::Pop, gpr_op((op - 0x58) | (p.b() << 3), Width::Q))
-        }
-        0xB8..=0xBF => {
-            let reg = gpr_op((op - 0xB8) | (p.b() << 3), w);
-            let imm = if p.w() {
-                d.i64()?
-            } else if p.p66 {
-                d.i16()? as i64
-            } else {
-                d.i32()? as i64
-            };
-            Instruction::binary(Mnemonic::Mov, reg, Operand::Imm(imm))
-        }
-        0xC6 | 0xC7 => {
-            let width = if op == 0xC6 { Width::B } else { w };
-            let (_, rm) = decode_modrm(d, &p, width)?;
-            let imm = match width {
-                Width::B => d.i8()? as i64,
-                Width::W => d.i16()? as i64,
-                _ => d.i32()? as i64,
-            };
-            Instruction::binary(Mnemonic::Mov, rm, Operand::Imm(imm))
-        }
-        0x88..=0x8B => {
-            let width = if op & 1 == 0 { Width::B } else { w };
-            let (reg, rm) = decode_modrm(d, &p, width)?;
-            let reg = gpr_op(reg, width);
-            if op < 0x8A {
-                Instruction::binary(Mnemonic::Mov, rm, reg)
-            } else {
-                Instruction::binary(Mnemonic::Mov, reg, rm)
+            if let Some(res) =
+                decode_vec_entry(d, false, MAP_0F, p.pp(), op, p.w(), false, 0, p.bits())
+            {
+                return res;
             }
+            (MAP_0F, op)
         }
-        0x8D => {
-            let (reg, rm) = decode_modrm(d, &p, w)?;
-            if !matches!(rm, Operand::Mem(_)) {
-                return d.err("lea with a register source (mod=11) is #UD");
+        _ => (MAP_1B, op),
+    };
+    let first = GPR_FIRST[map as usize][op as usize] as usize;
+    let mut rows = GPR_OPS
+        .get(first..)
+        .unwrap_or_default()
+        .iter()
+        .filter(|row| row.map == map && row.has_opcode(op) && row.takes_prefixes(&p))
+        .peekable();
+    if rows.peek().is_none() {
+        if map == MAP_0F {
+            return d.err(format!("unknown opcode 0f {op:#04x}"));
+        }
+        d.pos = start;
+        return d.err(format!("unknown opcode {op:#04x}"));
+    }
+    decode_gpr(d, &p, rows, op, on_branch)
+}
+
+/// Decodes a GPR/system instruction through the first of its opcode's
+/// table `rows` whose ModRM extension and mode match.
+fn decode_gpr<'a>(
+    d: &mut Decoder,
+    p: &Prefixes,
+    rows: impl Iterator<Item = &'a GprOp> + Clone,
+    op: u8,
+    on_branch: &mut dyn FnMut(usize),
+) -> Result<Instruction, DecodeError> {
+    let first = rows.clone().next().expect("the caller checked for a row");
+    let row = if first.modrm == ModRm::Absent {
+        first
+    } else {
+        let Some(modrm) = d.peek() else {
+            return d.err("unexpected end of code");
+        };
+        match rows.clone().find(|row| row.takes_modrm(modrm)) {
+            Some(row) => row,
+            None => {
+                let forms: Vec<&str> = rows.map(|row| row.m.name()).collect();
+                return d.err(format!(
+                    "ModRM {modrm:#04x} is no form of {}",
+                    forms.join("/")
+                ));
             }
-            Instruction::binary(Mnemonic::Lea, gpr_op(reg, w), rm)
-        }
-        0x00..=0x3B if op & 7 <= 3 => {
-            let idx = op >> 3;
-            let mnem = [
-                Mnemonic::Add,
-                Mnemonic::Or,
-                Mnemonic::Adc,
-                Mnemonic::Sbb,
-                Mnemonic::And,
-                Mnemonic::Sub,
-                Mnemonic::Xor,
-                Mnemonic::Cmp,
-            ][idx as usize];
-            let width = if op & 1 == 0 { Width::B } else { w };
-            let (reg, rm) = decode_modrm(d, &p, width)?;
-            let reg = gpr_op(reg, width);
-            if op & 2 == 0 {
-                Instruction::binary(mnem, rm, reg)
-            } else {
-                Instruction::binary(mnem, reg, rm)
-            }
-        }
-        0x80 | 0x81 | 0x83 => {
-            let width = if op == 0x80 { Width::B } else { w };
-            let (ext, rm) = decode_modrm(d, &p, width)?;
-            let mnem = [
-                Mnemonic::Add,
-                Mnemonic::Or,
-                Mnemonic::Adc,
-                Mnemonic::Sbb,
-                Mnemonic::And,
-                Mnemonic::Sub,
-                Mnemonic::Xor,
-                Mnemonic::Cmp,
-            ][(ext & 7) as usize];
-            let imm = match op {
-                0x80 => d.i8()? as i64,
-                0x83 => d.i8()? as i64,
-                _ if width == Width::W => d.i16()? as i64,
-                _ => d.i32()? as i64,
-            };
-            Instruction::binary(mnem, rm, Operand::Imm(imm))
-        }
-        0x84 | 0x85 => {
-            let width = if op == 0x84 { Width::B } else { w };
-            let (reg, rm) = decode_modrm(d, &p, width)?;
-            Instruction::binary(Mnemonic::Test, rm, gpr_op(reg, width))
-        }
-        0x86 | 0x87 => {
-            let width = if op == 0x86 { Width::B } else { w };
-            let (reg, rm) = decode_modrm(d, &p, width)?;
-            Instruction::binary(Mnemonic::Xchg, rm, gpr_op(reg, width))
-        }
-        0xF6 | 0xF7 => {
-            let width = if op == 0xF6 { Width::B } else { w };
-            let (ext, rm) = decode_modrm(d, &p, width)?;
-            match ext & 7 {
-                0 => {
-                    let imm = if width == Width::B {
-                        d.i8()? as i64
-                    } else if width == Width::W {
-                        d.i16()? as i64
-                    } else {
-                        d.i32()? as i64
-                    };
-                    Instruction::binary(Mnemonic::Test, rm, Operand::Imm(imm))
-                }
-                2 => Instruction::unary(Mnemonic::Not, rm),
-                3 => Instruction::unary(Mnemonic::Neg, rm),
-                4 => Instruction::unary(Mnemonic::Mul, rm),
-                5 => Instruction::unary(Mnemonic::Imul, rm),
-                6 => Instruction::unary(Mnemonic::Div, rm),
-                7 => Instruction::unary(Mnemonic::Idiv, rm),
-                _ => return d.err("bad F7 extension"),
-            }
-        }
-        0xFE | 0xFF => {
-            let width = if op == 0xFE { Width::B } else { w };
-            let (ext, rm) = decode_modrm(d, &p, width)?;
-            match ext & 7 {
-                0 => Instruction::unary(Mnemonic::Inc, rm),
-                1 => Instruction::unary(Mnemonic::Dec, rm),
-                _ => return d.err("unsupported FF extension"),
-            }
-        }
-        0xC0 | 0xC1 | 0xD0 | 0xD1 => {
-            let width = if op & 1 == 0 { Width::B } else { w };
-            let (ext, rm) = decode_modrm(d, &p, width)?;
-            let mnem = match ext & 7 {
-                0 => Mnemonic::Rol,
-                1 => Mnemonic::Ror,
-                4 => Mnemonic::Shl,
-                5 => Mnemonic::Shr,
-                7 => Mnemonic::Sar,
-                _ => return d.err("unsupported shift extension"),
-            };
-            let amount = if op >= 0xD0 { 1 } else { d.u8()? as i64 };
-            Instruction::binary(mnem, rm, Operand::Imm(amount))
-        }
-        0xE8 | 0xE9 => {
-            let rel = d.i32()? as i64;
-            let target = (d.pos as i64 + rel) as usize;
-            on_branch(target);
-            Instruction::unary(
-                if op == 0xE8 {
-                    Mnemonic::Call
-                } else {
-                    Mnemonic::Jmp
-                },
-                Operand::Label(usize::MAX),
-            )
-        }
-        0xEB | 0x72 | 0x73 | 0x74 | 0x75 => {
-            let rel = d.i8()? as i64;
-            let target = (d.pos as i64 + rel) as usize;
-            on_branch(target);
-            let mnem = match op {
-                0xEB => Mnemonic::Jmp,
-                0x72 => Mnemonic::Jc,
-                0x73 => Mnemonic::Jnc,
-                0x74 => Mnemonic::Jz,
-                _ => Mnemonic::Jnz,
-            };
-            Instruction::unary(mnem, Operand::Label(usize::MAX))
-        }
-        0x0F => decode_0f(d, &p, w, on_branch)?,
-        0xC4 | 0xC5 => decode_vex(d, op, &p)?,
-        _ => {
-            d.pos = start;
-            return d.err(format!("unknown opcode {op:#04x}"));
         }
     };
+    let w = match row.size {
+        Size::Fixed(w) => w,
+        _ if row.op8 == Some(op) => Width::B,
+        _ => p.op_width(),
+    };
+    let rm_w = match row.size {
+        Size::Extend(w) => w,
+        _ => w,
+    };
+    let mut inst = Instruction::new(row.m);
+    match row.form {
+        Form::Bare => {
+            if row.modrm != ModRm::Absent {
+                d.u8()?;
+            }
+        }
+        Form::RegRm | Form::RmReg | Form::Rm => {
+            let (reg, rm) = decode_modrm_bits(d, p.bits(), RmClass::Gpr(rm_w), rm_w)?;
+            let reg = gpr_op(reg, w);
+            let ops: &[Operand] = match row.form {
+                Form::RegRm => &[reg, rm],
+                Form::RmReg => &[rm, reg],
+                _ => &[rm],
+            };
+            for &op in ops {
+                inst.operands.push(op);
+            }
+        }
+        Form::OpReg => inst.operands.push(gpr_op((op & 7) | (p.bits().b << 3), w)),
+        Form::Rel32 | Form::Rel8 => {
+            let rel = d.int(if row.form == Form::Rel32 { 4 } else { 1 })?;
+            on_branch((d.pos as i64 + rel) as usize);
+            inst.operands.push(Operand::Label(usize::MAX));
+        }
+    }
+    if let Some(kind) = row.imm {
+        let v = match kind {
+            Imm::One => 1,
+            Imm::Count => d.u8()? as i64,
+            _ => d.int(kind.len(w))?,
+        };
+        inst.operands.push(Operand::Imm(v));
+    }
     Ok(inst)
 }
 
@@ -1813,283 +1686,73 @@ fn decode_vec_entry(
                 _ => true,
             }
     })?;
-    let cl = if l { VecClass::Ymm } else { VecClass::Xmm };
-    let vreg = |index: u8, class: VecClass| Operand::Vec(VecReg { index, class });
-    let gw = if w { Width::Q } else { Width::D };
-    let m = entry.m;
-    let res = (|| {
-        Ok(match entry.form {
-            VForm::Rm => {
-                let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(cl), Width::Q)?;
-                Instruction::binary(m, vreg(reg, cl), rm)
-            }
-            VForm::RmImm => {
-                let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(cl), Width::Q)?;
-                let imm = d.u8()? as i64;
-                Instruction::with_operands(m, &[vreg(reg, cl), rm, Operand::Imm(imm)])
-            }
-            VForm::Mr => {
-                let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(cl), Width::Q)?;
-                Instruction::binary(m, rm, vreg(reg, cl))
-            }
-            VForm::Rvm => {
-                let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(cl), Width::Q)?;
-                Instruction::with_operands(m, &[vreg(reg, cl), vreg(vvvv, cl), rm])
-            }
-            VForm::RvmImm => {
-                if !l {
-                    return d.err(format!("{m} requires VEX.L = 1"));
-                }
-                let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(cl), Width::Q)?;
-                let imm = d.u8()? as i64;
-                Instruction::with_operands(
-                    m,
-                    &[vreg(reg, cl), vreg(vvvv, cl), rm, Operand::Imm(imm)],
-                )
-            }
-            VForm::VecRm => {
-                let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Gpr(gw), Width::Q)?;
-                Instruction::binary(m, vreg(reg, VecClass::Xmm), rm)
-            }
-            VForm::RmVec => {
-                let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Gpr(gw), Width::Q)?;
-                Instruction::binary(m, rm, vreg(reg, VecClass::Xmm))
-            }
-            VForm::GprVec => {
-                let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(VecClass::Xmm), Width::Q)?;
-                Instruction::binary(m, gpr_op(reg, gw), rm)
-            }
-            VForm::GprRm => {
-                let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Gpr(gw), gw)?;
-                Instruction::binary(m, gpr_op(reg, gw), rm)
-            }
-            VForm::ShiftImm(ext) => {
-                let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(VecClass::Xmm), Width::Q)?;
-                if reg & 7 != ext {
-                    return d.err(format!(
-                        "unsupported {op:#04x} group extension /{}",
-                        reg & 7
-                    ));
-                }
-                if !matches!(rm, Operand::Vec(_)) {
-                    return d.err("vector shift-by-immediate needs a register operand");
-                }
-                let imm = d.u8()? as i64;
-                Instruction::binary(m, rm, Operand::Imm(imm))
-            }
-            VForm::BcastRm => {
-                let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(VecClass::Xmm), Width::Q)?;
-                Instruction::binary(m, vreg(reg, cl), rm)
-            }
-            VForm::InsertImm => {
-                if !l {
-                    return d.err(format!("{m} requires VEX.L = 1"));
-                }
-                let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(VecClass::Xmm), Width::Q)?;
-                let imm = d.u8()? as i64;
-                Instruction::with_operands(
-                    m,
-                    &[
-                        vreg(reg, VecClass::Ymm),
-                        vreg(vvvv, VecClass::Ymm),
-                        rm,
-                        Operand::Imm(imm),
-                    ],
-                )
-            }
-            VForm::ExtractImm => {
-                if !l {
-                    return d.err(format!("{m} requires VEX.L = 1"));
-                }
-                let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(VecClass::Xmm), Width::Q)?;
-                let imm = d.u8()? as i64;
-                Instruction::with_operands(m, &[rm, vreg(reg, VecClass::Ymm), Operand::Imm(imm)])
-            }
-            VForm::Bare(_) => Instruction::new(m),
-        })
-    })();
-    Some(res)
+    Some(decode_vec_operands(d, entry, w, l, vvvv, bits))
 }
 
-fn decode_0f(
+/// Decodes the operands of a vector-op entry by its layout.
+fn decode_vec_operands(
     d: &mut Decoder,
-    p: &Prefixes,
-    w: Width,
-    on_branch: &mut dyn FnMut(usize),
+    entry: &VecOp,
+    w: bool,
+    l: bool,
+    vvvv: u8,
+    bits: RexBits,
 ) -> Result<Instruction, DecodeError> {
-    let op = d.u8()?;
-    // The 0F 38 / 0F 3A escape maps and the prefix-selected SSE opcodes in
-    // the 0F map live in the vector-op table; everything the table does not
-    // know falls through to the GPR/system decoding below.
-    if op == 0x38 || op == 0x3A {
-        let map = if op == 0x38 { MAP_0F38 } else { MAP_0F3A };
-        let op2 = d.u8()?;
-        return match decode_vec_entry(d, false, map, p.pp(), op2, p.w(), false, 0, p.bits()) {
-            Some(res) => res,
-            None => d.err(format!("unknown opcode 0f {op:02x} {op2:#04x}")),
-        };
+    let (slots, has_imm) = entry.form.layout();
+    let kinds = slots
+        .iter()
+        .map(|(Slot::Reg(k) | Slot::Rm(k) | Slot::Vvvv(k))| *k);
+    if !l && kinds.clone().any(|k| k == Kind::Y) {
+        return d.err(format!("{} requires VEX.L = 1", entry.m));
     }
-    if let Some(res) = decode_vec_entry(d, false, MAP_0F, p.pp(), op, p.w(), false, 0, p.bits()) {
-        return res;
-    }
-    let inst = match op {
-        0xA2 => Instruction::new(Mnemonic::Cpuid),
-        0x31 => Instruction::new(Mnemonic::Rdtsc),
-        0x33 => Instruction::new(Mnemonic::Rdpmc),
-        0x32 => Instruction::new(Mnemonic::Rdmsr),
-        0x30 => Instruction::new(Mnemonic::Wrmsr),
-        0x09 => Instruction::new(Mnemonic::Wbinvd),
-        0x08 => Instruction::new(Mnemonic::Invd),
-        0x01 => {
-            let next = d.u8()?;
-            match next {
-                0xF8 => Instruction::new(Mnemonic::Swapgs),
-                0xF9 => Instruction::new(Mnemonic::Rdtscp),
-                _ => {
-                    // INVLPG has a memory ModRM with extension 7; rewind one
-                    // byte and decode it properly.
-                    d.pos -= 1;
-                    let (ext, rm) = decode_modrm(d, p, Width::Q)?;
-                    if ext & 7 == 7 {
-                        Instruction::unary(Mnemonic::Invlpg, rm)
-                    } else {
-                        return d.err("unsupported 0F 01 form");
-                    }
-                }
-            }
-        }
-        0x22 => {
-            let (ext, rm) = decode_modrm(d, p, Width::Q)?;
-            if ext & 7 == 3 {
-                Instruction::unary(Mnemonic::MovCr3, rm)
-            } else {
-                return d.err("only CR3 moves are supported");
-            }
-        }
-        0xAE => {
-            // Group 15: with mod=11 the fences ignore the r/m field, so
-            // `0f ae e8`-`ef` is LFENCE, `f0`-`f7` MFENCE and `f8`-`ff`
-            // SFENCE; with a memory operand, /7 is CLFLUSH(OPT).
-            let (ext, rm) = decode_modrm(d, p, Width::Q)?;
-            match (ext & 7, matches!(rm, Operand::Mem(_))) {
-                (5, false) => Instruction::new(Mnemonic::Lfence),
-                (6, false) => Instruction::new(Mnemonic::Mfence),
-                (7, false) => Instruction::new(Mnemonic::Sfence),
-                (7, true) if p.p66 => Instruction::unary(Mnemonic::Clflushopt, rm),
-                (7, true) => Instruction::unary(Mnemonic::Clflush, rm),
-                _ => return d.err("unsupported 0F AE form"),
-            }
-        }
-        0x18 => {
-            let (ext, rm) = decode_modrm(d, p, Width::Q)?;
-            if !matches!(rm, Operand::Mem(_)) {
-                // A register operand makes the prefetch a hint NOP.
-                return Ok(Instruction::new(Mnemonic::Nop));
-            }
-            let mnem = match ext & 7 {
-                0 => Mnemonic::Prefetchnta,
-                1 => Mnemonic::Prefetcht0,
-                2 => Mnemonic::Prefetcht1,
-                3 => Mnemonic::Prefetcht2,
-                _ => return d.err("unsupported prefetch hint"),
-            };
-            Instruction::unary(mnem, rm)
-        }
-        0xAF => {
-            let (reg, rm) = decode_modrm(d, p, w)?;
-            Instruction::binary(Mnemonic::Imul, gpr_op(reg, w), rm)
-        }
-        0xB6 | 0xB7 => {
-            let sw = if op == 0xB6 { Width::B } else { Width::W };
-            let (reg, rm) = decode_modrm(d, p, sw)?;
-            Instruction::binary(Mnemonic::Movzx, gpr_op(reg, w), rm)
-        }
-        0xBE | 0xBF => {
-            let sw = if op == 0xBE { Width::B } else { Width::W };
-            let (reg, rm) = decode_modrm(d, p, sw)?;
-            Instruction::binary(Mnemonic::Movsx, gpr_op(reg, w), rm)
-        }
-        0xB8 if p.f3 => {
-            let (reg, rm) = decode_modrm(d, p, w)?;
-            Instruction::binary(Mnemonic::Popcnt, gpr_op(reg, w), rm)
-        }
-        0xBC => {
-            let (reg, rm) = decode_modrm(d, p, w)?;
-            let mnem = if p.f3 { Mnemonic::Tzcnt } else { Mnemonic::Bsf };
-            Instruction::binary(mnem, gpr_op(reg, w), rm)
-        }
-        0xBD => {
-            let (reg, rm) = decode_modrm(d, p, w)?;
-            let mnem = if p.f3 { Mnemonic::Lzcnt } else { Mnemonic::Bsr };
-            Instruction::binary(mnem, gpr_op(reg, w), rm)
-        }
-        0xC0 | 0xC1 => {
-            let width = if op == 0xC0 { Width::B } else { w };
-            let (reg, rm) = decode_modrm(d, p, width)?;
-            Instruction::binary(Mnemonic::Xadd, rm, gpr_op(reg, width))
-        }
-        0xC8..=0xCF => Instruction::unary(Mnemonic::Bswap, gpr_op((op - 0xC8) | (p.b() << 3), w)),
-        0x44 | 0x45 => {
-            let (reg, rm) = decode_modrm(d, p, w)?;
-            let mnem = if op == 0x44 {
-                Mnemonic::Cmovz
-            } else {
-                Mnemonic::Cmovnz
-            };
-            Instruction::binary(mnem, gpr_op(reg, w), rm)
-        }
-        0x94 | 0x95 => {
-            let (_, rm) = decode_modrm(d, p, Width::B)?;
-            let mnem = if op == 0x94 {
-                Mnemonic::Setz
-            } else {
-                Mnemonic::Setnz
-            };
-            Instruction::unary(mnem, rm)
-        }
-        0xC7 => {
-            let (ext, rm) = decode_modrm(d, p, w)?;
-            match ext & 7 {
-                6 => Instruction::unary(Mnemonic::Rdrand, rm),
-                7 => Instruction::unary(Mnemonic::Rdseed, rm),
-                _ => return d.err("unsupported 0F C7 form"),
-            }
-        }
-        0x82..=0x85 => {
-            let rel = d.i32()? as i64;
-            let target = (d.pos as i64 + rel) as usize;
-            on_branch(target);
-            let mnem = match op {
-                0x82 => Mnemonic::Jc,
-                0x83 => Mnemonic::Jnc,
-                0x84 => Mnemonic::Jz,
-                _ => Mnemonic::Jnz,
-            };
-            Instruction::unary(mnem, Operand::Label(usize::MAX))
-        }
-        _ => return d.err(format!("unknown opcode 0f {op:#04x}")),
+    let gw = if w { Width::Q } else { Width::D };
+    let class = |kind| match kind {
+        Kind::V if l => RmClass::Vec(VecClass::Ymm),
+        Kind::V | Kind::X => RmClass::Vec(VecClass::Xmm),
+        Kind::Y => RmClass::Vec(VecClass::Ymm),
+        Kind::G => RmClass::Gpr(gw),
     };
-    Ok(inst)
-}
-
-/// Scans code bytes for the magic pause/resume markers (§III-I).
-///
-/// Returns `(byte offset, is_pause)` pairs in ascending offset order.
-pub fn find_magic_markers(bytes: &[u8]) -> Vec<(usize, bool)> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i + MAGIC_PAUSE.len() <= bytes.len() {
-        if bytes[i..].starts_with(&MAGIC_PAUSE) {
-            out.push((i, true));
-            i += MAGIC_PAUSE.len();
-        } else if bytes[i..].starts_with(&MAGIC_RESUME) {
-            out.push((i, false));
-            i += MAGIC_RESUME.len();
-        } else {
-            i += 1;
+    let operand = |kind, index| match class(kind) {
+        RmClass::Vec(class) => Operand::Vec(VecReg { index, class }),
+        RmClass::Gpr(width) => gpr_op(index, width),
+    };
+    let mut inst = Instruction::new(entry.m);
+    let rm_kind = slots.iter().find_map(|s| match s {
+        Slot::Rm(k) => Some(*k),
+        _ => None,
+    });
+    let (reg, rm) = match rm_kind {
+        Some(kind) => {
+            let mem_width = if kinds.clone().all(|k| k == Kind::G) {
+                gw
+            } else {
+                Width::Q
+            };
+            let (reg, rm) = decode_modrm_bits(d, bits, class(kind), mem_width)?;
+            (reg, Some(rm))
+        }
+        None => (0, None),
+    };
+    if let VForm::ShiftImm(ext) = entry.form {
+        if reg & 7 != ext || !matches!(rm, Some(Operand::Vec(_))) {
+            return d.err(format!(
+                "unsupported {:#04x} group form /{}",
+                entry.op,
+                reg & 7
+            ));
         }
     }
-    out
+    for slot in slots {
+        inst.operands.push(match *slot {
+            Slot::Reg(kind) => operand(kind, reg),
+            Slot::Rm(_) => rm.expect("the layout has an r/m slot"),
+            Slot::Vvvv(kind) => operand(kind, vvvv),
+        });
+    }
+    if has_imm {
+        inst.operands.push(Operand::Imm(d.u8()?.into()));
+    }
+    Ok(inst)
 }
 
 #[cfg(test)]
@@ -2177,11 +1840,9 @@ mod tests {
     #[test]
     fn magic_markers_encode_and_scan() {
         let insts = parse_asm("nop; nb_pause; mov rax, [r14]; nb_resume; nop").unwrap();
-        let (bytes, _) = encode_program(&insts).unwrap();
-        let markers = find_magic_markers(&bytes);
-        assert_eq!(markers.len(), 2);
-        assert!(markers[0].1);
-        assert!(!markers[1].1);
+        let (bytes, offsets) = encode_program(&insts).unwrap();
+        assert_eq!(&bytes[offsets[1]..offsets[2]], MAGIC_PAUSE);
+        assert_eq!(&bytes[offsets[3]..offsets[4]], MAGIC_RESUME);
         let decoded = decode_program(&bytes).unwrap();
         assert_eq!(decoded, insts);
     }
@@ -2370,11 +2031,29 @@ mod tests {
     }
 
     #[test]
-    fn three_operand_imul_is_refused_not_truncated() {
-        let insts = parse_asm("imul rax, rsi, 3").unwrap();
-        assert!(matches!(
-            encode_program(&insts),
-            Err(EncodeError::InvalidOperands(_))
-        ));
+    fn three_operand_imul_round_trips() {
+        // `6B /r ib` when the immediate fits a sign-extended byte, else
+        // `69 /r` with an immediate of the operand size.
+        for (text, bytes) in [
+            ("imul rax, rsi, 3", &[0x48, 0x6B, 0xC6, 0x03][..]),
+            (
+                "imul r9d, [r14+8], 0x1000",
+                &[0x45, 0x69, 0x4E, 0x08, 0, 0x10, 0, 0],
+            ),
+            ("imul ax, bx, -300", &[0x66, 0x69, 0xC3, 0xD4, 0xFE]),
+        ] {
+            assert_eq!(enc(text), bytes, "{text}");
+            assert_eq!(decode_program(bytes).unwrap(), parse_asm(text).unwrap());
+        }
+        // The two-operand shorthand would come back with three operands,
+        // and an immediate wider than its field would come back truncated.
+        for (text, refused) in [
+            ("imul rax, 3", "InvalidOperands"),
+            ("imul rax, rsi, 0x123456789", "OutOfRange"),
+            ("imul ax, bx, 0x8000", "OutOfRange"),
+        ] {
+            let err = encode_program(&parse_asm(text).unwrap()).unwrap_err();
+            assert!(format!("{err:?}").starts_with(refused), "{text}: {err:?}");
+        }
     }
 }

@@ -6,8 +6,10 @@
 //! `0f ae f9` is SFENCE and `0f 18 c1` a hint NOP, as on hardware: both
 //! run cleanly. So is every statement with an operand count its mnemonic
 //! does not take (a branch without a target among them), every branch
-//! whose target is not a label, and every statement with two memory
-//! operands. No input may panic the tool in either version.
+//! whose target is not a label, every statement with two memory operands,
+//! and every memory size that contradicts its register; `mov [r14], eax`
+//! runs as a dword store both ways. No input may panic the tool in either
+//! version.
 
 use nanobench::nb::shell::{kernel_nanobench, user_nanobench};
 use nanobench::nb::{BenchmarkResult, NbError};
@@ -16,21 +18,25 @@ use nanobench::x86::encode::{decode_program, encode_program};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// (shell options, whether the run succeeds)
-const INPUTS: [(&str, bool); 6] = [
+const INPUTS: [(&str, bool); 8] = [
     (r#"-asm "lea rax, rbx""#, false),
     ("-code 8de8", false),
     (r#"-asm "clflush rax""#, false),
     ("-code 0faef9", true),
     (r#"-asm "prefetchnta rcx""#, false),
     ("-code 0f18c1", true),
+    // A bare memory operand takes the register's width: a dword store.
+    (r#"-asm "mov [r14], eax""#, true),
+    ("-code 418906", true),
 ];
 
 /// One-statement programs with operands no x86 form takes: too few (these
 /// panicked the tool when `exec::execute` met them), too many, a branch
 /// without a target or with a number for one (which fell through without
-/// jumping), and a memory-to-memory move (which ran in kernel mode and
-/// page-faulted at 0x0 in user mode).
-const MALFORMED: [&str; 22] = [
+/// jumping), a memory-to-memory move (which ran in kernel mode and
+/// page-faulted at 0x0 in user mode), and a memory size that contradicts
+/// the register (which loaded 4 bytes as asm and 8 as code bytes).
+const MALFORMED: [&str; 23] = [
     "add rax",
     "mov rax",
     "push",
@@ -53,6 +59,7 @@ const MALFORMED: [&str; 22] = [
     "jnz 0x10",
     "call 5",
     "mov [r14], [r15]",
+    "mov rcx, dword ptr [r14]",
 ];
 
 /// Runs `options` through both versions of the tool, catching panics.
