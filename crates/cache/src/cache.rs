@@ -273,6 +273,15 @@ pub struct Cache {
     /// hit, invalidation or state change needs a present line, which a
     /// fill already marked.
     dirty: Vec<u64>,
+    /// One bit per set in the layout of `dirty`, set by a fill and by a
+    /// flush and cleared by a reset: the sets that may differ from their
+    /// reset state, and so the only ones a reset to the previous reset's
+    /// seed visits. A flush marks the sets it visits because
+    /// [`SetPolicy::on_flush`] promises a fixed state, not the reset one.
+    touched: Vec<u64>,
+    /// The seed of the last reset; `None` until the first, which visits
+    /// every set because a build's factory names no seed.
+    reset_seed: Option<u64>,
     policies: Vec<PolicySlot>,
     assoc: usize,
     set_bits: u32,
@@ -316,6 +325,8 @@ impl Cache {
             valid: vec![0; num_sets],
             spare_ways: occupancy(std::iter::repeat_n(false, assoc)),
             dirty: vec![0; num_sets.div_ceil(64)],
+            touched: vec![0; num_sets.div_ceil(64)],
+            reset_seed: None,
             policies: (0..num_sets).map(&mut factory).collect(),
             assoc,
             set_bits: num_sets.trailing_zeros(),
@@ -328,10 +339,26 @@ impl Cache {
     /// Marks every set for the next flush (a fresh or reset policy need
     /// not be in its flushed state).
     fn mark_all_dirty(&mut self) {
+        let word = self.all_sets_word();
+        self.dirty.fill(word);
+    }
+
+    /// The value of every word of a per-set bitmap with all sets marked.
+    fn all_sets_word(&self) -> u64 {
         // The set count is a power of two: either whole words or one
         // partial word.
-        let word = u64::MAX >> (64 - self.num_sets().min(64));
-        self.dirty.fill(word);
+        u64::MAX >> (64 - self.num_sets().min(64))
+    }
+
+    /// Empties `set`: every tag invalid, no valid way and the MRU probe
+    /// back at way 0. Its packed states stay as they are, since a state is
+    /// read only where the tag is valid and a fill writes it; its policy is
+    /// the caller's to restore.
+    fn empty_set(&mut self, set: usize) {
+        let base = set * self.assoc;
+        self.tags[base..base + self.assoc].fill(TAG_INVALID);
+        self.mru_way[set] = 0;
+        self.valid[set] = 0;
     }
 
     /// The MESI state packed at arena index `idx` (`set * assoc + way`).
@@ -441,6 +468,7 @@ impl Cache {
         );
         let base = set * self.assoc;
         self.dirty[set >> 6] |= 1 << (set & 63);
+        self.touched[set >> 6] |= 1 << (set & 63);
         let occupied = self.occupancy_of(set);
         let way = self.policies[set].on_miss(occupied);
         let evicted = self.tags[base + way];
@@ -498,19 +526,15 @@ impl Cache {
     /// Flushes the entire cache (as `WBINVD` does). Only the sets filled
     /// since the last flush are visited: every other set is empty already
     /// and its policy in the state [`SetPolicy::on_flush`] would restore.
+    /// The visited sets are marked for the next reset.
     pub fn flush_all(&mut self) {
         for word in 0..self.dirty.len() {
             let mut bits = std::mem::take(&mut self.dirty[word]);
+            self.touched[word] |= bits;
             while bits != 0 {
                 let set = word * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let base = set * self.assoc;
-                self.tags[base..base + self.assoc].fill(TAG_INVALID);
-                for idx in base..base + self.assoc {
-                    self.set_state_at(idx, LineState::Invalid);
-                }
-                self.mru_way[set] = 0;
-                self.valid[set] = 0;
+                self.empty_set(set);
                 self.policies[set].on_flush();
             }
         }
@@ -526,26 +550,42 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    /// Restores the just-built state in place: empties every set, rewinds
-    /// every per-set policy (deriving its seed via `per_set_seed`, which
-    /// must match the derivation used at construction), and zeroes the
+    /// Restores the state a build with `seed` has, in place: empties
+    /// every set, rewinds every per-set policy to `per_set_seed(seed,
+    /// set)`, which must be the derivation the build used, and zeroes the
     /// statistics — all without dropping the tag or policy allocations.
-    pub fn reset_with(&mut self, mut per_set_seed: impl FnMut(usize) -> u64) {
-        self.tags.fill(TAG_INVALID);
-        self.states.fill(0);
-        self.mru_way.fill(0);
-        self.valid.fill(0);
-        self.mark_all_dirty();
-        for (s, policy) in self.policies.iter_mut().enumerate() {
-            policy.reset(per_set_seed(s));
+    ///
+    /// A reset to the previous reset's `seed` visits only the sets filled
+    /// or flushed since: every other set is still in the state that reset
+    /// left (any other change to a set needs a line present in it, which
+    /// only a fill puts there). Any other seed, and the first reset after
+    /// the build, visits every set. Returns the number of sets visited.
+    pub fn reset_with(&mut self, seed: u64, per_set_seed: fn(u64, usize) -> u64) -> usize {
+        if self.reset_seed != Some(seed) {
+            self.reset_seed = Some(seed);
+            let word = self.all_sets_word();
+            self.touched.fill(word);
         }
+        let mut visited = 0;
+        for word in 0..self.touched.len() {
+            let mut bits = std::mem::take(&mut self.touched[word]);
+            visited += bits.count_ones() as usize;
+            while bits != 0 {
+                let set = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.empty_set(set);
+                self.policies[set].reset(per_set_seed(seed, set));
+            }
+        }
+        self.mark_all_dirty();
         self.stats = CacheStats::default();
+        visited
     }
 
     /// [`Cache::reset_with`] using the same per-set seed derivation as
     /// [`Cache::new`]; pass the cache seed that was passed there.
-    pub fn reset_seeded(&mut self, cache_seed: u64) {
-        self.reset_with(|set| derive_set_seed(cache_seed, set));
+    pub fn reset_seeded(&mut self, cache_seed: u64) -> usize {
+        self.reset_with(cache_seed, derive_set_seed)
     }
 
     /// Iterates over every valid line as `(paddr, state)` pairs (the

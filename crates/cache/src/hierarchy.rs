@@ -370,6 +370,18 @@ fn core_salt(core: usize) -> u64 {
     (core as u64) << 40
 }
 
+/// The seed of L3 slice `slice` of a hierarchy built with `seed`.
+fn l3_slice_seed(seed: u64, slice: usize) -> u64 {
+    seed ^ ((slice as u64 + 1) << 48)
+}
+
+/// The seed of set `set` of an L3 slice seeded `slice_seed`, at build and
+/// at every reset. (L1 and L2 sets derive theirs inside [`Cache::new`]; the
+/// two derivations differ, and each fixes its level's random streams.)
+fn l3_set_seed(slice_seed: u64, set: usize) -> u64 {
+    slice_seed ^ set as u64
+}
+
 impl PrivateCaches {
     fn new(config: &HierarchyConfig, seed: u64, core: usize) -> PrivateCaches {
         PrivateCaches {
@@ -418,6 +430,9 @@ pub struct CacheHierarchy {
     snoop_hits: Vec<u64>,
     /// Total cross-core invalidations (remote copies killed by stores).
     invalidations: u64,
+    /// Sets rewound by every [`CacheHierarchy::reset`] so far, over all
+    /// levels, cores and slices; never zeroed.
+    reset_sets: u64,
     /// Seeded protocol corruption (mutation testing); `None` is faithful.
     mutation: Option<ProtocolMutation>,
     /// Whether the debug-build per-access invariant assert is armed.
@@ -491,11 +506,11 @@ impl CacheHierarchy {
         let (sets_per_slice, assoc) = (config.l3.sets_per_slice(), config.l3.assoc);
         let mut l3 = Vec::with_capacity(slices);
         for slice in 0..slices {
-            let slice_seed = seed ^ ((slice as u64 + 1) << 48);
+            let slice_seed = l3_slice_seed(seed, slice);
             let cache = match &config.l3.policy {
                 L3PolicyConfig::Uniform(kind) => {
                     Cache::with_policies(sets_per_slice, assoc, |set| {
-                        kind.instantiate(assoc, slice_seed ^ set as u64)
+                        kind.instantiate(assoc, l3_set_seed(slice_seed, set))
                     })
                 }
                 L3PolicyConfig::Adaptive {
@@ -511,7 +526,7 @@ impl CacheHierarchy {
                         policy_a,
                         policy_b,
                         assoc,
-                        slice_seed ^ set as u64,
+                        l3_set_seed(slice_seed, set),
                         &psel,
                     )
                 }),
@@ -529,6 +544,7 @@ impl CacheHierarchy {
             uncore_total: 0,
             snoop_hits: vec![0; slices],
             invalidations: 0,
+            reset_sets: 0,
             config: config.clone(),
             mutation: None,
             monitor: true,
@@ -1109,6 +1125,13 @@ impl CacheHierarchy {
         self.invalidations
     }
 
+    /// Cache sets rewound by every [`CacheHierarchy::reset`] since the
+    /// build, over all levels, cores and slices. Monotonic: neither a
+    /// reset nor [`CacheHierarchy::reset_stats`] zeroes it.
+    pub fn reset_sets(&self) -> u64 {
+        self.reset_sets
+    }
+
     /// Core 0's L1 statistics.
     pub fn l1_stats(&self) -> CacheStats {
         self.cores[0].l1.stats()
@@ -1148,17 +1171,21 @@ impl CacheHierarchy {
     /// the prefetchers and clears their streams, and zeroes statistics and
     /// uncore counters. Pass the seed the hierarchy was built with to
     /// replay bit-identically, or a different one to restart it as if
-    /// freshly built with that seed.
+    /// freshly built with that seed. A reset to the previous reset's seed
+    /// visits only the sets filled or flushed since (see
+    /// [`Cache::reset_with`]); [`CacheHierarchy::reset_sets`] counts the
+    /// sets visited.
     pub fn reset(&mut self, seed: u64) {
+        let mut sets = 0;
         for (i, core) in self.cores.iter_mut().enumerate() {
-            core.l1.reset_seeded(seed ^ 0x11 ^ core_salt(i));
-            core.l2.reset_seeded(seed ^ 0x22 ^ core_salt(i));
+            sets += core.l1.reset_seeded(seed ^ 0x11 ^ core_salt(i));
+            sets += core.l2.reset_seeded(seed ^ 0x22 ^ core_salt(i));
             core.prefetchers.reset();
         }
         for (slice, cache) in self.l3.iter_mut().enumerate() {
-            let slice_seed = seed ^ ((slice as u64 + 1) << 48);
-            cache.reset_with(|set| slice_seed ^ set as u64);
+            sets += cache.reset_with(l3_slice_seed(seed, slice), l3_set_seed);
         }
+        self.reset_sets += sets as u64;
         self.psel.reset();
         self.uncore_lookups.fill(0);
         self.uncore_total = 0;

@@ -5,14 +5,16 @@
 //! own tags on every access instead of keeping one up to date; it has no
 //! MRU-way probe, no packed state words, flushes every set rather than
 //! only the sets filled since the last flush, and rebuilds every set on a
-//! reset instead of reseeding it. Its sets hold the
+//! reset instead of reseeding only the sets changed since the last one.
+//! Resets alternate between the construction's seed and another, so both
+//! the same-seed path and a reseed run against it. Its sets hold the
 //! library's single-policy `PolicySlot`s, but set dueling is its own
 //! model: leaders step the oracle's own PSEL integer on misses and
 //! followers consult it, never the library's `Dueling` arm. Agreement on
 //! every observable (hit/miss + MESI state, eviction victim, invalidation
-//! result, stats, final contents, final PSEL) pins the storage layout,
-//! partial flush, reset and set dueling as behaviour-preserving across the
-//! whole policy library.
+//! result, stats, final contents, final PSEL, the sets each reset visits)
+//! pins the storage layout, partial flush, partial reset and set dueling
+//! as behaviour-preserving across the whole policy library.
 
 use nanobench_cache::cache::{Dueling, POLICY_B_SEED_SALT};
 use nanobench_cache::policy::{plru_spec, PolicySlot};
@@ -68,6 +70,15 @@ fn set_seed(case_seed: u64, set: usize) -> u64 {
     case_seed ^ (set as u64).wrapping_mul(0x517c_c1b7_2722_0a95)
 }
 
+/// The seed an [`Op::Reset`] rewinds to: the case's own, or one other.
+fn reset_seed(case_seed: u64, other: bool) -> u64 {
+    if other {
+        case_seed ^ 0x5EED
+    } else {
+        case_seed
+    }
+}
+
 /// A set's policies in the oracle: `[policy]`, or a dueling follower's
 /// `[A, B]`; and what a miss adds to PSEL (+1 in an A leader, -1 in a B
 /// leader, 0 elsewhere).
@@ -78,33 +89,44 @@ struct NaiveSet {
     tags: Vec<Option<u64>>,
     states: Vec<LineState>,
     policies: SetPolicies,
+    /// Whether a fill went to this set since the last reset.
+    filled: bool,
 }
 
 struct NaiveCache {
     sets: Vec<NaiveSet>,
     stats: CacheStats,
     psel: i32,
-    /// Builds each set's policies, at construction and on every reset.
-    factory: Box<dyn Fn(usize) -> SetPolicies>,
+    /// Builds each set's policies for a seed and a set, at construction
+    /// and on every reset.
+    factory: Box<dyn Fn(u64, usize) -> SetPolicies>,
+    /// The seed of the last reset (`None` before the first).
+    last_reset: Option<u64>,
+    /// Whether a flush ran since the last reset.
+    flushed: bool,
 }
 
 impl NaiveCache {
     fn new(
         num_sets: usize,
         assoc: usize,
-        factory: impl Fn(usize) -> SetPolicies + 'static,
+        seed: u64,
+        factory: impl Fn(u64, usize) -> SetPolicies + 'static,
     ) -> NaiveCache {
         NaiveCache {
             sets: (0..num_sets)
                 .map(|s| NaiveSet {
                     tags: vec![None; assoc],
                     states: vec![LineState::Invalid; assoc],
-                    policies: factory(s),
+                    policies: factory(seed, s),
+                    filled: false,
                 })
                 .collect(),
             stats: CacheStats::default(),
             psel: PSEL_START,
             factory: Box::new(factory),
+            last_reset: None,
+            flushed: false,
         }
     }
 
@@ -149,6 +171,7 @@ impl NaiveCache {
         let set = self.set_index(paddr);
         let occ = mask_of(&self.sets[set].tags);
         let way = self.decide(set, true).on_miss(occ);
+        self.sets[set].filled = true;
         let evicted = self.sets[set].tags[way];
         self.sets[set].tags[way] = Some(block);
         self.sets[set].states[way] = state;
@@ -199,17 +222,31 @@ impl NaiveCache {
             set.states.fill(LineState::Invalid);
             set.policies.0.iter_mut().for_each(PolicySlot::on_flush);
         }
+        self.flushed = true;
     }
 
-    /// What `Cache::reset_with` promises: every set empty, its policy as
-    /// at construction, the statistics zeroed (PSEL is not the cache's).
-    fn reset(&mut self) {
+    /// What `Cache::reset_with` promises: every set empty, its policy as a
+    /// build with `seed` makes it, the statistics zeroed (PSEL is not the
+    /// cache's). Returns how many sets the cache visits to get there: the
+    /// sets filled since the last reset if that reset had the same seed
+    /// and no flush ran since, else every set (a reset leaves every set to
+    /// the next flush, and a flushed set is rewound like a filled one).
+    fn reset(&mut self, seed: u64) -> usize {
+        let visits = if self.last_reset == Some(seed) && !self.flushed {
+            self.sets.iter().filter(|set| set.filled).count()
+        } else {
+            self.sets.len()
+        };
         for (s, set) in self.sets.iter_mut().enumerate() {
             set.tags.fill(None);
             set.states.fill(LineState::Invalid);
-            set.policies = (self.factory)(s);
+            set.policies = (self.factory)(seed, s);
+            set.filled = false;
         }
         self.stats = CacheStats::default();
+        self.last_reset = Some(seed);
+        self.flushed = false;
+        visits
     }
 
     fn set_contents(&self, set: usize) -> Vec<Option<u64>> {
@@ -232,8 +269,9 @@ enum Op {
     SetState(u64, LineState),
     StateOf(u64),
     Flush,
-    /// `Cache::reset_with` under the construction's seed derivation.
-    Reset,
+    /// `Cache::reset_with` under the construction's seed derivation, to
+    /// the case's seed or (`true`) to another ([`reset_seed`]).
+    Reset(bool),
 }
 
 /// Draws one [`Op`], weighted toward accesses so replacement state gets
@@ -255,7 +293,7 @@ impl Strategy for OpStrategy {
             14 | 15 => Op::SetState(paddr, state),
             16 | 17 => Op::StateOf(paddr),
             18..=20 => Op::Flush,
-            21 => Op::Reset,
+            21 => Op::Reset((0u8..2).generate(rng) == 1),
             _ => Op::Sweep(paddr, (0..128u64).generate(rng), state),
         }
     }
@@ -322,9 +360,13 @@ fn check_equivalence(
                 arena.flush_all();
                 oracle.flush_all();
             }
-            Op::Reset => {
-                arena.reset_with(|set| set_seed(case_seed, set));
-                oracle.reset();
+            Op::Reset(other) => {
+                let seed = reset_seed(case_seed, other);
+                assert_eq!(
+                    arena.reset_with(seed, set_seed),
+                    oracle.reset(seed),
+                    "op {i}: sets the reset visits"
+                );
             }
         }
     }
@@ -352,9 +394,9 @@ fn check_equivalence(
 #[test]
 fn a_sweep_overflows_a_set_at_every_associativity() {
     for assoc in [4, 8, 12, 16, 64] {
-        let lru = move |_| (vec![PolicyKind::Lru.instantiate(assoc, 0)], 0);
-        let arena = Cache::with_policies(NUM_SETS, assoc, |set| lru(set).0.remove(0));
-        let oracle = NaiveCache::new(NUM_SETS, assoc, lru);
+        let lru = move |_, _| (vec![PolicyKind::Lru.instantiate(assoc, 0)], 0);
+        let arena = Cache::with_policies(NUM_SETS, assoc, |set| lru(0, set).0.remove(0));
+        let oracle = NaiveCache::new(NUM_SETS, assoc, 0, lru);
         let sweep = Op::Sweep(0, 2 * assoc as u64 - 1, LineState::Exclusive);
         let (_, stats) = check_equivalence(arena, oracle, 0, &[sweep]);
         assert_eq!(stats.misses, 2 * assoc as u64, "{assoc} ways");
@@ -401,8 +443,8 @@ proptest! {
         let arena = Cache::with_policies(NUM_SETS, assoc, |set| {
             kind.instantiate(assoc, set_seed(case_seed, set))
         });
-        let oracle = NaiveCache::new(NUM_SETS, assoc, move |set| {
-            (vec![kind.instantiate(assoc, set_seed(case_seed, set))], 0)
+        let oracle = NaiveCache::new(NUM_SETS, assoc, case_seed, move |seed, set| {
+            (vec![kind.instantiate(assoc, set_seed(seed, set))], 0)
         });
         check_equivalence(arena, oracle, case_seed, &ops);
     }
@@ -424,8 +466,8 @@ proptest! {
         let arena = Cache::with_policies(NUM_SETS, assoc, |set| {
             Dueling::slot(roles[set], &a, &b, assoc, set_seed(case_seed, set), &psel)
         });
-        let oracle = NaiveCache::new(NUM_SETS, assoc, move |set| {
-            let seed = set_seed(case_seed, set);
+        let oracle = NaiveCache::new(NUM_SETS, assoc, case_seed, move |seed, set| {
+            let seed = set_seed(seed, set);
             let policy_a = || a.instantiate(assoc, seed);
             let policy_b = || b.instantiate(assoc, seed ^ POLICY_B_SEED_SALT);
             match set {

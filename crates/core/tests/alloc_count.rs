@@ -1,8 +1,9 @@
 //! Heap allocations and simulated work as exact counts: a plan-cache hit
 //! must not build the program it replays, the simulated memory path must
 //! not allocate per access, building, parsing and decoding a program must
-//! not allocate per instruction, and one steady-state run of each engine
-//! and memory-path shape does a pinned amount of work. A counting global
+//! not allocate per instruction, one steady-state run of each engine and
+//! memory-path shape does a pinned amount of work, and a reset rewinds a
+//! pinned number of cache sets. A counting global
 //! allocator tallies allocations on the current thread only, so the tests
 //! of this binary can run in parallel.
 
@@ -260,4 +261,40 @@ fn engine_and_memory_shapes_do_pinned_work_per_run() {
         }
     }
     assert!(moved.is_empty(), "{}", moved.join("\n"));
+}
+
+/// Cache sets a reset of `session` rewinds.
+fn sets_rewound(session: &mut Session, reset: impl FnOnce(&mut Session)) -> u64 {
+    let before = session.machine().hierarchy().reset_sets();
+    reset(session);
+    session.machine().hierarchy().reset_sets() - before
+}
+
+#[test]
+fn a_same_seed_reset_rewinds_only_the_sets_a_run_touched() {
+    // Skylake with one core: 64 L1, 1,024 L2 and 2 x 2,048 L3 sets.
+    const ALL_SETS: u64 = 5_184;
+    // The throughput run of case study I's "MOV load (r64, m64)" row.
+    let mut spec = BenchSpec::new();
+    spec.asm("mov rax, [r14]; mov rbx, [r14+64]; mov rcx, [r14+128]; mov rdx, [r14+192]")
+        .unwrap()
+        .asm_init("mov [r14], r14")
+        .unwrap()
+        .unroll_count(50)
+        .warm_up_count(2)
+        .n_measurements(5);
+    let mut session = Session::kernel(MicroArch::Skylake);
+    // The first reset after the build rewinds every set.
+    assert_eq!(sets_rewound(&mut session, Session::reset), ALL_SETS);
+    // One run fills 37 sets across the three levels; a reset with nothing
+    // run since rewinds none.
+    session.run(&spec).unwrap();
+    assert_eq!(sets_rewound(&mut session, Session::reset), 37);
+    assert_eq!(sets_rewound(&mut session, Session::reset), 0);
+    // A new seed rewinds every set, however few the run touched.
+    session.run(&spec).unwrap();
+    assert_eq!(
+        sets_rewound(&mut session, |s| s.reset_with_seed(0x5EED)),
+        ALL_SETS
+    );
 }

@@ -92,9 +92,10 @@ pub struct InstMeasurement {
 
 impl InstMeasurement {
     /// uops.info-style port string, e.g. `"1*p23"` for a load that uses
-    /// ports 2 and 3 interchangeably.
+    /// ports 2 and 3 interchangeably. Groups of ports with (nearly) equal
+    /// pressure come in descending order of pressure, and each group lists
+    /// its ports in ascending order (`p015`, as uops.info writes it).
     pub fn port_usage_string(&self) -> String {
-        // Group ports with (nearly) equal pressure.
         let mut groups: Vec<(String, f64)> = Vec::new();
         let mut used: Vec<(u8, f64)> = self
             .ports
@@ -104,14 +105,15 @@ impl InstMeasurement {
             .map(|(p, v)| (p as u8, *v))
             .collect();
         used.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("port pressure is finite"));
-        while let Some((p0, v0)) = used.first().copied() {
-            let (same, rest): (Vec<_>, Vec<_>) =
+        while let Some(&(_, v0)) = used.first() {
+            let (mut same, rest): (Vec<_>, Vec<_>) =
                 used.iter().partition(|(_, v)| (v - v0).abs() < 0.1);
+            // The total sums in pressure order; only the names go by port.
             let total: f64 = same.iter().map(|(_, v)| v).sum();
+            same.sort_by_key(|&(p, _)| p);
             let names: String = same.iter().map(|(p, _)| p.to_string()).collect();
             groups.push((format!("p{names}"), total));
             used = rest;
-            let _ = p0;
         }
         if groups.is_empty() {
             return "-".to_string();
@@ -247,6 +249,35 @@ fn measure_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn port_groups_list_their_ports_in_ascending_order() {
+        // Skylake's MOV load, MOV store and PADDD pressures, near-equal
+        // within a group and given out of port order within it.
+        let label = |ports: [f64; 8]| {
+            InstMeasurement {
+                name: String::new(),
+                latency: None,
+                throughput: 0.0,
+                uops: 0.0,
+                ports: ports.to_vec(),
+            }
+            .port_usage_string()
+        };
+        assert_eq!(
+            label([0.0, 0.0, 0.47, 0.50, 0.0, 0.0, 0.0, 0.0]),
+            "0.97*p23"
+        );
+        assert_eq!(
+            label([0.0, 0.0, 0.31, 0.35, 1.0, 0.0, 0.0, 0.33]),
+            "1.00*p4 + 0.99*p237"
+        );
+        assert_eq!(
+            label([0.32, 0.33, 0.0, 0.0, 0.0, 0.35, 0.0, 0.0]),
+            "1.00*p015"
+        );
+        assert_eq!(label([0.0; 8]), "-");
+    }
 
     #[test]
     fn add_r64_characteristics() {

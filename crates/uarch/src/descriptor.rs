@@ -12,7 +12,6 @@ use crate::port::{MicroArch, PortConfig, PortSet};
 use nanobench_x86::defuse;
 use nanobench_x86::inst::{Instruction, Mnemonic, MAX_OPERANDS};
 use nanobench_x86::operand::Operand;
-use std::collections::HashMap;
 
 /// Port class of a µop; resolved to a [`PortSet`] per microarchitecture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -107,7 +106,7 @@ impl InstrDesc {
 
 /// The kind of one operand in a descriptor form. Memory operands are
 /// normalized to registers for the compute-µop lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum OpKind {
     R,
     I,
@@ -116,7 +115,7 @@ enum OpKind {
 
 /// Operand-kind signature used to key descriptor forms: one kind per
 /// operand, then `None` in the unused slots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Form([Option<OpKind>; MAX_OPERANDS]);
 
 impl Form {
@@ -141,13 +140,22 @@ impl Form {
 /// (the load/store µop is everything).
 static NO_COMPUTE: InstrDesc = InstrDesc { uops: Vec::new() };
 
+/// One mnemonic's descriptors: its exact forms (a few at most, so a
+/// lookup scans them) and the descriptor of every other form.
+#[derive(Debug, Clone, Default)]
+struct Slot {
+    forms: Vec<(Form, InstrDesc)>,
+    default: Option<InstrDesc>,
+}
+
 /// Per-microarchitecture descriptor table.
 #[derive(Debug, Clone)]
 pub struct DescriptorTable {
     uarch: MicroArch,
     ports: PortConfig,
-    exact: HashMap<(Mnemonic, Form), InstrDesc>,
-    default: HashMap<Mnemonic, InstrDesc>,
+    /// Indexed by the mnemonic's discriminant; mnemonics past the last
+    /// described one have no slot.
+    slots: Vec<Slot>,
 }
 
 impl DescriptorTable {
@@ -156,8 +164,7 @@ impl DescriptorTable {
         let mut t = DescriptorTable {
             uarch,
             ports: PortConfig::for_uarch(uarch),
-            exact: HashMap::new(),
-            default: HashMap::new(),
+            slots: Vec::new(),
         };
         t.populate();
         t
@@ -183,18 +190,36 @@ impl DescriptorTable {
         if defuse::is_move(m) && inst.operands.iter().any(|o| matches!(o, Operand::Mem(_))) {
             return Some(&NO_COMPUTE);
         }
-        self.exact
-            .get(&(m, Form::of(inst)))
-            .or_else(|| self.default.get(&m))
+        let slot = self.slots.get(m as usize)?;
+        let form = Form::of(inst);
+        slot.forms
+            .iter()
+            .find(|(f, _)| *f == form)
+            .map(|(_, desc)| desc)
+            .or(slot.default.as_ref())
+    }
+
+    /// The slot of `m`, grown into the table if it has none yet.
+    fn slot(&mut self, m: Mnemonic) -> &mut Slot {
+        let i = m as usize;
+        if self.slots.len() <= i {
+            self.slots.resize_with(i + 1, Slot::default);
+        }
+        &mut self.slots[i]
     }
 
     fn def(&mut self, m: Mnemonic, uops: Vec<UopSpec>) {
-        self.default.insert(m, InstrDesc { uops });
+        self.slot(m).default = Some(InstrDesc { uops });
     }
 
+    /// Describes one form of `m`, replacing an earlier description of it.
     fn form(&mut self, m: Mnemonic, form: &[OpKind], uops: Vec<UopSpec>) {
-        self.exact
-            .insert((m, Form::new(form.iter().copied())), InstrDesc { uops });
+        let form = Form::new(form.iter().copied());
+        let forms = &mut self.slot(m).forms;
+        match forms.iter_mut().find(|(f, _)| *f == form) {
+            Some((_, desc)) => desc.uops = uops,
+            None => forms.push((form, InstrDesc { uops })),
+        }
     }
 
     /// Latency tweaks for older parts, applied to vector arithmetic.
@@ -558,7 +583,9 @@ mod tests {
         // defaults across operand forms; the explicit table alone should
         // cover a meaningful set.
         let t = DescriptorTable::for_uarch(MicroArch::Skylake);
-        assert!(t.exact.len() >= 15, "got {}", t.exact.len());
-        assert!(t.default.len() >= 100, "got {}", t.default.len());
+        let forms: usize = t.slots.iter().map(|slot| slot.forms.len()).sum();
+        let defaults = t.slots.iter().filter(|slot| slot.default.is_some()).count();
+        assert!(forms >= 15, "got {forms}");
+        assert!(defaults >= 100, "got {defaults}");
     }
 }

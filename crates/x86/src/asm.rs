@@ -8,7 +8,7 @@
 
 use crate::inst::{Instruction, Mnemonic, Operands, MAX_OPERANDS};
 use crate::operand::{MemRef, Operand};
-use crate::reg::{parse_gpr, parse_vec_reg, Gpr, Width};
+use crate::reg::{parse_gpr, parse_vec_reg, Gpr, Width, HIGH_BYTE_NAMES};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -609,6 +609,12 @@ fn parse_operand(text: &str, stmt: usize) -> Result<ParsedOperand, ParseAsmError
     }
     if let Some(gpr) = parse_gpr(rest) {
         return Ok(ParsedOperand::Operand(Operand::Gpr(gpr)));
+    }
+    if HIGH_BYTE_NAMES.contains(&rest) {
+        return Err(ParseAsmError {
+            statement: stmt,
+            message: format!("high-byte register `{text}` is not modeled"),
+        });
     }
     if let Some(v) = parse_vec_reg(rest) {
         return Ok(ParsedOperand::Operand(Operand::Vec(v)));

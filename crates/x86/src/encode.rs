@@ -34,9 +34,13 @@
 //! (`imul al, cl`, `setz ax`, `bswap al`, `mov_cr3 eax`, a memory width that
 //! differs from the register's, the two-operand `imul r, imm`) are
 //! [`EncodeError::InvalidOperands`]. Byte registers `spl`, `bpl`, `sil` and
-//! `dil` always take a REX prefix; without one the decoder reads register
-//! numbers 4–7 of byte width as those same registers (`ah`...`bh` are not
-//! modeled).
+//! `dil` always take a REX prefix. The decoder refuses what x86 reads as an
+//! instruction the model lacks: a byte register numbered 4–7 without REX
+//! (`ah`...`bh`), `66` without REX.W before `push`/`pop` (their 16-bit
+//! forms), and `90` with REX.B (`xchg` with `r8`, which decodes only as
+//! `87 /r`). `C6`/`C7` decode as `mov` only with ModRM extension 0, a REX
+//! prefix before VEX (even `40`) is refused, and a REX prefix that another
+//! prefix follows counts for nothing, as on x86.
 //!
 //! # Vector encoding support matrix
 //!
@@ -56,7 +60,7 @@
 
 use crate::inst::{Instruction, Mnemonic};
 use crate::operand::{MemRef, Operand};
-use crate::reg::{Gpr, GprPart, VecClass, VecReg, Width};
+use crate::reg::{Gpr, GprPart, VecClass, VecReg, Width, HIGH_BYTE_NAMES};
 use std::error::Error;
 use std::fmt;
 
@@ -485,7 +489,7 @@ const GPR_OPS: &[GprOp] = &[
     // -- moves ---------------------------------------------------------------
     gpr(Mnemonic::Mov, MAP_1B, 0x8B, Form::RegRm).byte(0x8A),
     gpr(Mnemonic::Mov, MAP_1B, 0x89, Form::RmReg).byte(0x88),
-    gpr(Mnemonic::Mov, MAP_1B, 0xC7, Form::Rm).byte(0xC6).imm(Imm::Iz),
+    gpr(Mnemonic::Mov, MAP_1B, 0xC7, Form::Rm).byte(0xC6).ext(0).imm(Imm::Iz),
     gpr(Mnemonic::Mov, MAP_1B, 0xB8, Form::OpReg).imm(Imm::Iv),
     gpr(Mnemonic::Lea, MAP_1B, 0x8D, Form::RegRm).modrm(ModRm::Mem),
     gpr(Mnemonic::Movzx, MAP_0F, 0xB6, Form::RegRm).size(Size::Extend(Width::B)),
@@ -1286,18 +1290,24 @@ struct Prefixes {
     p66: bool,
     f3: bool,
     f2: bool,
-    rex: u8,
+    /// The REX prefix, if any: `40` is a REX prefix with no bits set.
+    rex: Option<u8>,
 }
 
 impl Prefixes {
+    /// The REX prefix's low four bits (`WRXB`), 0 without one.
+    fn rex_bits(&self) -> u8 {
+        self.rex.map_or(0, |rex| rex & 0x0F)
+    }
     fn w(&self) -> bool {
-        self.rex & 8 != 0
+        self.rex_bits() & 8 != 0
     }
     fn bits(&self) -> RexBits {
+        let rex = self.rex_bits();
         RexBits {
-            r: (self.rex >> 2) & 1,
-            x: (self.rex >> 1) & 1,
-            b: self.rex & 1,
+            r: (rex >> 2) & 1,
+            x: (rex >> 1) & 1,
+            b: rex & 1,
         }
     }
     /// The SSE mandatory-prefix value (VEX `pp` numbering). As on real
@@ -1483,24 +1493,23 @@ fn decode_one(
         p66: false,
         f3: false,
         f2: false,
-        rex: 0,
+        rex: None,
     };
+    // A REX prefix counts only right before the opcode: x86 ignores one
+    // that another prefix follows.
     loop {
         match d.peek() {
-            Some(0x66) => {
-                p.p66 = true;
-                d.pos += 1;
-            }
-            Some(0xF3) => {
-                p.f3 = true;
-                d.pos += 1;
-            }
-            Some(0xF2) => {
-                p.f2 = true;
+            Some(b @ (0x66 | 0xF3 | 0xF2)) => {
+                match b {
+                    0x66 => p.p66 = true,
+                    0xF3 => p.f3 = true,
+                    _ => p.f2 = true,
+                }
+                p.rex = None;
                 d.pos += 1;
             }
             Some(b) if (0x40..0x50).contains(&b) => {
-                p.rex = b & 0x0F;
+                p.rex = Some(b);
                 d.pos += 1;
             }
             _ => break,
@@ -1532,6 +1541,12 @@ fn decode_one(
         }
         _ => (MAP_1B, op),
     };
+    // `90` is `xchg eAX, r` with REX.B naming r: `nop` (and `F3 90`
+    // `pause`) only while r is eAX. The table has no `90+r` exchange.
+    if (map, op, p.bits().b) == (MAP_1B, 0x90, 1) {
+        d.pos -= 1;
+        return d.err("90 with REX.B is xchg with r8, which decodes only as 87 /r");
+    }
     let first = GPR_FIRST[map as usize][op as usize] as usize;
     let mut rows = GPR_OPS
         .get(first..)
@@ -1577,6 +1592,15 @@ fn decode_gpr<'a>(
         }
     };
     let w = match row.size {
+        // `66 50+r` and `66 58+r` push and pop 16 bits (REX.W overrides
+        // the `66`).
+        Size::Fixed(_) if row.form == Form::OpReg && p.op_width() == Width::W => {
+            d.pos -= 1;
+            return d.err(format!(
+                "66 makes {} 16-bit, which is not modeled",
+                row.m.name()
+            ));
+        }
         Size::Fixed(w) => w,
         _ if row.op8 == Some(op) => Width::B,
         _ => p.op_width(),
@@ -1593,6 +1617,7 @@ fn decode_gpr<'a>(
             }
         }
         Form::RegRm | Form::RmReg | Form::Rm => {
+            let modrm_at = d.pos;
             let (reg, rm) = decode_modrm_bits(d, p.bits(), RmClass::Gpr(rm_w), rm_w)?;
             let reg = gpr_op(reg, w);
             let ops: &[Operand] = match row.form {
@@ -1601,6 +1626,19 @@ fn decode_gpr<'a>(
                 _ => &[rm],
             };
             for &op in ops {
+                // Without REX, byte registers 4–7 are AH..BH, not SPL..DIL.
+                if let (None, Operand::Gpr(g)) = (p.rex, op) {
+                    if needs_rex_for_byte(&g) {
+                        return Err(DecodeError {
+                            offset: modrm_at,
+                            message: format!(
+                                "without REX, byte register {} is {}, which is not modeled",
+                                g.reg.number(),
+                                HIGH_BYTE_NAMES[usize::from(g.reg.number()) - 4]
+                            ),
+                        });
+                    }
+                }
                 inst.operands.push(op);
             }
         }
@@ -1624,7 +1662,7 @@ fn decode_gpr<'a>(
 
 /// Decodes a VEX-prefixed instruction (`C4` three-byte / `C5` two-byte).
 fn decode_vex(d: &mut Decoder, first: u8, p: &Prefixes) -> Result<Instruction, DecodeError> {
-    if p.rex != 0 || p.p66 || p.f3 || p.f2 {
+    if p.rex.is_some() || p.p66 || p.f3 || p.f2 {
         return d.err("legacy prefixes are not allowed before a VEX prefix");
     }
     let (bits, map, w, vvvv, l, pp);

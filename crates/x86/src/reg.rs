@@ -308,9 +308,15 @@ impl fmt::Display for Flag {
     }
 }
 
+/// The legacy high-byte registers, which the model lacks: x86 reads byte
+/// registers 4–7 as these without a REX prefix, and as `spl`..`dil` with
+/// one. The assembler and the decoder refuse them.
+pub const HIGH_BYTE_NAMES: [&str; 4] = ["ah", "ch", "dh", "bh"];
+
 /// Parses a register name (any width, any case) into a [`GprPart`].
 ///
-/// Returns `None` for names that are not general-purpose registers.
+/// Returns `None` for names that are not general-purpose registers,
+/// [`HIGH_BYTE_NAMES`] among them.
 pub fn parse_gpr(name: &str) -> Option<GprPart> {
     for reg in Gpr::ALL {
         for width in [Width::Q, Width::D, Width::W, Width::B] {
@@ -319,20 +325,7 @@ pub fn parse_gpr(name: &str) -> Option<GprPart> {
             }
         }
     }
-    // Legacy high-byte registers map onto their parents; we model them as the
-    // low byte since nanoBench microbenchmarks in the paper never use AH..BH.
-    [
-        ("ah", Gpr::Rax),
-        ("ch", Gpr::Rcx),
-        ("dh", Gpr::Rdx),
-        ("bh", Gpr::Rbx),
-    ]
-    .into_iter()
-    .find(|(high, _)| high.eq_ignore_ascii_case(name))
-    .map(|(_, reg)| GprPart {
-        reg,
-        width: Width::B,
-    })
+    None
 }
 
 /// Parses a vector register name (`xmm0`..`zmm31`).
@@ -398,6 +391,9 @@ mod tests {
             })
         );
         assert_eq!(parse_gpr("xyz"), None);
+        for high in HIGH_BYTE_NAMES {
+            assert_eq!(parse_gpr(high), None, "{high}");
+        }
     }
 
     #[test]

@@ -293,5 +293,6 @@ fn every_decoded_opcode_and_modrm_re_encodes_to_itself() {
         failures.len(),
         failures[..failures.len().min(20)].join("\n")
     );
-    assert_eq!((decoded, digest), (232_772, 0xaceb_0c1c_4825_fd37));
+    // Pinned so that a change to what decodes shows up here.
+    assert_eq!((decoded, digest), (207_584, 0xe8a3_a395_26d5_5370));
 }

@@ -8,7 +8,12 @@
 //! does not take (a branch without a target among them), every branch
 //! whose target is not a label, every statement with two memory operands,
 //! and every memory size that contradicts its register; `mov [r14], eax`
-//! runs as a dword store both ways. No input may panic the tool in either
+//! runs as a dword store both ways. Code bytes that x86 reads as an
+//! instruction the model lacks are decode errors: `41 90` and `49 90`
+//! (`xchg` with `r8`), `66 50` and `66 58` (16-bit `push` and `pop`),
+//! `c7 c8` and `c6 c8` (#UD), `88 e0` and `88 c4` (`mov al, ah`, `mov ah,
+//! al`), and `40 c5 f8 77` (REX before VEX, #UD); as asm text, a high-byte
+//! register is a parse error. No input may panic the tool in either
 //! version.
 
 use nanobench::nb::shell::{kernel_nanobench, user_nanobench};
@@ -18,7 +23,7 @@ use nanobench::x86::encode::{decode_program, encode_program};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// (shell options, whether the run succeeds)
-const INPUTS: [(&str, bool); 8] = [
+const INPUTS: [(&str, bool); 17] = [
     (r#"-asm "lea rax, rbx""#, false),
     ("-code 8de8", false),
     (r#"-asm "clflush rax""#, false),
@@ -28,15 +33,27 @@ const INPUTS: [(&str, bool); 8] = [
     // A bare memory operand takes the register's width: a dword store.
     (r#"-asm "mov [r14], eax""#, true),
     ("-code 418906", true),
+    // x86 reads these as instructions the model lacks, or as #UD.
+    ("-code 4190", false),
+    ("-code 4990", false),
+    ("-code 6650", false),
+    ("-code 6658", false),
+    ("-code c7c801000000", false),
+    ("-code c6c801", false),
+    ("-code 88e0", false),
+    ("-code 88c4", false),
+    // A REX prefix before VEX is #UD, even `40`.
+    ("-code 40c5f877", false),
 ];
 
 /// One-statement programs with operands no x86 form takes: too few (these
 /// panicked the tool when `exec::execute` met them), too many, a branch
 /// without a target or with a number for one (which fell through without
 /// jumping), a memory-to-memory move (which ran in kernel mode and
-/// page-faulted at 0x0 in user mode), and a memory size that contradicts
-/// the register (which loaded 4 bytes as asm and 8 as code bytes).
-const MALFORMED: [&str; 23] = [
+/// page-faulted at 0x0 in user mode), a memory size that contradicts the
+/// register (which loaded 4 bytes as asm and 8 as code bytes), and a
+/// high-byte register (which ran as the low byte).
+const MALFORMED: [&str; 25] = [
     "add rax",
     "mov rax",
     "push",
@@ -60,6 +77,8 @@ const MALFORMED: [&str; 23] = [
     "call 5",
     "mov [r14], [r15]",
     "mov rcx, dword ptr [r14]",
+    "mov ah, 5",
+    "add bh, 1",
 ];
 
 /// Runs `options` through both versions of the tool, catching panics.
