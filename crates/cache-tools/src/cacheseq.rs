@@ -96,12 +96,18 @@ impl AccessSeq {
 /// prefetcher disabling) happens once, and every sequence of a campaign
 /// reuses it. Sequences normalize their own starting state via `<WBINVD>`,
 /// so no session reset is needed (or wanted: a reset would re-enable the
-/// prefetchers). The loads a sequence is made of are built once too, and
-/// each sequence copies them into the spec's reused code buffer.
+/// prefetchers). The loads a sequence is made of are built once too.
+///
+/// The spec keeps its code until a different sequence comes: repetitions
+/// of one sequence, run back to back as the age graph (§VI-C2) runs them,
+/// reuse the spec unchanged, so the session replays its cached plans
+/// without building, hashing or comparing the body.
 #[derive(Debug)]
 pub struct CacheSeq {
     session: Session,
     spec: BenchSpec,
+    /// The sequence `spec` holds the code of, if any.
+    built: Option<AccessSeq>,
     pool: AddrPool,
     /// The eviction pad between two same-set accesses: two rounds of loads
     /// over `pool.evictors`.
@@ -169,6 +175,7 @@ impl CacheSeq {
         Ok(CacheSeq {
             session,
             spec,
+            built: None,
             pool,
             pad,
             loads,
@@ -190,13 +197,11 @@ impl CacheSeq {
         &mut self.session
     }
 
-    /// Writes the microbenchmark body for a sequence into `out`, which
-    /// it clears first.
-    fn write_body(&self, seq: &AccessSeq, out: &mut Vec<Instruction>) {
-        out.clear();
+    /// The microbenchmark body for a sequence.
+    fn body(&self, seq: &AccessSeq) -> Vec<Instruction> {
         // Each access adds its load, at most the eviction pad and at most
         // two counting markers; one marker may close the body.
-        out.reserve(seq.items.len() * (self.pad.len() + 3) + 1);
+        let mut out = Vec::with_capacity(seq.items.len() * (self.pad.len() + 3) + 1);
         let mut counting = true;
         let set_counting = |out: &mut Vec<Instruction>, on: bool, counting: &mut bool| {
             if *counting != on {
@@ -212,13 +217,14 @@ impl CacheSeq {
             // Eviction pads between same-set accesses (never before the
             // first access): excluded from measurement.
             if i > 0 && !self.pad.is_empty() {
-                set_counting(out, false, &mut counting);
+                set_counting(&mut out, false, &mut counting);
                 out.extend_from_slice(&self.pad);
             }
-            set_counting(out, item.measured, &mut counting);
+            set_counting(&mut out, item.measured, &mut counting);
             out.push(self.loads[item.block]);
         }
-        set_counting(out, true, &mut counting);
+        set_counting(&mut out, true, &mut counting);
+        out
     }
 
     /// Runs the sequence once and returns the number of *measured*
@@ -236,12 +242,15 @@ impl CacheSeq {
                 self.pool.target_blocks.len()
             )));
         }
-        let mut code = std::mem::take(&mut self.spec.code);
-        self.write_body(seq, &mut code);
-        self.spec.code = code;
-        self.spec.init.clear();
-        if seq.wbinvd {
-            self.spec.init.push(Instruction::new(Mnemonic::Wbinvd));
+        if self.built.as_ref() != Some(seq) {
+            if self.built.as_ref().map(|built| built.wbinvd) != Some(seq.wbinvd) {
+                let wbinvd = Instruction::new(Mnemonic::Wbinvd);
+                self.spec
+                    .init(if seq.wbinvd { vec![wbinvd] } else { Vec::new() });
+            }
+            let body = self.body(seq);
+            self.spec.code(body);
+            self.built = Some(seq.clone());
         }
         let result = self.session.run(&self.spec)?;
         let value = result.get(self.pool.level.hit_event()).unwrap_or(0.0);

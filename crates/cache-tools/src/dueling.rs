@@ -1,4 +1,4 @@
-//! Detection of set dueling (§VI-C3, following Wong's approach, ref [48]).
+//! Detection of set dueling (§VI-C3, following Wong's approach, ref \[48\]).
 //!
 //! The Ivy Bridge / Haswell / Broadwell L3 caches adaptively switch between
 //! two policies: a few *leader sets* are dedicated to each policy and the

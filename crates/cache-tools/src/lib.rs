@@ -7,11 +7,11 @@
 //!   measurement inclusion, automatic higher-level eviction accesses, and
 //!   optional `WBINVD` (§VI-C);
 //! * [`perm_infer`] — inference of permutation policies (the RTAS'13
-//!   algorithm of ref [15], §VI-C1);
+//!   algorithm of ref \[15\], §VI-C1);
 //! * [`policy_fit`] — policy identification by comparing random-sequence
 //!   measurements against simulations of LRU/FIFO/PLRU/MRU and all
 //!   meaningful QLRU variants (§VI-C1);
-//! * [`age_graph`] — "age" graphs for analyzing non-deterministic policies
+//! * [`age_graph`](mod@age_graph) — "age" graphs for analyzing non-deterministic policies
 //!   (§VI-C2, Figure 1);
 //! * [`dueling`] — detection of the dedicated leader sets of adaptive
 //!   caches, including per-C-Box differences (§VI-C3);

@@ -1,5 +1,5 @@
 //! Inference of permutation policies (§VI-C1, first tool; algorithm of
-//! Abel & Reineke, RTAS 2013 [15], adapted to the cacheSeq primitive).
+//! Abel & Reineke, RTAS 2013 \[15\], adapted to the cacheSeq primitive).
 //!
 //! The state of a permutation policy is a total order of the cached
 //! blocks; position 0 is the next victim. The order is *read out* by age

@@ -35,6 +35,19 @@ pub enum NbError {
     /// The spec-level lint gate rejected the benchmark ([`crate::Session`]
     /// with a `Deny` gate): the error-severity diagnostics, in order.
     Lint(Vec<Diagnostic>),
+    /// The benchmark asks for more work than one invocation may do
+    /// ([`crate::session::MAX_PROGRAM_INSTRUCTIONS`],
+    /// [`crate::session::MAX_RUNS`]); refused before anything is built.
+    Limit {
+        /// The option that asks for it, as the shell spells it.
+        option: &'static str,
+        /// What is counted.
+        what: &'static str,
+        /// How many the benchmark asks for.
+        requested: u64,
+        /// How many are allowed.
+        limit: u64,
+    },
 }
 
 impl fmt::Display for NbError {
@@ -56,6 +69,12 @@ impl fmt::Display for NbError {
                 }
                 Ok(())
             }
+            NbError::Limit {
+                option,
+                what,
+                requested,
+                limit,
+            } => write!(f, "{option}: {requested} {what}, over the limit of {limit}"),
         }
     }
 }
@@ -71,6 +90,7 @@ impl Error for NbError {
             NbError::InvalidOption(_) => None,
             NbError::OptionAt { .. } => None,
             NbError::Lint(_) => None,
+            NbError::Limit { .. } => None,
         }
     }
 }

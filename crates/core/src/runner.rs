@@ -98,7 +98,7 @@ impl Aggregate {
 /// path is then byte-for-byte the single-core one).
 ///
 /// `stub_plan`, when given, runs first: a user-mode session passes its
-/// decoded [`user_syscall_stub`]; kernel-mode callers pass `None`.
+/// decoded `user_syscall_stub`; kernel-mode callers pass `None`.
 ///
 /// # Errors
 ///

@@ -20,7 +20,9 @@
 //! The legacy [`crate::NanoBench`] builder is a thin facade over a
 //! `Session` plus a `BenchSpec`.
 
-use crate::codegen::{self, Arenas, CodegenRequest, ARENA_REGS, ARENA_SIZE, NO_MEM_ACC_REGS};
+use crate::codegen::{
+    self, hash_key, Arenas, CodegenRequest, SharedCode, ARENA_REGS, ARENA_SIZE, NO_MEM_ACC_REGS,
+};
 use crate::error::NbError;
 use crate::result::{BenchmarkResult, FIXED_COUNTER_NAMES};
 use crate::runner::{measure, user_syscall_stub, Aggregate};
@@ -36,167 +38,165 @@ use nanobench_x86::asm::parse_asm;
 use nanobench_x86::encode::decode_program;
 use nanobench_x86::inst::Instruction;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 
 /// Deterministic default machine seed ("NB").
 pub const NB_SEED: u64 = 0x4E42;
 
-/// Upper bound on cached plans per session. Campaigns sweeping many
-/// distinct programs would otherwise accumulate plans without bound; at
-/// the cap the least-recently-used plan is evicted — one entry per miss,
-/// in a deterministic order (use ticks are a per-session sequence, so the
-/// victim never depends on map iteration order or host timing).
-const PLAN_CACHE_CAP: usize = 64;
+/// Decoded instructions the plan cache may hold. Past the bound, the
+/// least-recently-used plans are evicted, in a deterministic order (use
+/// ticks are a per-session sequence, so the victims never depend on map
+/// iteration order or host timing). A plan of the current batch is never
+/// evicted, and a plan larger than the bound is still admitted.
+pub const PLAN_CACHE_INSTRUCTIONS: usize = 16_384;
 
-/// A cached plan plus the session-monotonic tick of its last use (the LRU
-/// eviction key).
+/// Most instructions the init part and the unrolled body may add to one
+/// generated program: far above any shipped spec (the longest, Figure 1's
+/// `<WBINVD> B0 .. B11 F0 .. F199 Bb?`, adds 13,784), and far below what
+/// would exhaust host memory in codegen and decode.
+pub const MAX_PROGRAM_INSTRUCTIONS: usize = 1 << 20;
+
+/// Most measured runs, and separately most warm-up runs, one unroll
+/// version may ask for (shipped specs ask for at most 10 and 2). Each run
+/// replays the whole program, and the measured ones each keep a sample.
+pub const MAX_RUNS: usize = 1 << 16;
+
+/// What a cached plan was decoded from. A hit needs the new source to
+/// equal the cached one, field by field (derived equality), so no part of
+/// a request can be left out of the check.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum PlanSource {
+    /// The request whose generated program the plan runs.
+    Generated(CodegenRequest),
+    /// A co-runner program, as the spec gives it.
+    Corunner(SharedCode),
+}
+
+impl PlanSource {
+    fn decode(&self, machine: &Machine) -> DecodedProgram {
+        match self {
+            PlanSource::Generated(request) => machine.decode(&codegen::generate(request)),
+            PlanSource::Corunner(program) => machine.decode(program),
+        }
+    }
+
+    /// Instructions a hit check of `self` against the equal `cached`
+    /// compared by content: those of its code parts that are not `cached`'s
+    /// own lists (one list is equal by pointer alone).
+    fn compared(&self, cached: &PlanSource) -> u64 {
+        let by_content = |a: &SharedCode, b: &SharedCode| {
+            if SharedCode::ptr_eq(a, b) {
+                0
+            } else {
+                a.len() as u64
+            }
+        };
+        match (self, cached) {
+            (PlanSource::Generated(a), PlanSource::Generated(b)) => {
+                by_content(&a.init, &b.init) + by_content(&a.code, &b.code)
+            }
+            (PlanSource::Corunner(a), PlanSource::Corunner(b)) => by_content(a, b),
+            _ => 0,
+        }
+    }
+}
+
+/// A cached plan, its source and the session-monotonic tick of its last
+/// use (the LRU eviction key).
 #[derive(Debug)]
 struct CachedPlan {
+    source: PlanSource,
     plan: DecodedProgram,
     last_used: u64,
 }
 
-/// Session-level cache of decoded execution plans. A generated program is
-/// keyed by its codegen request ([`request_key`]) and a co-runner by its
-/// instructions ([`hash_key`]); every hit is verified against the cached
-/// instructions, so a key collision re-decodes instead of aliasing two
-/// programs.
+/// Session-level cache of decoded execution plans, keyed by the
+/// [`hash_key`] of each plan's [`PlanSource`]. A hit is checked against
+/// the cached source, so a key collision re-decodes into the slot instead
+/// of aliasing two programs.
 #[derive(Debug, Default)]
 struct PlanCache {
     plans: HashMap<u64, CachedPlan>,
+    /// Decoded instructions the plans hold, at most
+    /// [`PLAN_CACHE_INSTRUCTIONS`] outside one batch's own plans.
+    held: usize,
     hits: u64,
     misses: u64,
+    /// Instructions hit checks compared by content.
+    compared: u64,
     /// Monotonic use counter driving LRU eviction.
     tick: u64,
+    /// The first tick of the current batch; plans used since are kept.
+    batch_start: u64,
 }
 
 impl PlanCache {
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    /// Evicts the least-recently-used plan. Ticks are unique, so the
-    /// victim is fully determined by the use history.
-    fn evict_lru(&mut self) {
-        if let Some(victim) = self
-            .plans
-            .iter()
-            .min_by_key(|(_, c)| c.last_used)
-            .map(|(k, _)| *k)
-        {
-            self.plans.remove(&victim);
-        }
+    /// Starts a batch: the plans ensured from here until the next batch
+    /// are all kept, so they can be borrowed out together.
+    fn begin_batch(&mut self) {
+        self.batch_start = self.tick + 1;
     }
 
     /// Makes `key`'s plan present and most recently used. A cached plan
-    /// whose instructions pass `is_match` is a hit; otherwise `decode`
-    /// runs, into the colliding slot or a new one (evicting the LRU plan
-    /// at the cap).
-    ///
-    /// Keys ensured back-to-back stay valid together: each call marks its
-    /// entry most-recently-used, so later calls in the same batch can only
-    /// evict *older* entries (the cap far exceeds the plans one run needs
-    /// — one measured program plus its co-runners).
-    fn ensure(
-        &mut self,
-        key: u64,
-        is_match: impl Fn(&[Instruction]) -> bool,
-        decode: impl FnOnce() -> DecodedProgram,
-    ) {
-        let tick = self.next_tick();
-        match self.plans.get_mut(&key) {
-            Some(cached) if is_match(cached.plan.instructions()) => {
-                cached.last_used = tick;
+    /// whose source equals `source` is a hit; otherwise `decode` runs, into
+    /// the colliding slot or a new one, and least-recently-used plans of
+    /// earlier batches are evicted until the new plan fits the bound.
+    fn ensure(&mut self, key: u64, source: &PlanSource, decode: impl FnOnce() -> DecodedProgram) {
+        self.tick += 1;
+        if let Some(cached) = self.plans.get_mut(&key) {
+            if cached.source == *source {
+                cached.last_used = self.tick;
                 self.hits += 1;
-            }
-            Some(cached) => {
-                self.misses += 1;
-                cached.plan = decode();
-                cached.last_used = tick;
-            }
-            None => {
-                if self.plans.len() >= PLAN_CACHE_CAP {
-                    self.evict_lru();
-                }
-                self.misses += 1;
-                let plan = decode();
-                self.plans.insert(
-                    key,
-                    CachedPlan {
-                        plan,
-                        last_used: tick,
-                    },
-                );
+                self.compared += source.compared(&cached.source);
+                return;
             }
         }
-    }
-}
-
-/// The plan-cache key hasher: the multiply-rotate step of FxHash, one
-/// multiply per word. Keys are verified on every hit, so they need speed
-/// rather than resistance to crafted collisions.
-#[derive(Default)]
-struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
+        self.misses += 1;
+        let plan = decode();
+        if let Some(collided) = self.plans.remove(&key) {
+            self.held -= collided.plan.len();
         }
-    }
-
-    fn write_u8(&mut self, n: u8) {
-        self.write_u64(n.into());
-    }
-
-    fn write_u16(&mut self, n: u16) {
-        self.write_u64(n.into());
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(n.into());
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+        while self.held + plan.len() > PLAN_CACHE_INSTRUCTIONS {
+            let Some(victim) = self
+                .plans
+                .iter()
+                .filter(|(_, c)| c.last_used < self.batch_start)
+                .min_by_key(|(_, c)| c.last_used)
+                .map(|(k, _)| *k)
+            else {
+                break;
+            };
+            let evicted = self.plans.remove(&victim).expect("victim is cached");
+            self.held -= evicted.plan.len();
+        }
+        self.held += plan.len();
+        self.plans.insert(
+            key,
+            CachedPlan {
+                source: source.clone(),
+                plan,
+                last_used: self.tick,
+            },
+        );
     }
 }
 
-/// [`KeyHasher`] digest of `value`: the plan-cache key of a co-runner
-/// program, and the parts a [`request_key`] is folded from.
-fn hash_key(value: &(impl Hash + ?Sized)) -> u64 {
-    let mut h = KeyHasher::default();
-    value.hash(&mut h);
-    h.finish()
-}
-
-/// Key of the program `req` generates, from everything
-/// [`codegen::generate`] reads; `init_hash` and `code_hash` are the
-/// [`hash_key`]s of `req.init` and `req.code`. The code enters only when
-/// the local unroll count is above 0, so basic mode's code-free baseline
-/// version (§III-C) keeps one plan across specs.
-fn request_key(req: &CodegenRequest, init_hash: u64, code_hash: u64) -> u64 {
-    let body_hash = if req.local_unroll > 0 { code_hash } else { 0 };
-    hash_key(&(
-        init_hash,
-        req.local_unroll,
-        body_hash,
-        req.loop_count,
-        req.selectors,
-        req.no_mem,
-        req.arenas,
-    ))
+/// The plan cache's row of the layer ledger
+/// ([`Session::plan_cache_ledger`]). Plans hold no machine state, so the
+/// cache and its counters survive [`Session::reset`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlanCacheLedger {
+    /// Plan lookups (one per unroll version and co-runner of a run) that
+    /// found their plan.
+    pub hits: u64,
+    /// Plan lookups that decoded their plan.
+    pub misses: u64,
+    /// Plans held.
+    pub plans: usize,
+    /// Decoded instructions the plans hold.
+    pub instructions: usize,
+    /// Instructions hit checks compared by content: a code list the spec
+    /// shares with the cached request compares none.
+    pub compared: u64,
 }
 
 /// What a [`Session`] does with the static analyzer's verdict before
@@ -222,12 +222,17 @@ const NO_MEM_PROG_PER_ROUND: usize = NO_MEM_ACC_REGS.len() - FIXED_COUNTER_NAMES
 /// One microbenchmark: everything `nanoBench.sh` takes per invocation
 /// (§III-E), with none of the machine state. Building one is cheap;
 /// running it needs a [`Session`].
+///
+/// The init part, the main part and the co-runners are [`SharedCode`]
+/// lists, made (and hashed) once when they are set. Cloning a spec shares
+/// them, and a session that runs an unchanged spec again finds its cached
+/// plans by pointer, without hashing or comparing the code.
 #[derive(Debug, Clone)]
 pub struct BenchSpec {
     /// Initialization part (`-asm_init`, not measured).
-    pub init: Vec<Instruction>,
+    pub init: SharedCode,
     /// The main part of the microbenchmark.
-    pub code: Vec<Instruction>,
+    pub code: SharedCode,
     /// Performance events; empty uses the session's default configuration.
     pub events: Vec<PerfEvent>,
     /// `loopCount` (§III-F); 0 omits the loop.
@@ -250,14 +255,14 @@ pub struct BenchSpec {
     /// default — measures without interference; specs with co-runners need
     /// a session built with [`Session::with_seed_cores`] (on a single-core
     /// machine co-runners are ignored).
-    pub corunners: Vec<Vec<Instruction>>,
+    pub corunners: Vec<SharedCode>,
 }
 
 impl Default for BenchSpec {
     fn default() -> BenchSpec {
         BenchSpec {
-            init: Vec::new(),
-            code: Vec::new(),
+            init: SharedCode::default(),
+            code: SharedCode::default(),
             events: Vec::new(),
             loop_count: 0,
             unroll_count: 1,
@@ -283,7 +288,7 @@ impl BenchSpec {
     ///
     /// Returns [`NbError::Asm`] on parse failure.
     pub fn asm(&mut self, text: &str) -> Result<&mut BenchSpec, NbError> {
-        self.code = parse_asm(text)?;
+        self.code = parse_asm(text)?.into();
         Ok(self)
     }
 
@@ -293,7 +298,7 @@ impl BenchSpec {
     ///
     /// Returns [`NbError::Asm`] on parse failure.
     pub fn asm_init(&mut self, text: &str) -> Result<&mut BenchSpec, NbError> {
-        self.init = parse_asm(text)?;
+        self.init = parse_asm(text)?.into();
         Ok(self)
     }
 
@@ -304,7 +309,7 @@ impl BenchSpec {
     ///
     /// Returns [`NbError::Decode`] for undecodable bytes.
     pub fn code_bytes(&mut self, bytes: &[u8]) -> Result<&mut BenchSpec, NbError> {
-        self.code = decode_program(bytes)?;
+        self.code = decode_program(bytes)?.into();
         Ok(self)
     }
 
@@ -314,19 +319,19 @@ impl BenchSpec {
     ///
     /// Returns [`NbError::Decode`] for undecodable bytes.
     pub fn init_bytes(&mut self, bytes: &[u8]) -> Result<&mut BenchSpec, NbError> {
-        self.init = decode_program(bytes)?;
+        self.init = decode_program(bytes)?.into();
         Ok(self)
     }
 
     /// Sets the main part directly from instructions.
     pub fn code(&mut self, code: Vec<Instruction>) -> &mut BenchSpec {
-        self.code = code;
+        self.code = code.into();
         self
     }
 
     /// Sets the init part directly from instructions.
     pub fn init(&mut self, init: Vec<Instruction>) -> &mut BenchSpec {
-        self.init = init;
+        self.init = init.into();
         self
     }
 
@@ -395,13 +400,13 @@ impl BenchSpec {
     ///
     /// Returns [`NbError::Asm`] on parse failure.
     pub fn corunner_asm(&mut self, text: &str) -> Result<&mut BenchSpec, NbError> {
-        self.corunners.push(parse_asm(text)?);
+        self.corunners.push(parse_asm(text)?.into());
         Ok(self)
     }
 
     /// Adds an interference co-runner directly from instructions.
     pub fn corunner(&mut self, program: Vec<Instruction>) -> &mut BenchSpec {
-        self.corunners.push(program);
+        self.corunners.push(program.into());
         self
     }
 }
@@ -409,6 +414,13 @@ impl BenchSpec {
 /// A reusable benchmark session: the machine, the §III-G memory areas and
 /// a default counter configuration, built once and reused across many
 /// [`BenchSpec`] runs.
+///
+/// The session caches the decoded plan of each program it runs, keyed by
+/// the codegen request that generated it, and checks every hit against
+/// that request. Re-running an unchanged spec costs the same whatever its
+/// code's length: the request's code lists are the spec's own, equal by
+/// pointer. The cache holds at most [`PLAN_CACHE_INSTRUCTIONS`] decoded
+/// instructions beside the plans of the run in progress.
 ///
 /// # Examples
 ///
@@ -444,9 +456,9 @@ pub struct Session {
     /// Scratch buffer for aggregate computation (avoids per-run allocs).
     scratch: Vec<i64>,
     /// Decoded-plan cache: repeated runs of the same generated program
-    /// (warm-up runs, both counter halves, identical specs re-run across
-    /// seeds) skip decode entirely. Plans hold no machine state, so the
-    /// cache survives [`Session::reset`].
+    /// (both counter halves, identical specs re-run across seeds) skip
+    /// codegen and decode. Plans hold no machine state, so the cache
+    /// survives [`Session::reset`].
     plan_cache: PlanCache,
     /// Decoded user-mode syscall stub (§III-K), built lazily.
     user_stub_plan: Option<DecodedProgram>,
@@ -610,10 +622,13 @@ impl Session {
     ///
     /// # Errors
     ///
+    /// Returns [`NbError::Limit`] before generating anything if the spec
+    /// asks for more than [`MAX_PROGRAM_INSTRUCTIONS`] or [`MAX_RUNS`].
     /// Propagates CPU faults (e.g. privileged instructions in user mode)
     /// and configuration errors; with a [`LintGate::Deny`] gate, specs the
     /// analyzer rejects fail with [`NbError::Lint`] before running.
     pub fn run(&mut self, spec: &BenchSpec) -> Result<BenchmarkResult, NbError> {
+        check_limits(spec)?;
         if self.lint_gate != LintGate::Off {
             let mut diags = self.analyze(spec);
             for d in diags.iter().filter(|d| d.severity == Severity::Warning) {
@@ -656,10 +671,6 @@ impl Session {
 
         let mut fixed_values = [0.0f64; 3];
         let mut prog_entries: Vec<(String, f64)> = Vec::new();
-        let part_hashes = (
-            hash_key(spec.init.as_slice()),
-            hash_key(spec.code.as_slice()),
-        );
 
         for (round, chunk) in chunks.iter().enumerate() {
             for i in 0..n_prog {
@@ -674,8 +685,22 @@ impl Session {
             } else {
                 (spec.unroll_count.max(1), 2 * spec.unroll_count.max(1))
             };
-            let agg_a = self.measure_version(spec, part_hashes, unroll_a, &selectors)?;
-            let agg_b = self.measure_version(spec, part_hashes, unroll_b, &selectors)?;
+            let arenas = self.arenas;
+            let request = |local_unroll: usize| CodegenRequest {
+                init: spec.init.clone(),
+                code: if local_unroll > 0 {
+                    spec.code.clone()
+                } else {
+                    SharedCode::default()
+                },
+                local_unroll,
+                loop_count: spec.loop_count,
+                selectors: selectors.clone(),
+                no_mem: spec.no_mem,
+                arenas,
+            };
+            let agg_a = self.measure_version(spec, request(unroll_a))?;
+            let agg_b = self.measure_version(spec, request(unroll_b))?;
 
             for (slot, value) in agg_b
                 .iter()
@@ -710,51 +735,50 @@ impl Session {
         (self.plan_cache.hits, self.plan_cache.misses)
     }
 
-    /// Number of plans currently cached (at most the cap of 64).
+    /// The plan cache's work counts and what it holds.
+    pub fn plan_cache_ledger(&self) -> PlanCacheLedger {
+        let cache = &self.plan_cache;
+        PlanCacheLedger {
+            hits: cache.hits,
+            misses: cache.misses,
+            plans: cache.plans.len(),
+            instructions: cache.held,
+            compared: cache.compared,
+        }
+    }
+
+    /// Number of plans currently cached. Together they hold at most
+    /// [`PLAN_CACHE_INSTRUCTIONS`] decoded instructions, unless the plans
+    /// of one run alone hold more.
     pub fn plan_cache_len(&self) -> usize {
         self.plan_cache.plans.len()
     }
 
-    /// Runs one unroll version of `spec` per Algorithm 2. `part_hashes`
-    /// are the [`hash_key`]s of `spec.init` and `spec.code`. On a
-    /// plan-cache hit the program is only compared with the cached one,
-    /// never built; it is generated and decoded on a miss.
+    /// Runs the program `request` generates per Algorithm 2, with `spec`'s
+    /// co-runners and run counts. On a plan-cache hit nothing is built;
+    /// the program is generated and decoded on a miss.
     fn measure_version(
         &mut self,
         spec: &BenchSpec,
-        (init_hash, code_hash): (u64, u64),
-        local_unroll: usize,
-        selectors: &[u32],
+        request: CodegenRequest,
     ) -> Result<Vec<f64>, NbError> {
-        let request = CodegenRequest {
-            init: &spec.init,
-            code: &spec.code,
-            local_unroll,
-            loop_count: spec.loop_count,
-            selectors,
-            no_mem: spec.no_mem,
-            arenas: self.arenas,
-        };
-
+        let slots = request.selectors.len();
         // Ensure every plan this run needs (measured program first, then
         // co-runners) before borrowing any of them out of the cache.
-        let key = request_key(&request, init_hash, code_hash);
         let machine = &self.machine;
-        self.plan_cache.ensure(
-            key,
-            |cached| codegen::generates(&request, cached),
-            || machine.decode(&codegen::generate(&request)),
-        );
+        let cache = &mut self.plan_cache;
+        cache.begin_batch();
+        let mut ensure = |source: PlanSource| {
+            let key = hash_key(&source);
+            cache.ensure(key, &source, || source.decode(machine));
+            key
+        };
+        let key = ensure(PlanSource::Generated(request));
         let corunner_keys: Vec<u64> = spec
             .corunners
             .iter()
             .filter(|p| !p.is_empty())
-            .map(|p| {
-                let key = hash_key(p.as_slice());
-                self.plan_cache
-                    .ensure(key, |cached| cached == p.as_slice(), || machine.decode(p));
-                key
-            })
+            .map(|p| ensure(PlanSource::Corunner(p.clone())))
             .collect();
         let plan = &self.plan_cache.plans[&key].plan;
         let corunner_plans: Vec<&DecodedProgram> = corunner_keys
@@ -774,7 +798,7 @@ impl Session {
 
         measure(
             &mut self.machine,
-            selectors.len(),
+            slots,
             spec.no_mem,
             plan,
             &corunner_plans,
@@ -786,6 +810,49 @@ impl Session {
             &mut self.scratch,
         )
     }
+}
+
+/// Refuses a spec whose generated program or run counts exceed
+/// [`MAX_PROGRAM_INSTRUCTIONS`] or [`MAX_RUNS`], naming the option that
+/// asks for it. The program's own frame (register saves, counter reads)
+/// adds fewer than 200 instructions and is not counted.
+fn check_limits(spec: &BenchSpec) -> Result<(), NbError> {
+    let local_unroll = if spec.basic_mode {
+        spec.unroll_count
+    } else {
+        spec.unroll_count.saturating_mul(2)
+    };
+    let body = spec.code.len().saturating_mul(local_unroll);
+    let added = body.saturating_add(spec.init.len());
+    if added > MAX_PROGRAM_INSTRUCTIONS {
+        let option = if spec.init.len() > body {
+            "-asm_init"
+        } else if spec.unroll_count > 1 {
+            "-unroll_count"
+        } else {
+            "-asm"
+        };
+        return Err(NbError::Limit {
+            option,
+            what: "generated instructions",
+            requested: added as u64,
+            limit: MAX_PROGRAM_INSTRUCTIONS as u64,
+        });
+    }
+    for (option, runs) in [
+        ("-n_measurements", spec.n_measurements),
+        ("-warm_up_count", spec.warm_up_count),
+    ] {
+        if runs > MAX_RUNS {
+            return Err(NbError::Limit {
+                option,
+                what: "runs",
+                requested: runs as u64,
+                limit: MAX_RUNS as u64,
+            });
+        }
+    }
+    Ok(())
 }
 
 /// A batch of benchmark jobs fanned out across worker threads, one
@@ -1006,6 +1073,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nanobench_x86::inst::Mnemonic;
 
     fn nop_spec() -> BenchSpec {
         let mut spec = BenchSpec::new();
@@ -1028,6 +1096,74 @@ mod tests {
             assert_eq!(got, expected);
             reused.reset();
         }
+    }
+
+    /// The source of `code`'s program at `local_unroll`.
+    fn generated(code: &str, local_unroll: usize) -> PlanSource {
+        let session = Session::kernel(MicroArch::Skylake);
+        PlanSource::Generated(CodegenRequest {
+            init: SharedCode::default(),
+            code: parse_asm(code).unwrap().into(),
+            local_unroll,
+            loop_count: 0,
+            selectors: vec![1 << 30],
+            no_mem: false,
+            arenas: session.arenas,
+        })
+    }
+
+    #[test]
+    fn a_colliding_key_re_decodes_into_its_slot() {
+        let machine = Machine::new(MicroArch::Skylake, Mode::Kernel, NB_SEED);
+        let (add, imul) = (generated("add rax, rax", 2), generated("imul rax, rax", 2));
+        let mut cache = PlanCache::default();
+        cache.begin_batch();
+        cache.ensure(7, &add, || add.decode(&machine));
+        cache.ensure(7, &add, || unreachable!("a hit decodes nothing"));
+        assert_eq!((cache.hits, cache.misses), (1, 1));
+        // Another request under the same key is a miss, decoded into the
+        // slot in place of the first request's plan.
+        cache.ensure(7, &imul, || imul.decode(&machine));
+        assert_eq!((cache.hits, cache.misses, cache.plans.len()), (1, 2, 1));
+        let slot = &cache.plans[&7];
+        assert_eq!(slot.source, imul);
+        let imuls = slot.plan.instructions().iter();
+        assert_eq!(imuls.filter(|i| i.mnemonic == Mnemonic::Imul).count(), 2);
+        assert_eq!(cache.held, slot.plan.len());
+        // The first request no longer hits.
+        cache.ensure(7, &add, || add.decode(&machine));
+        assert_eq!((cache.hits, cache.misses), (1, 3));
+        assert_eq!(cache.plans[&7].source, add);
+    }
+
+    #[test]
+    fn a_batch_keeps_its_plans_past_the_bound() {
+        let machine = Machine::new(MicroArch::Skylake, Mode::Kernel, NB_SEED);
+        // Two plans of 10,000 nops each: together past the bound, each
+        // within it.
+        let nops = PlanSource::Corunner(vec![Instruction::new(Mnemonic::Nop); 10_000].into());
+        let pauses = PlanSource::Corunner(vec![Instruction::new(Mnemonic::Pause); 10_000].into());
+        let mut cache = PlanCache::default();
+        cache.begin_batch();
+        cache.ensure(1, &nops, || nops.decode(&machine));
+        cache.ensure(2, &pauses, || pauses.decode(&machine));
+        assert_eq!((cache.plans.len(), cache.held), (2, 20_000));
+        // The next batch evicts the least recently used plan to make room.
+        cache.begin_batch();
+        cache.ensure(2, &pauses, || unreachable!("a hit decodes nothing"));
+        cache.ensure(3, &generated("nop", 1), || {
+            generated("nop", 1).decode(&machine)
+        });
+        assert!(!cache.plans.contains_key(&1));
+        assert!(cache.held <= PLAN_CACHE_INSTRUCTIONS);
+        // A plan larger than the bound is admitted, and evicts the rest.
+        let big = PlanSource::Corunner(
+            vec![Instruction::new(Mnemonic::Nop); PLAN_CACHE_INSTRUCTIONS + 1].into(),
+        );
+        cache.begin_batch();
+        cache.ensure(4, &big, || big.decode(&machine));
+        assert_eq!(cache.plans.keys().collect::<Vec<_>>(), [&4]);
+        assert_eq!(cache.held, PLAN_CACHE_INSTRUCTIONS + 1);
     }
 
     #[test]

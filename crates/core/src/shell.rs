@@ -388,6 +388,47 @@ mod tests {
     }
 
     #[test]
+    fn runaway_invocations_are_refused_before_they_allocate() {
+        // Unbounded, the first line asked codegen for a 5 GB program and
+        // the other two ran without end.
+        let lines = [
+            (
+                "-asm nop -unroll_count 100000000",
+                "-unroll_count",
+                200_000_000,
+            ),
+            (
+                "-asm nop -n_measurements 100000000",
+                "-n_measurements",
+                100_000_000,
+            ),
+            (
+                "-asm nop -warm_up_count 100000000",
+                "-warm_up_count",
+                100_000_000,
+            ),
+        ];
+        for (line, option, requested) in lines {
+            for run in [kernel_nanobench, user_nanobench] {
+                let started = std::time::Instant::now();
+                let err = run(MicroArch::Skylake, line).unwrap_err();
+                let NbError::Limit {
+                    option: named,
+                    requested: asked,
+                    ..
+                } = err
+                else {
+                    panic!("`{line}`: expected a limit error, got {err}");
+                };
+                assert_eq!((named, asked), (option, requested), "`{line}`");
+                assert!(err.to_string().starts_with(option), "{err}");
+                let elapsed = started.elapsed();
+                assert!(elapsed.as_secs_f64() < 1.0, "`{line}` took {elapsed:?}");
+            }
+        }
+    }
+
+    #[test]
     fn unknown_option_is_error() {
         let mut nb = NanoBench::kernel(MicroArch::Skylake);
         let err = apply_options(&mut nb, "-frobnicate 3").unwrap_err();

@@ -7,6 +7,9 @@
 //! allocator tallies allocations on the current thread only, so the tests
 //! of this binary can run in parallel.
 
+use nanobench_cache::presets::cpu_by_microarch;
+use nanobench_cache_tools::{AccessSeq, CacheSeq, Level};
+use nanobench_core::session::PLAN_CACHE_INSTRUCTIONS;
 use nanobench_core::{BenchSpec, Session};
 use nanobench_machine::{Machine, Mode};
 use nanobench_uarch::port::MicroArch;
@@ -90,6 +93,71 @@ fn plan_cache_hits_allocate_independently_of_program_size() {
         allocations
     };
     assert_eq!(warm_rebuild_and_run(100), warm_rebuild_and_run(2_000));
+}
+
+#[test]
+fn plan_cache_hit_checks_compare_only_code_the_spec_does_not_share() {
+    let body = || -> Vec<Instruction> {
+        (0..500)
+            .map(|_| Instruction::binary(Mnemonic::Mov, Gpr::Rax, Operand::mem(Gpr::R14)))
+            .collect()
+    };
+    let mut session = Session::kernel(MicroArch::Skylake);
+    let mut spec = BenchSpec::new();
+    spec.code(body());
+    let run = |session: &mut Session, spec: &BenchSpec| {
+        session.run(spec).unwrap();
+        let ledger = session.plan_cache_ledger();
+        (ledger.hits, ledger.misses, ledger.compared)
+    };
+    assert_eq!(run(&mut session, &spec), (0, 2, 0));
+    // A repeated run of one spec compares nothing: the cached requests
+    // hold the spec's own code lists.
+    assert_eq!(run(&mut session, &spec), (2, 2, 0));
+    // A rebuilt equal spec compares its 500-instruction body once per
+    // unroll version, not the 599- and 1,099-instruction programs.
+    spec.code(body());
+    assert_eq!(run(&mut session, &spec), (4, 2, 1_000));
+}
+
+#[test]
+fn cacheseq_repeats_decode_once_and_the_cache_stays_bounded() {
+    // Figure 1's target: Ivy Bridge L3 set 800, slice 0, whose eviction
+    // pads make each access about 35 instructions long.
+    let cpu = cpu_by_microarch("Ivy Bridge").unwrap();
+    let mut cs = CacheSeq::new(&cpu, Level::L3, 800, Some(0), 12 + 120 + 1, 1).unwrap();
+    // `<WBINVD> B0 .. B11 F0 .. F(n-1) B0?`
+    let seq = |n: usize| {
+        let mut blocks: Vec<usize> = (0..12 + n).collect();
+        blocks.push(0);
+        let mut seq = AccessSeq::measured_all(&blocks);
+        for item in &mut seq.items[..12 + n] {
+            item.measured = false;
+        }
+        seq
+    };
+    let ledger = |cs: &mut CacheSeq| cs.session_mut().plan_cache_ledger();
+    cs.run_hits(&seq(0)).unwrap();
+    let first = ledger(&mut cs);
+    assert_eq!((first.hits, first.misses), (0, 2));
+    // A repeat decodes nothing and compares nothing.
+    cs.run_hits(&seq(0)).unwrap();
+    let repeat = ledger(&mut cs);
+    assert_eq!((repeat.hits, repeat.misses, repeat.compared), (2, 2, 0));
+    // Thirteen sequences of 420 to 4,600 instructions, each run twice,
+    // hold more than the bound together. Each new one is decoded once
+    // (the code-free baseline version hits throughout, its WBINVD init
+    // kept), nothing is compared, and the plans held stay within the
+    // bound.
+    for n in (0..=120).step_by(10) {
+        cs.run_hits(&seq(n)).unwrap();
+        cs.run_hits(&seq(n)).unwrap();
+        let held = ledger(&mut cs).instructions;
+        assert!(held <= PLAN_CACHE_INSTRUCTIONS, "{held} instructions held");
+    }
+    let last = ledger(&mut cs);
+    assert_eq!((last.hits, last.misses, last.compared), (42, 14, 0));
+    assert!(last.plans < 14, "{} plans: nothing was evicted", last.plans);
 }
 
 #[test]

@@ -2,6 +2,7 @@
 //! program skip decode entirely, and cached replay is bit-identical to
 //! the first (decoding) run.
 
+use nanobench_core::session::PLAN_CACHE_INSTRUCTIONS;
 use nanobench_core::{BenchSpec, Session};
 use nanobench_uarch::port::MicroArch;
 
@@ -72,11 +73,14 @@ fn user_mode_caches_plans_too() {
 #[test]
 fn cap_eviction_is_lru_and_survives_reset() {
     // Each spec generates two distinct programs (the two unroll versions
-    // of §III-C), so 40 specs push 80 plans through the cap-64 cache.
+    // of §III-C) of 299 and 499 instructions, so the cache's bound holds
+    // the plans of 20 specs (15,960 instructions): 40 specs push 80 plans
+    // through it.
     let spec_for = |i: usize| {
         let mut spec = add_spec();
         spec.asm(&format!("add rax, {}", i + 1))
             .unwrap()
+            .unroll_count(200)
             .warm_up_count(0)
             .n_measurements(1);
         spec
@@ -85,33 +89,41 @@ fn cap_eviction_is_lru_and_survives_reset() {
     for i in 0..40 {
         session.run(&spec_for(i)).unwrap();
         session.reset();
+        assert!(session.plan_cache_ledger().instructions <= PLAN_CACHE_INSTRUCTIONS);
     }
-    assert_eq!(session.plan_cache_len(), 64, "cache must stay at the cap");
+    let ledger = session.plan_cache_ledger();
+    assert_eq!(
+        (ledger.plans, ledger.instructions),
+        (40, 15_960),
+        "the cache must stay within its bound"
+    );
     assert_eq!(session.plan_cache_stats(), (0, 80));
 
-    // LRU eviction: the 16 oldest plans — specs 0..8's — are gone, the
-    // newest are still cached. Re-running the newest spec is pure hits...
-    session.run(&spec_for(39)).unwrap();
+    // LRU eviction: specs 0..20's plans are gone, the newer ones are still
+    // cached. Re-running the oldest cached spec is pure hits and makes it
+    // the most recently used...
+    session.run(&spec_for(20)).unwrap();
     assert_eq!(session.plan_cache_stats(), (2, 80));
 
-    // ...while the oldest re-decodes both versions (and evicts the then
-    // least-recently-used entries, keeping the cache at the cap).
+    // ...so an evicted spec, decoded again, evicts spec 21's plans instead
+    // of spec 20's, and the cache stays within its bound.
     session.reset();
     session.run(&spec_for(0)).unwrap();
     assert_eq!(session.plan_cache_stats(), (2, 82));
-    assert_eq!(session.plan_cache_len(), 64);
+    assert_eq!(session.plan_cache_len(), 40);
+    session.run(&spec_for(20)).unwrap();
+    assert_eq!(session.plan_cache_stats(), (4, 82));
+    session.run(&spec_for(21)).unwrap();
+    assert_eq!(session.plan_cache_stats(), (4, 84));
 
-    // The same fill sequence on a fresh session evicts identically: the
+    // The same run sequence on a fresh session evicts identically: the
     // same survivors hit, the same victims miss (deterministic order).
     let mut replay = Session::kernel(MicroArch::Skylake);
-    for i in 0..40 {
+    for i in (0..40).chain([20, 0, 20, 21]) {
         replay.run(&spec_for(i)).unwrap();
         replay.reset();
     }
-    replay.run(&spec_for(39)).unwrap();
-    replay.reset();
-    replay.run(&spec_for(0)).unwrap();
-    assert_eq!(replay.plan_cache_stats(), session.plan_cache_stats());
+    assert_eq!(replay.plan_cache_ledger(), session.plan_cache_ledger());
 
     // Stats and cached plans survive reset(): a reset then re-run of a
     // cached spec only adds hits, never misses.

@@ -43,13 +43,19 @@ type Frame = [u8; PAGE_SIZE as usize];
 /// one-entry MRU memo so the streak of accesses to a single page (the
 /// overwhelmingly common pattern in microbenchmark bodies) resolves its
 /// frame without hashing at all.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct PhysMem {
     frames: Vec<Box<Frame>>,
     index: IntMap<u32>,
     /// `(frame number, arena slot)` of the last successful lookup;
     /// `u64::MAX` is never a valid frame number for ≤64-bit addresses.
     mru: (u64, u32),
+}
+
+impl Default for PhysMem {
+    fn default() -> PhysMem {
+        PhysMem::new()
+    }
 }
 
 impl PhysMem {
@@ -165,6 +171,14 @@ mod tests {
         assert_eq!(m.read(0x1000, 4), 0x5566_7788);
         assert_eq!(m.read(0x1004, 4), 0x1122_3344);
         assert_eq!(m.read(0x1000, 1), 0x88);
+    }
+
+    #[test]
+    fn default_memory_starts_empty_at_frame_zero() {
+        let mut m = PhysMem::default();
+        assert_eq!(m.read(0x10, 8), 0);
+        m.write(0x10, 8, 7);
+        assert_eq!(m.read(0x10, 8), 7);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! dependency-carrying µop's latency (plus memory latency for memory
 //! forms), its *throughput* emerges from port contention and the issue
 //! width, and its *port usage* from the port classes resolved through
-//! [`PortConfig`](crate::port::PortConfig).
+//! [`PortConfig`].
 
 use crate::port::{MicroArch, PortConfig, PortSet};
 use nanobench_x86::defuse;

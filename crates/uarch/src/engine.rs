@@ -12,11 +12,11 @@
 //! resolution, memory-operand classification, dependency extraction,
 //! *and* step-kind dispatch — is hoisted into a one-shot decode pass. The
 //! steady-state loop is an indirect call through a per-bus-type dispatch
-//! table ([`Handlers`]) indexed by the plan's precomputed handler byte:
+//! table (`Handlers`) indexed by the plan's precomputed handler byte:
 //! no branching on instruction kind, no heap allocation, and (for a
 //! concrete [`Bus`] implementation) no virtual calls — the whole
 //! interpreter monomorphizes over the bus type. PMU increments accumulate
-//! in a per-context [`PmuBatch`] and flush only at architectural
+//! in a per-context `PmuBatch` and flush only at architectural
 //! observation points, and runs of straight-line ALU, load, store and
 //! read-modify-write instructions step as fused superblocks (see
 //! [`crate::plan`] for the fusion rules).
@@ -157,8 +157,10 @@ impl Timing {
         // positions `start..n` are considered before those at `0..start`,
         // and the first port with the minimal free time wins — port
         // selection is identical to rotating an explicit candidate list.
-        // Every real port set has a power-of-two candidate count, so the
-        // rotation mask avoids a hardware divide on the dispatch path.
+        // Most port sets have a power-of-two candidate count and take the
+        // rotation mask, which avoids a hardware divide on the dispatch
+        // path; three-port sets (p015, and p237 on Haswell and later)
+        // take the `%`.
         let start = if n.is_power_of_two() {
             self.rr & (n - 1)
         } else {

@@ -6,7 +6,7 @@
 //! everything the engine needs to know about an instruction — descriptor
 //! lookups, memory-operand classification, port-class resolution — into a
 //! one-shot analysis pass: each static instruction maps to a flat
-//! [`HotEntry`] whose variable-length data (resolved µops, register
+//! `HotEntry` whose variable-length data (resolved µops, register
 //! dependencies, memory operands) lives in contiguous arenas addressed by
 //! spans — so the engine's steady-state loop performs no heap allocation
 //! and no hashing.
@@ -14,15 +14,15 @@
 //! On top of the arena layout, decode resolves *how* each instruction is
 //! stepped:
 //!
-//! * Every entry carries a [`handler`] index into the engine's static
+//! * Every entry carries a `handler` index into the engine's static
 //!   dispatch table, so the steady-state loop is an indirect call with no
 //!   branching on step kind — specials get one handler per mnemonic
 //!   family, and the dominant ALU / load / store / read-modify-write
 //!   shapes get specialized fast handlers.
 //! * Entries are split struct-of-arrays: the hot loop touches only
-//!   [`HotEntry`] (handler index, µop/register/memory spans, packed meta
+//!   `HotEntry` (handler index, µop/register/memory spans, packed meta
 //!   bits); rarely-needed metadata (vector-register dependencies) lives in
-//!   a parallel [`ColdEntry`] arena only the generic handler reads.
+//!   a parallel `ColdEntry` arena only the generic handler reads.
 //! * Adjacent straight-line entries — register-only ALU, load, store and
 //!   read-modify-write shapes, mixed freely — are fused into superblock
 //!   steps: `fuse_len` is the (capped) run length of consecutive fusable
@@ -793,8 +793,7 @@ impl DecodedProgram {
         }
     }
 
-    /// The instruction sequence the plan was decoded from (cache layers
-    /// use this to verify key collisions).
+    /// The instruction sequence the plan was decoded from.
     pub fn instructions(&self) -> &[Instruction] {
         &self.insts
     }
